@@ -65,6 +65,56 @@ def test_disallowed_constructs(payload, needle):
         parse_document(payload)
 
 
+# One row per ParseError reason (and per place it can be raised), with the
+# exact 1-based line and column the parser reports.
+@pytest.mark.parametrize(
+    "payload,line,column,reason",
+    [
+        (b"<a>\xff\xfe</a>", 1, 1, "input is not valid UTF-8: invalid start byte"),
+        (b"<?xml version='1.0'", 1, 1, "unterminated XML declaration"),
+        (b"<!-- never closed", 1, 1, "unterminated comment"),
+        (b"<a><!-- never closed</a>", 1, 4, "unterminated comment"),
+        (b"", 1, 1, "document has no root element"),
+        (b"  <!-- only a comment -->\n", 2, 1, "document has no root element"),
+        (b"text<a/>", 1, 1, "content before the root element"),
+        (b"<a/><b/>", 1, 5, "content after the root element"),
+        (b"<a/>\ntail", 2, 1, "content after the root element"),
+        (b"<!DOCTYPE html><a/>", 1, 1, "DOCTYPE and markup declarations are not allowed"),
+        (b"<a><!DOCTYPE x></a>", 1, 4, "DOCTYPE and markup declarations are not allowed"),
+        (b"<a><![CDATA[x]]></a>", 1, 4, "CDATA sections are not allowed"),
+        (b"<?php ?><a/>", 1, 1, "processing instructions are not allowed"),
+        (b"<a><?php ?></a>", 1, 4, "processing instructions are not allowed"),
+        (b"<ns:a/>", 1, 2, "namespace prefixes are not allowed in element name"),
+        (b'<a ns:x="1"/>', 1, 4, "namespace prefixes are not allowed in attribute name"),
+        (b"<a></ns:a>", 1, 6, "namespace prefixes are not allowed in closing tag name"),
+        (b'<a x="1" x="2"/>', 1, 10, "duplicate attribute 'x'"),
+        (b'<a x "1"/>', 1, 6, "expected '=' after attribute name"),
+        (b"<a x=1/>", 1, 6, "expected quoted attribute value"),
+        (b'<a x="1/>', 1, 7, "unterminated attribute value"),
+        (b'<a x="1<2"/>', 1, 8, "'<' in attribute value"),
+        (b'<a x="&nbsp;"/>', 1, 7, "undefined or malformed entity reference"),
+        (b'<a\n  x="1"\n  y = "&amp;&bad;"/>', 3, 13, "undefined or malformed entity reference"),
+        (b"<a>x &nbsp; y</a>", 1, 6, "undefined or malformed entity reference"),
+        (b"<a>&#65;</a>", 1, 4, "undefined or malformed entity reference"),
+        (b"<a>", 1, 1, "unclosed element 'a'"),
+        (b"<a>text", 1, 1, "unclosed element 'a'"),
+        (b"<a><b>\n</b>", 1, 1, "unclosed element 'a'"),
+        (b"<a><b></a></a>", 1, 10, "mismatched closing tag '</a>' for '<b>'"),
+        (b"<a></a x>", 1, 8, "expected '>' after closing tag"),
+        (b"<a></a", 1, 7, "expected '>' after closing tag"),
+        (b"<1/>", 1, 2, "expected element name"),
+        (b"<a>< b/></a>", 1, 5, "expected element name"),
+        (b"<a></ a>", 1, 6, "expected closing tag name"),
+        (b"<a x='1'/ >", 1, 9, "expected attribute name"),
+        (b'<a x="1" =/>', 1, 10, "expected attribute name"),
+    ],
+)
+def test_parse_errors_are_located(payload, line, column, reason):
+    with pytest.raises(ParseError) as exc:
+        parse_document(payload)
+    assert (exc.value.line, exc.value.column, exc.value.reason) == (line, column, reason)
+
+
 def test_xml_declaration_and_comments_discarded():
     root = parse_document(b"<?xml version='1.0'?><!-- top --><a><!-- in -->text</a><!-- after -->")
     assert root.tag == "a"
