@@ -10,6 +10,7 @@ captured on each element.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -472,7 +473,18 @@ def validate_model(model: ApplicationModel) -> list[Diagnostic]:
 
 
 def load_model(data: bytes) -> tuple[ApplicationModel, list[Diagnostic]]:
-    """Parse, bind and validate in one step. Raises ParseError on malformed XML."""
-    model, diagnostics = bind_model(parse_document(data))
-    diagnostics.extend(validate_model(model))
+    """Parse, bind and validate in one step. Raises ParseError on malformed XML.
+
+    The cyclic garbage collector is paused throughout: the XML tree and the
+    model are acyclic, so its passes over the growing trees free nothing, and
+    on large models they took close to half the parse and bind time.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        model, diagnostics = bind_model(parse_document(data))
+        diagnostics.extend(validate_model(model))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return model, diagnostics

@@ -13,10 +13,25 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*")
+_NAME = r"[A-Za-z_][A-Za-z0-9_.\-]*"
+# Ends a name only where no name character or ':' follows, so a failed match
+# never retries a shorter name. A lookahead, because atomic groups need 3.11.
+_NAME_END = r"(?![A-Za-z0-9_.\-:])"
+_WS = r"[ \t\r\n]*"
+
+NAME_RE = re.compile(_NAME)
 ENTITY_RE = re.compile(r"&([A-Za-z]+);")
 PREDEFINED_ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
-WHITESPACE = " \t\r\n"
+WHITESPACE_RE = re.compile(_WS)
+NEWLINE_RE = re.compile("\n")
+
+# Well-formed markup is matched whole by these; where one does not match, the
+# step-by-step readers of `_Parser` run instead and raise the located error.
+START_TAG_RE = re.compile("<(" + _NAME + ")" + _NAME_END)
+ATTRIBUTE_RE = re.compile(
+    _WS + "(" + _NAME + ")" + _NAME_END + _WS + "=" + _WS + "(?:\"([^\"<]*)\"|'([^'<]*)')")
+TAG_END_RE = re.compile(_WS + "(/?)>")
+END_TAG_RE = re.compile("</(" + _NAME + ")" + _NAME_END + _WS + ">")
 
 
 class ParseError(Exception):
@@ -27,7 +42,7 @@ class ParseError(Exception):
         self.reason = reason
 
 
-@dataclass
+@dataclass(slots=True)
 class XmlNode:
     tag: str
     attributes: dict[str, str] = field(default_factory=dict)
@@ -47,64 +62,49 @@ class XmlNode:
 
 
 class _Parser:
+    """One document's text, with the readers that work on it.
+
+    Readers take a position and return the position after what they read.
+    """
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         # offsets of line starts, for O(log n) location lookup
         self.line_starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                self.line_starts.append(i + 1)
+        self.line_starts.extend(m.end() for m in NEWLINE_RE.finditer(text))
 
-    def location(self, pos: int | None = None) -> tuple[int, int]:
-        if pos is None:
-            pos = self.pos
+    def location(self, pos: int) -> tuple[int, int]:
         line = bisect_right(self.line_starts, pos)
         return line, pos - self.line_starts[line - 1] + 1
 
-    def fail(self, reason: str, pos: int | None = None) -> ParseError:
+    def fail(self, reason: str, pos: int) -> ParseError:
         line, column = self.location(pos)
         return ParseError(line, column, reason)
 
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
+    def skip_whitespace(self, pos: int) -> int:
+        return WHITESPACE_RE.match(self.text, pos).end()
 
-    def peek(self, s: str) -> bool:
-        return self.text.startswith(s, self.pos)
-
-    def expect(self, s: str, what: str) -> None:
-        if not self.peek(s):
-            raise self.fail(f"expected {what}")
-        self.pos += len(s)
-
-    def skip_whitespace(self) -> None:
-        while not self.eof() and self.text[self.pos] in WHITESPACE:
-            self.pos += 1
-
-    def skip_misc(self) -> None:
+    def skip_misc(self, pos: int) -> int:
         """Whitespace and comments between markup."""
         while True:
-            self.skip_whitespace()
-            if self.peek("<!--"):
-                self.read_comment()
-            else:
-                return
+            pos = self.skip_whitespace(pos)
+            if not self.text.startswith("<!--", pos):
+                return pos
+            pos = self.read_comment(pos)
 
-    def read_comment(self) -> None:
-        start = self.pos
-        end = self.text.find("-->", self.pos + 4)
+    def read_comment(self, pos: int) -> int:
+        end = self.text.find("-->", pos + 4)
         if end < 0:
-            raise self.fail("unterminated comment", start)
-        self.pos = end + 3
+            raise self.fail("unterminated comment", pos)
+        return end + 3
 
-    def read_name(self, what: str) -> str:
-        m = NAME_RE.match(self.text, self.pos)
+    def read_name(self, pos: int, what: str) -> int:
+        m = NAME_RE.match(self.text, pos)
         if m is None:
-            raise self.fail(f"expected {what}")
-        if m.end() < len(self.text) and self.text[m.end()] == ":":
-            raise self.fail(f"namespace prefixes are not allowed in {what}")
-        self.pos = m.end()
-        return m.group()
+            raise self.fail(f"expected {what}", pos)
+        if self.text.startswith(":", m.end()):
+            raise self.fail(f"namespace prefixes are not allowed in {what}", pos)
+        return m.end()
 
     def decode_text(self, raw: str, pos: int) -> str:
         out: list[str] = []
@@ -121,79 +121,136 @@ class _Parser:
             out.append(PREDEFINED_ENTITIES[m.group(1)])
             i = m.end()
 
-    def parse_declaration(self) -> None:
-        if self.peek("<?xml"):
-            end = self.text.find("?>", self.pos)
-            if end < 0:
-                raise self.fail("unterminated XML declaration")
-            self.pos = end + 2
+    def read_attribute(self, pos: int, attributes: dict[str, str]) -> tuple[int, str, str, int]:
+        """Read one attribute check by check; returns (name position, name, value, end).
 
-    def parse_element(self) -> XmlNode:
-        start = self.pos
-        self.expect("<", "element")
-        tag = self.read_name("element name")
-        node = XmlNode(tag=tag, location=self.location(start))
+        Runs only where ATTRIBUTE_RE does not match, so one of the checks fails.
+        """
+        text = self.text
+        name_pos = self.skip_whitespace(pos)
+        pos = self.read_name(name_pos, "attribute name")
+        name = text[name_pos:pos]
+        if name in attributes:
+            raise self.fail(f"duplicate attribute '{name}'", name_pos)
+        pos = self.skip_whitespace(pos)
+        if not text.startswith("=", pos):
+            raise self.fail("expected '=' after attribute name", pos)
+        pos = self.skip_whitespace(pos + 1)
+        if pos >= len(text) or text[pos] not in "'\"":
+            raise self.fail("expected quoted attribute value", pos)
+        value_start = pos + 1
+        end = text.find(text[pos], value_start)
+        if end < 0:
+            raise self.fail("unterminated attribute value", value_start)
+        raw = text[value_start:end]
+        if "<" in raw:
+            raise self.fail("'<' in attribute value", value_start + raw.index("<"))
+        return name_pos, name, self.decode_text(raw, value_start), end + 1
 
+    def read_end_tag(self, pos: int, tag: str) -> int:
+        """Read the closing tag at pos check by check; it must close `tag`.
+
+        Runs only where END_TAG_RE does not match it, so one of the checks fails.
+        """
+        end = self.read_name(pos + 2, "closing tag name")
+        close = self.text[pos + 2:end]
+        if close != tag:
+            raise self.fail(f"mismatched closing tag '</{close}>' for '<{tag}>'", end)
+        pos = self.skip_whitespace(end)
+        if not self.text.startswith(">", pos):
+            raise self.fail("expected '>' after closing tag", pos)
+        return pos + 1
+
+    def parse_element(self, pos: int) -> tuple[XmlNode, int]:
+        """Parse the element whose start tag is at pos; returns it and its end.
+
+        One loop with an explicit stack of the open elements, each with its
+        start position and text parts, so nesting depth is bounded by memory
+        rather than by the interpreter's recursion limit.
+        """
+        text = self.text
+        line_starts = self.line_starts
+        find = text.find
+        startswith = text.startswith
+        match_start_tag = START_TAG_RE.match
+        match_attribute = ATTRIBUTE_RE.match
+        match_tag_end = TAG_END_RE.match
+        match_end_tag = END_TAG_RE.match
+        stack: list[tuple[XmlNode, int, list[str]]] = []
         while True:
-            self.skip_whitespace()
-            if self.peek("/>"):
-                self.pos += 2
-                return node
-            if self.peek(">"):
-                self.pos += 1
-                break
-            attr_pos = self.pos
-            name = self.read_name("attribute name")
-            if name in node.attributes:
-                raise self.fail(f"duplicate attribute '{name}'", attr_pos)
-            self.skip_whitespace()
-            self.expect("=", "'=' after attribute name")
-            self.skip_whitespace()
-            if self.eof() or self.text[self.pos] not in "'\"":
-                raise self.fail("expected quoted attribute value")
-            quote = self.text[self.pos]
-            self.pos += 1
-            value_start = self.pos
-            end = self.text.find(quote, self.pos)
-            if end < 0:
-                raise self.fail("unterminated attribute value", value_start)
-            raw = self.text[value_start:end]
-            if "<" in raw:
-                raise self.fail("'<' in attribute value", value_start + raw.index("<"))
-            node.attributes[name] = self.decode_text(raw, value_start)
-            node.attribute_locations[name] = self.location(attr_pos)
-            self.pos = end + 1
-
-        # content until matching close tag
-        text_parts: list[str] = []
-        while True:
-            if self.eof():
-                raise self.fail(f"unclosed element '{tag}'", start)
-            lt = self.text.find("<", self.pos)
-            if lt < 0:
-                raise self.fail(f"unclosed element '{tag}'", start)
-            if lt > self.pos:
-                text_parts.append(self.decode_text(self.text[self.pos:lt], self.pos))
-                self.pos = lt
-            if self.peek("</"):
-                self.pos += 2
-                close = self.read_name("closing tag name")
-                if close != tag:
-                    raise self.fail(f"mismatched closing tag '</{close}>' for '<{tag}>'")
-                self.skip_whitespace()
-                self.expect(">", "'>' after closing tag")
-                node.text = "".join(text_parts)
-                return node
-            if self.peek("<!--"):
-                self.read_comment()
-            elif self.peek("<![CDATA["):
-                raise self.fail("CDATA sections are not allowed")
-            elif self.peek("<!"):
-                raise self.fail("DOCTYPE and markup declarations are not allowed")
-            elif self.peek("<?"):
-                raise self.fail("processing instructions are not allowed")
+            # pos is at the '<' of a start tag
+            start = pos
+            m = match_start_tag(text, pos)
+            if m is None:
+                pos = self.read_name(pos + 1, "element name")
+                tag = text[start + 1:pos]
             else:
-                node.children.append(self.parse_element())
+                tag = m.group(1)
+                pos = m.end()
+            attributes: dict[str, str] = {}
+            attribute_locations: dict[str, tuple[int, int]] = {}
+            while True:
+                m = match_attribute(text, pos)
+                if m is not None:
+                    name, value, single_quoted = m.groups()
+                    name_pos = m.start(1)
+                    if name in attributes:
+                        raise self.fail(f"duplicate attribute '{name}'", name_pos)
+                    if value is None:
+                        value = single_quoted
+                    if "&" in value:
+                        value = self.decode_text(value, m.end() - 1 - len(value))
+                    pos = m.end()
+                else:
+                    m = match_tag_end(text, pos)
+                    if m is not None:
+                        break
+                    name_pos, name, value, pos = self.read_attribute(pos, attributes)
+                attributes[name] = value
+                line = bisect_right(line_starts, name_pos)
+                attribute_locations[name] = (line, name_pos - line_starts[line - 1] + 1)
+            line = bisect_right(line_starts, start)
+            node = XmlNode(tag, attributes, [], "", (line, start - line_starts[line - 1] + 1),
+                           attribute_locations)
+            if stack:
+                stack[-1][0].children.append(node)
+            pos = m.end()
+            if m.group(1):  # self-closing
+                if not stack:
+                    return node, pos
+            else:
+                stack.append((node, start, []))
+
+            # content up to the next start tag, closing elements on the way
+            while True:
+                node, start, text_parts = stack[-1]
+                lt = find("<", pos)
+                if lt < 0:
+                    raise self.fail(f"unclosed element '{node.tag}'", start)
+                if lt > pos:
+                    raw = text[pos:lt]
+                    text_parts.append(self.decode_text(raw, pos) if "&" in raw else raw)
+                    pos = lt
+                if startswith("</", pos):
+                    m = match_end_tag(text, pos)
+                    if m is not None and m.group(1) == node.tag:
+                        pos = m.end()
+                    else:
+                        pos = self.read_end_tag(pos, node.tag)
+                    node.text = "".join(text_parts)
+                    stack.pop()
+                    if not stack:
+                        return node, pos
+                elif startswith("<!--", pos):
+                    pos = self.read_comment(pos)
+                elif startswith("<![CDATA[", pos):
+                    raise self.fail("CDATA sections are not allowed", pos)
+                elif startswith("<!", pos):
+                    raise self.fail("DOCTYPE and markup declarations are not allowed", pos)
+                elif startswith("<?", pos):
+                    raise self.fail("processing instructions are not allowed", pos)
+                else:
+                    break
 
 
 def parse_document(data: bytes) -> XmlNode:
@@ -206,22 +263,27 @@ def parse_document(data: bytes) -> XmlNode:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(1, 1, f"input is not valid UTF-8: {exc.reason}") from None
-    if text.startswith("﻿"):
+    if text.startswith("\ufeff"):
         text = text[1:]
 
     parser = _Parser(text)
-    parser.parse_declaration()
-    parser.skip_misc()
-    if parser.eof():
-        raise parser.fail("document has no root element")
-    if parser.peek("<!"):
-        raise parser.fail("DOCTYPE and markup declarations are not allowed")
-    if parser.peek("<?"):
-        raise parser.fail("processing instructions are not allowed")
-    if not parser.peek("<"):
-        raise parser.fail("content before the root element")
-    root = parser.parse_element()
-    parser.skip_misc()
-    if not parser.eof():
-        raise parser.fail("content after the root element")
+    pos = 0
+    if text.startswith("<?xml"):
+        end = text.find("?>")
+        if end < 0:
+            raise parser.fail("unterminated XML declaration", 0)
+        pos = end + 2
+    pos = parser.skip_misc(pos)
+    if pos >= len(text):
+        raise parser.fail("document has no root element", pos)
+    if text.startswith("<!", pos):
+        raise parser.fail("DOCTYPE and markup declarations are not allowed", pos)
+    if text.startswith("<?", pos):
+        raise parser.fail("processing instructions are not allowed", pos)
+    if not text.startswith("<", pos):
+        raise parser.fail("content before the root element", pos)
+    root, pos = parser.parse_element(pos)
+    pos = parser.skip_misc(pos)
+    if pos < len(text):
+        raise parser.fail("content after the root element", pos)
     return root

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sfgen
 from sfgen import packs
 from sfgen.cli import main
 
@@ -48,6 +53,17 @@ def test_validate_unparsable_model(tmp_path, capsys):
     bad.write_text("<xsource>")
     assert main(["validate", str(bad)]) == 1
     assert "E_PARSE at 1:1" in capsys.readouterr().err
+
+
+def test_validate_deeply_nested_model(tmp_path):
+    deep = tmp_path / "deep.xml"
+    deep.write_bytes(b"<a>" * 100_000 + b"</a>" * 100_000)
+    env = {**os.environ, "PYTHONPATH": str(Path(sfgen.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-m", "sfgen.cli", "validate", str(deep)],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 1
+    assert "E_DOC_SHAPE" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_missing_model_file_is_io_error(tmp_path, capsys):

@@ -1,9 +1,12 @@
+import contextlib
+import gc
+
 import pytest
 
 from sfgen import loader
 from sfgen.loader import Severity, bind_model, load_model, validate_model
 from sfgen.model import FieldType
-from sfgen.xmlsubset import parse_document
+from sfgen.xmlsubset import ParseError, parse_document
 
 from conftest import FIXTURES
 
@@ -169,3 +172,23 @@ def test_subject_paths():
     _, diagnostics = load_model(doc)
     lengths = [d for d in diagnostics if d.code == loader.E_LENGTH]
     assert lengths[0].subject == "Entity[Fakultet]/Field[strName]"
+
+
+@pytest.mark.parametrize(
+    "data,gc_enabled,outcome",
+    [
+        (_wrap(MINIMAL_ENTITY), True, contextlib.nullcontext()),
+        (b"<xsource>", True, pytest.raises(ParseError)),
+        (_wrap(MINIMAL_ENTITY), False, contextlib.nullcontext()),
+    ],
+    ids=["loaded", "parse-error", "caller-disabled-gc"],
+)
+def test_load_model_restores_gc_state(data, gc_enabled, outcome):
+    was_enabled = gc.isenabled()
+    (gc.enable if gc_enabled else gc.disable)()
+    try:
+        with outcome:
+            load_model(data)
+        assert gc.isenabled() is gc_enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()

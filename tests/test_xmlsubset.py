@@ -147,7 +147,27 @@ def test_non_utf8_rejected():
         parse_document(b"<a>\xff\xfe</a>")
 
 
-@given(st.binary(max_size=200))
+def test_deep_nesting_parses():
+    depth = 5000
+    node = parse_document(b"<a>" * depth + b"</a>" * depth)
+    # walk with a loop: XmlNode's == and repr recurse
+    levels = 1
+    while node.children:
+        (node,) = node.children
+        levels += 1
+    assert levels == depth
+
+
+# unbalanced nesting up to a few thousand levels, with a body or a tail
+deep_nesting = st.builds(
+    lambda depth, closes, body: b"<a>" * depth + body + b"</a>" * closes,
+    st.integers(0, 3000),
+    st.integers(0, 3001),
+    st.sampled_from([b"", b"<b/>", b"x", b"<!--", b"</b>"]),
+)
+
+
+@given(st.one_of(st.binary(max_size=200), deep_nesting))
 def test_total_over_byte_sequences(data):
     # any input either parses to a tree or raises a located ParseError
     try:
