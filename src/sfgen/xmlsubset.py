@@ -202,8 +202,8 @@ class _Parser:
                         value = self.decode_text(value, m.end() - 1 - len(value))
                     pos = m.end()
                 else:
-                    m = match_tag_end(text, pos)
-                    if m is not None:
+                    tag_end = match_tag_end(text, pos)
+                    if tag_end is not None:
                         break
                     name_pos, name, value, pos = self.read_attribute(pos, attributes)
                 attributes[name] = value
@@ -214,8 +214,8 @@ class _Parser:
                            attribute_locations)
             if stack:
                 stack[-1][0].children.append(node)
-            pos = m.end()
-            if m.group(1):  # self-closing
+            pos = tag_end.end()
+            if tag_end.group(1):  # self-closing
                 if not stack:
                     return node, pos
             else:
