@@ -263,3 +263,54 @@ def test_localized_builtin():
     # missing language falls back through the default
     assert R("{{ localized(e, 'German', 'display') }}", e=node) == "Faculty"
     assert R("{{ localized(e, 'English', 'plural') }}", e=node) == "Faculties"
+
+
+# -- runtime error locations -----------------------------------------------
+
+# (source, context, line, column, reason); an expression inside a directive is
+# located relative to the end of '{%', as the parser records it
+RUNTIME_ERRORS = [
+    ("{{ nope }}", {}, 1, 4, "unknown name 'nope'"),
+    ("ab\n  {{ x.y }}{{ nope.z }}", {"x": None}, 2, 15, "unknown name 'nope'"),
+    ("{{ frob(1) }}", {}, 1, 4, "unknown function 'frob'"),
+    ("x\n{{ upper(frob(nope)) }}", {}, 2, 10, "unknown function 'frob'"),
+    ("{{ a.b }}", {"a": 42}, 1, 4, "cannot access '.b' on int value"),
+    ("{% if true %}\n {{ s.len }}{% endif %}", {"s": "text"}, 2, 5,
+     "cannot access '.len' on str value"),
+    ("{{ items.first }}", {"items": [1]}, 1, 4, "cannot access '.first' on list value"),
+    ("{{ 1 < 'a' }}", {}, 1, 6, "cannot compare int with str"),
+    ("{% if v >= true %}{% endif %}", {"v": 1}, 1, 5, "cannot compare int with bool"),
+    ("{% if\n  a <= b %}{% endif %}", {"a": [1], "b": [2]}, 1, 5,
+     "cannot compare list with list"),
+    ("{% for x in v %}{% endfor %}", {"v": 5}, 1, 1, "for-loop expression is not a sequence"),
+    ("line\n  {%- for x in d %}{% endfor %}", {"d": {"k": 1}}, 2, 3,
+     "for-loop expression is not a sequence"),
+    ("{{ items }}", {"items": [1]}, 1, 1, "cannot render a list value as text"),
+    ("a {{ d }}", {"d": {}}, 1, 3, "cannot render a dict value as text"),
+    ("{{ count(1) }}", {}, 1, 4, "count(): count() expects a sequence"),
+    ("{{ sql_operator('zz') }}", {}, 1, 4, "sql_operator(): 'zz'"),
+    ("{{ sql_type(1) }}", {}, 1, 4, "sql_type(): 'int' object has no attribute 'length'"),
+    ("{{ compare_kind(1) }}", {}, 1, 4,
+     "compare_kind(): 'int' object has no attribute 'type'"),
+    ("{{ localized(1, 'English', 'display') }}", {}, 1, 4,
+     "localized(): localized() expects an entity, field or constraint"),
+    ("{{ lower() }}", {}, 1, 4,
+     "lower(): <lambda>() missing 1 required positional argument: 't'"),
+]
+
+
+@pytest.mark.parametrize("source, context, line, column, reason", RUNTIME_ERRORS)
+def test_runtime_errors_are_located(source, context, line, column, reason):
+    with pytest.raises(TemplateRuntimeError) as exc:
+        render(parse_template(source, "t.atl"), context)
+    assert (exc.value.name, exc.value.line, exc.value.column, exc.value.reason) \
+        == ("t.atl", line, column, reason)
+    assert str(exc.value) == f"t.atl:{line}:{column}: {reason}"
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("{% if false %}{{ frob(1) }}{% endif %}", ""),
+    ("{{ false and frob(1) }}", "false"),
+])
+def test_code_that_never_runs_raises_nothing(source, expected):
+    assert render(parse_template(source, "t.atl"), {}) == expected

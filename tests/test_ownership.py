@@ -41,6 +41,18 @@ def test_digest_known_vectors():
 
 # -- planning ----------------------------------------------------------------
 
+def test_manifest_digest_of_first_entry_wins():
+    manifest = Manifest(entries=(
+        ManifestEntry("a.sql", Ownership.ALWAYS, "1" * 64),
+        ManifestEntry("b.js", Ownership.ONCE, "2" * 64),
+        ManifestEntry("a.sql", Ownership.ALWAYS, "3" * 64),
+    ))
+    assert manifest.digest_of("a.sql") == "1" * 64
+    assert manifest.digest_of("b.js") == "2" * 64
+    assert manifest.digest_of("absent.md") is None
+    assert Manifest().digest_of("a.sql") is None
+
+
 def test_plan_fresh_tree_creates_everything():
     arts = [A("a.sql", b"1"), A("b.js", b"2", Ownership.ONCE)]
     plan = plan_writes(arts, {}, None)

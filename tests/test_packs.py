@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import pytest
 
@@ -221,3 +222,16 @@ def test_required_checks_flag_off(newsboard_model):
     artifacts = render_pack(newsboard_model, pack)
     assert "vs_required" not in artifacts["web/validation.js"]
     assert "vs_compare_dates" in artifacts["web/validation.js"]
+
+
+def test_generation_leaves_no_cyclic_garbage(newsboard_model, webstack):
+    # everything one generation builds is freed by reference counting alone
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        generate_all(newsboard_model, webstack, GenConfig(lang="English"))
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
