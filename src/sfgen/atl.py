@@ -10,6 +10,7 @@ same text, and the context is never mutated.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
@@ -19,7 +20,7 @@ from . import model as m
 Pos = tuple[int, int]
 
 
-class TemplateSyntaxError(Exception):
+class TemplateError(Exception):
     def __init__(self, name: str, line: int, column: int, reason: str):
         super().__init__(f"{name}:{line}:{column}: {reason}")
         self.name = name
@@ -28,28 +29,54 @@ class TemplateSyntaxError(Exception):
         self.reason = reason
 
 
-class TemplateRuntimeError(Exception):
-    def __init__(self, name: str, line: int, column: int, reason: str):
-        super().__init__(f"{name}:{line}:{column}: {reason}")
-        self.name = name
-        self.line = line
-        self.column = column
-        self.reason = reason
+class TemplateSyntaxError(TemplateError):
+    pass
+
+
+class TemplateRuntimeError(TemplateError):
+    pass
 
 
 # ---------------------------------------------------------------------------
-# expression AST
+# expression AST; compile(name) turns a node into a closure from the
+# environment to a value, raising errors located in template `name`
 
 @dataclass(frozen=True)
 class Lit:
     value: Any
     pos: Pos
 
+    def compile(self, name: str) -> _Eval:
+        value = self.value
+        return lambda env: value
+
 
 @dataclass(frozen=True)
 class Path:
     names: tuple[str, ...]
     pos: Pos
+
+    def compile(self, name: str) -> _Eval:
+        head, attrs, pos = self.names[0], self.names[1:], self.pos
+
+        def path(env: dict) -> Value:
+            try:
+                value = env[head]
+            except KeyError:
+                raise _error(name, pos, f"unknown name '{head}'") from None
+            for attr in attrs:
+                if type(value) is ModelView:
+                    value = value[attr]
+                elif value is None:
+                    return None  # Null propagates through the rest of the path
+                elif isinstance(value, dict):
+                    value = value.get(attr)
+                else:
+                    raise _error(name, pos,
+                                 f"cannot access '.{attr}' on {type(value).__name__} value")
+            return value
+
+        return path
 
 
 @dataclass(frozen=True)
@@ -58,12 +85,34 @@ class Call:
     args: tuple["Expr", ...]
     pos: Pos
 
+    def compile(self, name: str) -> _Eval:
+        func_name, pos = self.func, self.pos
+        func = BUILTINS.get(func_name)
+        if func is None:
+            def unknown(env: dict) -> Value:
+                raise _error(name, pos, f"unknown function '{func_name}'")
+            return unknown
+        args = tuple(arg.compile(name) for arg in self.args)
+
+        def call(env: dict) -> Value:
+            values = [arg(env) for arg in args]
+            try:
+                return func(*values)
+            except (TypeError, KeyError, AttributeError) as exc:
+                raise _error(name, pos, f"{func_name}(): {exc}") from None
+
+        return call
+
 
 @dataclass(frozen=True)
 class Unary:
     op: str  # 'not'
     operand: "Expr"
     pos: Pos
+
+    def compile(self, name: str) -> _Eval:
+        operand = self.operand.compile(name)
+        return lambda env: not truthy(operand(env))
 
 
 @dataclass(frozen=True)
@@ -73,12 +122,39 @@ class Binary:
     right: "Expr"
     pos: Pos
 
+    def compile(self, name: str) -> _Eval:
+        left, right, op, pos = self.left.compile(name), self.right.compile(name), self.op, self.pos
+        if op == "and":
+            return lambda env: truthy(left(env)) and truthy(right(env))
+        if op == "or":
+            return lambda env: truthy(left(env)) or truthy(right(env))
+        if op == "==":
+            return lambda env: _values_equal(left(env), right(env))
+        if op == "!=":
+            return lambda env: not _values_equal(left(env), right(env))
+        compare = _ORDERINGS[op]
+
+        def ordering(env: dict) -> bool:
+            # ints with ints, text with text; Null never orders
+            a, b = left(env), right(env)
+            if a is None or b is None:
+                return False
+            if isinstance(a, bool) or isinstance(b, bool) \
+                    or not isinstance(a, (int, str)) or not isinstance(b, (int, str)) \
+                    or isinstance(a, int) != isinstance(b, int):
+                raise _error(name, pos,
+                             f"cannot compare {type(a).__name__} with {type(b).__name__}")
+            return compare(a, b)
+
+        return ordering
+
 
 Expr = Union[Lit, Path, Call, Unary, Binary]
 
 
 # ---------------------------------------------------------------------------
-# template AST
+# template AST; compile(name) turns a node into a closure that appends the
+# node's text for an environment
 
 @dataclass(frozen=True)
 class TextNode:
@@ -91,6 +167,15 @@ class OutputNode:
     expr: Expr
     pos: Pos
 
+    def compile(self, name: str) -> _Body:
+        value_of, pos = self.expr.compile(name), self.pos
+
+        def output(env: dict, append: Callable[[str], None]) -> None:
+            value = value_of(env)
+            append(value if type(value) is str else _to_text(value, name, pos))
+
+        return output
+
 
 @dataclass(frozen=True)
 class ForNode:
@@ -99,12 +184,44 @@ class ForNode:
     body: tuple["TplNode", ...]
     pos: Pos
 
+    def compile(self, name: str) -> _Body:
+        sequence_of, body = self.expr.compile(name), _compile_body(self.body, name)
+        var, pos = self.var, self.pos
+
+        def for_(env: dict, append: Callable[[str], None]) -> None:
+            seq = sequence_of(env)
+            if not isinstance(seq, list):
+                raise _error(name, pos, "for-loop expression is not a sequence")
+            length = len(seq)
+            for index, item in enumerate(seq, start=1):
+                # a child environment, so the enclosing bindings hold again after the loop
+                body({**env, var: item, "loop": {"index": index, "first": index == 1,
+                                                  "last": index == length, "length": length}},
+                     append)
+
+        return for_
+
 
 @dataclass(frozen=True)
 class IfNode:
     branches: tuple[tuple[Expr, tuple["TplNode", ...]], ...]
     else_body: Optional[tuple["TplNode", ...]]
     pos: Pos
+
+    def compile(self, name: str) -> _Body:
+        branches = tuple((cond.compile(name), _compile_body(body, name))
+                         for cond, body in self.branches)
+        else_body = _compile_body(self.else_body, name) if self.else_body is not None else None
+
+        def if_(env: dict, append: Callable[[str], None]) -> None:
+            for test, body in branches:
+                if truthy(test(env)):
+                    body(env, append)
+                    return
+            if else_body is not None:
+                else_body(env, append)
+
+        return if_
 
 
 TplNode = Union[TextNode, OutputNode, ForNode, IfNode]
@@ -114,6 +231,8 @@ TplNode = Union[TextNode, OutputNode, ForNode, IfNode]
 class TemplateAst:
     name: str
     nodes: tuple[TplNode, ...]
+    # the nodes compiled to nested closures, once, by parse_template
+    compiled: _Body = dc_field(repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +269,8 @@ class _ExprParser:
         self.index = 0
 
     def pos_of(self, offset: int) -> Pos:
-        line, col = self.base
-        for ch in self.source[:offset]:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-        return line, col
+        line, col = _line_col(self.source, offset)
+        return self.base[0] + line - 1, (self.base[1] + col - 1 if line == 1 else col)
 
     def error(self, reason: str, offset: int) -> TemplateSyntaxError:
         line, col = self.pos_of(offset)
@@ -391,146 +504,102 @@ def parse_template(source: str, name: str) -> TemplateAst:
         frame = stack[-1]
         line, col = frame["pos"]
         raise TemplateSyntaxError(name, line, col, f"unclosed '{frame['kind']}' block")
-    return TemplateAst(name, tuple(root))
+    return TemplateAst(name, tuple(root), _compile_body(root, name))
 
 
 # ---------------------------------------------------------------------------
 # values
 
-class ModelNode:
-    """Read-only view of a model element for template field access.
+class ModelView(dict):
+    """Read-only template view of one model element; path steps read it as a dict.
 
-    Unknown or absent attributes yield Null (None); computed attributes expose
-    the derived sequences templates need (effective columns, resolved
-    constraint fields, filtered field lists).
+    Each attribute is computed on first access and stored: a derived sequence
+    from _COMPUTED, or else the element's attribute with enums as their
+    tokens, tuples as lists, model elements as views and absent names as Null.
+    Views never refer to the view that made them, so a tree of views is
+    acyclic and reference counting frees it.
     """
 
-    __slots__ = ("obj", "model", "owner")
+    __slots__ = ("element", "model", "owner")
 
-    def __init__(self, obj: Any, app_model: Optional[m.ApplicationModel] = None,
+    def __init__(self, element: Any, model: Optional[m.ApplicationModel] = None,
                  owner: Optional[m.Entity] = None):
-        self.obj = obj
-        self.model = app_model
-        self.owner = owner
+        self.element = element
+        self.model = model  # for localized()'s default language
+        self.owner = owner  # the entity that declares a field or constraint
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ModelNode) and self.obj == other.obj
-
-    def __hash__(self) -> int:
-        return hash(id(self.obj))
-
-    def get(self, name: str) -> Any:
-        computed = getattr(self, f"_get_{type(self.obj).__name__.lower()}", None)
-        if computed is not None:
-            value = computed(name)
-            if value is not _MISSING:
-                return value
-        return self._convert(getattr(self.obj, name, None))
-
-    def _convert(self, value: Any, owner: Optional[m.Entity] = None) -> Any:
-        if isinstance(value, (m.FieldType, m.RelationshipOp, m.ConstraintKind, m.Caching)):
-            return value.value
-        if isinstance(value, tuple) and not isinstance(value, str):
-            return [self._convert(v, owner) for v in value]
-        if isinstance(value, (m.Entity, m.Field, m.Constraint, m.ColumnSpec,
-                              m.Settings, m.LocalizedText, m.ApplicationModel)):
-            return ModelNode(value, self.model, owner)
+    def __missing__(self, name: str) -> Any:
+        compute = _COMPUTED.get((type(self.element), name))
+        if compute is not None:
+            value = compute(self)
+        else:
+            value = self._convert(getattr(self.element, name, None))
+        self[name] = value
         return value
 
-    # -- computed attributes -------------------------------------------------
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ModelView) and self.element == other.element
 
-    def _get_applicationmodel(self, name: str) -> Any:
-        model: m.ApplicationModel = self.obj
-        if name == "entities":
-            return [ModelNode(e, model, e) for e in model.entities]
-        if name == "active_entities":
-            return [ModelNode(e, model, e) for e in model.entities if e.isActive]
-        if name == "languages":
-            return list(model.languages)
-        if name == "settings":
-            return ModelNode(model.settings, model)
-        return _MISSING
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
-    def _get_entity(self, name: str) -> Any:
-        entity: m.Entity = self.obj
-        if name == "fields":
-            return [ModelNode(f, self.model, entity) for f in entity.fields]
-        if name == "constraints":
-            return [ModelNode(c, self.model, entity) for c in entity.constraints]
-        if name == "columns":
-            return [ModelNode(c, self.model, entity) for c in m.effective_columns(entity)]
-        if name == "pk":
-            for field in entity.fields:
-                if field.isPK:
-                    return ModelNode(field, self.model, entity)
-            return None
-        if name == "insert_columns":
-            return [ModelNode(c, self.model, entity)
-                    for c in m.effective_columns(entity) if not c.identity]
-        if name == "update_columns":
-            pk_names = {f.name for f in entity.fields if f.isPK}
-            return [ModelNode(c, self.model, entity)
-                    for c in m.effective_columns(entity)
-                    if not c.identity and c.name not in pk_names]
-        if name == "edit_fields":
-            return [ModelNode(f, self.model, entity) for f in entity.fields if f.isShownInEdit]
-        if name == "list_fields":
-            return [ModelNode(f, self.model, entity) for f in entity.fields if f.isShownInList]
-        if name == "required_fields":
-            return [ModelNode(f, self.model, entity) for f in entity.fields
-                    if f.isShownInEdit and not f.nullable and not f.isIdentity]
-        if name == "unique_constraints":
-            return [ModelNode(c, self.model, entity) for c in entity.constraints
-                    if c.kind is m.ConstraintKind.UNIQUE]
-        if name == "twofields_constraints":
-            return [ModelNode(c, self.model, entity) for c in entity.constraints
-                    if c.kind is m.ConstraintKind.TWO_FIELDS]
-        return _MISSING
-
-    def _get_constraint(self, name: str) -> Any:
-        constraint: m.Constraint = self.obj
-        if name in ("fields", "first_field", "second_field", "nullable"):
-            resolved: list[Optional[m.Field]] = []
-            by_name = {f.name: f for f in self.owner.fields} if self.owner else {}
-            for cfield in constraint.cfields:
-                resolved.append(by_name.get(cfield))
-            if name == "fields":
-                return [ModelNode(f, self.model, self.owner) if f else None for f in resolved]
-            if name == "first_field":
-                return ModelNode(resolved[0], self.model, self.owner) \
-                    if resolved and resolved[0] else None
-            if name == "second_field":
-                return ModelNode(resolved[1], self.model, self.owner) \
-                    if len(resolved) > 1 and resolved[1] else None
-            return any(f.nullable for f in resolved if f is not None)
-        if name == "cfields":
-            return list(constraint.cfields)
-        return _MISSING
+    def _convert(self, value: Any) -> Any:
+        if isinstance(value, (m.FieldType, m.RelationshipOp, m.ConstraintKind, m.Caching)):
+            return value.value
+        if isinstance(value, tuple):
+            return [self._convert(v) for v in value]
+        if isinstance(value, (m.Entity, m.Field, m.Constraint, m.ColumnSpec,
+                              m.Settings, m.LocalizedText, m.ApplicationModel)):
+            owner = self.element if isinstance(self.element, m.Entity) else self.owner
+            return ModelView(value, self.model, owner)
+        return value
 
 
-_MISSING = object()
+def _constraint_fields(view: ModelView) -> list[Optional[ModelView]]:
+    by_name = {f.name: f for f in view.owner.fields} if view.owner else {}
+    return [view._convert(by_name.get(name)) for name in view.element.cfields]
 
-Value = Union[None, bool, int, str, list, dict, ModelNode]
+
+def _update_columns(view: ModelView) -> list[ModelView]:
+    pk_names = {f.name for f in view.element.fields if f.isPK}
+    return [c for c in view["insert_columns"] if c.element.name not in pk_names]
 
 
-def wrap(obj: Any, app_model: Optional[m.ApplicationModel] = None) -> ModelNode:
-    """Wrap a model element for use as a template context value."""
-    if isinstance(obj, m.ApplicationModel):
-        return ModelNode(obj, obj)
-    owner = obj if isinstance(obj, m.Entity) else None
-    return ModelNode(obj, app_model, owner)
+_COMPUTED: dict[tuple[type, str], Callable[[ModelView], Any]] = {
+    (m.ApplicationModel, "active_entities"):
+        lambda v: [e for e in v["entities"] if e.element.isActive],
+    (m.Entity, "columns"): lambda v: v._convert(m.effective_columns(v.element)),
+    (m.Entity, "pk"): lambda v: next((f for f in v["fields"] if f.element.isPK), None),
+    (m.Entity, "insert_columns"):
+        lambda v: [c for c in v["columns"] if not c.element.identity],
+    (m.Entity, "update_columns"): _update_columns,
+    (m.Entity, "edit_fields"): lambda v: [f for f in v["fields"] if f.element.isShownInEdit],
+    (m.Entity, "list_fields"): lambda v: [f for f in v["fields"] if f.element.isShownInList],
+    (m.Entity, "required_fields"):
+        lambda v: [f for f in v["fields"] if f.element.isShownInEdit
+                   and not f.element.nullable and not f.element.isIdentity],
+    (m.Entity, "unique_constraints"):
+        lambda v: [c for c in v["constraints"] if c.element.kind is m.ConstraintKind.UNIQUE],
+    (m.Entity, "twofields_constraints"):
+        lambda v: [c for c in v["constraints"]
+                   if c.element.kind is m.ConstraintKind.TWO_FIELDS],
+    (m.Constraint, "fields"): _constraint_fields,
+    (m.Constraint, "first_field"): lambda v: v["fields"][0] if v["fields"] else None,
+    (m.Constraint, "second_field"):
+        lambda v: v["fields"][1] if len(v["fields"]) > 1 else None,
+    (m.Constraint, "nullable"):
+        lambda v: any(f.element.nullable for f in v["fields"] if f is not None),
+}
+
+Value = Union[None, bool, int, str, list, dict]
 
 
 def truthy(value: Value) -> bool:
-    if value is None or value is False:
+    if value is None:
         return False
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return value != 0
-    if isinstance(value, (str, list, dict)):
-        return len(value) > 0
-    return True
+    if isinstance(value, ModelView):
+        return True
+    return bool(value) if isinstance(value, (int, str, list, dict)) else True
 
 
 # ---------------------------------------------------------------------------
@@ -544,22 +613,22 @@ def sql_operator(rel: Union[str, m.RelationshipOp]) -> str:
     }[token]
 
 
-def compare_kind(field: Union[m.Field, ModelNode]) -> str:
+def compare_kind(field: Union[m.Field, ModelView]) -> str:
     """Comparison family of a field: "dates" for date/datetime, else "strings"."""
-    obj = field.obj if isinstance(field, ModelNode) else field
-    return "dates" if obj.type in m.DATE_TYPES else "strings"
+    obj = field.element if isinstance(field, ModelView) else field
+    return m.comparison_family(obj.type)
 
 
-def sql_type(column: Union[m.ColumnSpec, ModelNode]) -> str:
+def sql_type(column: Union[m.ColumnSpec, ModelView]) -> str:
     """DDL type of a column: bare token, with parenthesized length for sized strings."""
-    obj = column.obj if isinstance(column, ModelNode) else column
+    obj = column.element if isinstance(column, ModelView) else column
     if obj.length is not None:
         return f"{obj.type.value}({obj.length})"
     return obj.type.value
 
 
 def _builtin_count(seq: Value) -> int:
-    if not isinstance(seq, (list, str, dict)):
+    if isinstance(seq, ModelView) or not isinstance(seq, (list, str, dict)):
         raise TypeError("count() expects a sequence")
     return len(seq)
 
@@ -569,10 +638,11 @@ def _builtin_coalesce(value: Value, fallback: Value) -> Value:
 
 
 def _builtin_localized(node: Value, lang: Value, key: Value) -> str:
-    if not isinstance(node, ModelNode) or not isinstance(node.obj, (m.Entity, m.Field, m.Constraint)):
+    if not isinstance(node, ModelView) \
+            or not isinstance(node.element, (m.Entity, m.Field, m.Constraint)):
         raise TypeError("localized() expects an entity, field or constraint")
     default_lang = node.model.settings.defaultLanguage if node.model else None
-    return m.localized_text(node.obj, str(key), str(lang), default_lang)
+    return m.localized_text(node.element, str(key), str(lang), default_lang)
 
 
 BUILTINS: dict[str, Callable[..., Value]] = {
@@ -588,135 +658,55 @@ BUILTINS: dict[str, Callable[..., Value]] = {
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# compilation helpers
 
-class _Renderer:
-    def __init__(self, name: str):
-        self.name = name
+_Eval = Callable[[dict], Value]
+_Body = Callable[[dict, Callable[[str], None]], None]
 
-    def error(self, pos: Pos, reason: str) -> TemplateRuntimeError:
-        return TemplateRuntimeError(self.name, pos[0], pos[1], reason)
+_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
-    def eval(self, expr: Expr, env: Mapping[str, Value]) -> Value:
-        if isinstance(expr, Lit):
-            return expr.value
-        if isinstance(expr, Path):
-            return self.eval_path(expr, env)
-        if isinstance(expr, Unary):
-            return not truthy(self.eval(expr.operand, env))
-        if isinstance(expr, Binary):
-            return self.eval_binary(expr, env)
-        if isinstance(expr, Call):
-            func = BUILTINS.get(expr.func)
-            if func is None:
-                raise self.error(expr.pos, f"unknown function '{expr.func}'")
-            args = [self.eval(a, env) for a in expr.args]
-            try:
-                return func(*args)
-            except (TypeError, KeyError, AttributeError) as exc:
-                raise self.error(expr.pos, f"{expr.func}(): {exc}") from None
-        raise self.error(expr.pos, "unknown expression node")
 
-    def eval_path(self, expr: Path, env: Mapping[str, Value]) -> Value:
-        head = expr.names[0]
-        if head not in env:
-            raise self.error(expr.pos, f"unknown name '{head}'")
-        value: Value = env[head]
-        for name in expr.names[1:]:
-            if value is None:
-                return None  # Null propagates through the rest of the path
-            if isinstance(value, ModelNode):
-                value = value.get(name)
-            elif isinstance(value, dict):
-                value = value.get(name)
+def _error(name: str, pos: Pos, reason: str) -> TemplateRuntimeError:
+    return TemplateRuntimeError(name, pos[0], pos[1], reason)
+
+
+def _values_equal(left: Value, right: Value) -> bool:
+    if left is None or right is None:
+        return left is None and right is None
+    if isinstance(left, bool) != isinstance(right, bool):
+        return False
+    return left == right
+
+
+def _to_text(value: Value, name: str, pos: Pos) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, str)):
+        return str(value)
+    raise _error(name, pos, f"cannot render a {type(value).__name__} value as text")
+
+
+def _compile_body(nodes: Sequence[TplNode], name: str) -> _Body:
+    # literal text stays a str; every other node becomes a closure
+    steps = tuple(node.text if isinstance(node, TextNode) else node.compile(name)
+                  for node in nodes)
+
+    def body(env: dict, append: Callable[[str], None]) -> None:
+        for step in steps:
+            if type(step) is str:
+                append(step)
             else:
-                raise self.error(expr.pos,
-                                 f"cannot access '.{name}' on {type(value).__name__} value")
-        return value
+                step(env, append)
 
-    def eval_binary(self, expr: Binary, env: Mapping[str, Value]) -> Value:
-        if expr.op == "and":
-            return truthy(self.eval(expr.left, env)) and truthy(self.eval(expr.right, env))
-        if expr.op == "or":
-            return truthy(self.eval(expr.left, env)) or truthy(self.eval(expr.right, env))
-        left = self.eval(expr.left, env)
-        right = self.eval(expr.right, env)
-        if expr.op in ("==", "!="):
-            equal = self.values_equal(left, right)
-            return equal if expr.op == "==" else not equal
-        # ordering: ints with ints, text with text; Null never orders
-        if left is None or right is None:
-            return False
-        if isinstance(left, bool) or isinstance(right, bool) \
-                or not isinstance(left, (int, str)) or not isinstance(right, (int, str)) \
-                or isinstance(left, int) != isinstance(right, int):
-            raise self.error(expr.pos,
-                             f"cannot compare {type(left).__name__} with {type(right).__name__}")
-        if expr.op == "<":
-            return left < right
-        if expr.op == "<=":
-            return left <= right
-        if expr.op == ">":
-            return left > right
-        return left >= right
-
-    @staticmethod
-    def values_equal(left: Value, right: Value) -> bool:
-        if left is None or right is None:
-            return left is None and right is None
-        if isinstance(left, bool) != isinstance(right, bool):
-            return False
-        return left == right
-
-    def to_text(self, value: Value, pos: Pos) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, (int, str)):
-            return str(value)
-        raise self.error(pos, f"cannot render a {type(value).__name__} value as text")
-
-    def render_nodes(self, nodes: Sequence[TplNode], env: dict[str, Value],
-                     out: list[str]) -> None:
-        for node in nodes:
-            if isinstance(node, TextNode):
-                out.append(node.text)
-            elif isinstance(node, OutputNode):
-                out.append(self.to_text(self.eval(node.expr, env), node.pos))
-            elif isinstance(node, IfNode):
-                for cond, body in node.branches:
-                    if truthy(self.eval(cond, env)):
-                        self.render_nodes(body, env, out)
-                        break
-                else:
-                    if node.else_body is not None:
-                        self.render_nodes(node.else_body, env, out)
-            elif isinstance(node, ForNode):
-                seq = self.eval(node.expr, env)
-                if not isinstance(seq, list):
-                    raise self.error(node.pos, "for-loop expression is not a sequence")
-                length = len(seq)
-                saved = (env.get(node.var), node.var in env,
-                         env.get("loop"), "loop" in env)
-                for i, item in enumerate(seq, start=1):
-                    env[node.var] = item
-                    env["loop"] = {"index": i, "first": i == 1,
-                                   "last": i == length, "length": length}
-                    self.render_nodes(node.body, env, out)
-                for key, (value, present) in (
-                        (node.var, (saved[0], saved[1])), ("loop", (saved[2], saved[3]))):
-                    if present:
-                        env[key] = value
-                    else:
-                        env.pop(key, None)
+    return body
 
 
 def render(ast: TemplateAst, context: Mapping[str, Value]) -> str:
     """Evaluate a template over a context; deterministic and side-effect free."""
-    renderer = _Renderer(ast.name)
     out: list[str] = []
-    renderer.render_nodes(ast.nodes, dict(context), out)
+    ast.compiled(dict(context), out.append)
     return "".join(out)
 
 
@@ -724,4 +714,4 @@ def eval_expr(expr: Union[Expr, str], env: Mapping[str, Value], name: str = "<ex
     """Evaluate a single expression (parsed on the fly when given as text)."""
     if isinstance(expr, str):
         expr = parse_expr(expr, name)
-    return _Renderer(name).eval(expr, dict(env))
+    return expr.compile(name)(dict(env))

@@ -20,7 +20,6 @@ from .model import (
     Caching,
     Constraint,
     ConstraintKind,
-    DATE_TYPES,
     Entity,
     Field,
     FieldType,
@@ -29,6 +28,7 @@ from .model import (
     RelationshipOp,
     SIZED_STRING_TYPES,
     Settings,
+    comparison_family,
     find_entity,
 )
 from .xmlsubset import XmlNode, parse_document
@@ -336,10 +336,6 @@ def _err(code: str, message: str, location, subject: str) -> Diagnostic:
     return Diagnostic(code, Severity.ERROR, message, location, subject)
 
 
-def _comparison_family(field_type: FieldType) -> str:
-    return "dates" if field_type in DATE_TYPES else "strings"
-
-
 def _validate_field(field: Field, model: ApplicationModel, subject: str) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     loc = field.location
@@ -407,7 +403,7 @@ def _validate_constraint(constraint: Constraint, entity: Entity, subject: str) -
                             f"TwoFields constraint needs exactly 2 CFields, got {len(constraint.cfields)}",
                             loc, subject))
         elif len(resolved) == 2 and resolved[0].type is not None and resolved[1].type is not None:
-            families = {_comparison_family(f.type) for f in resolved}
+            families = {comparison_family(f.type) for f in resolved}
             if len(families) > 1:
                 out.append(_err(E_CONSTRAINT_FAMILY,
                                 "TwoFields constraint mixes date and non-date fields", loc, subject))

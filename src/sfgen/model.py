@@ -34,6 +34,11 @@ MULTILINE_TYPES = frozenset({FieldType.NVARCHAR, FieldType.VARCHAR, FieldType.TE
 DATE_TYPES = frozenset({FieldType.DATETIME, FieldType.DATE})
 
 
+def comparison_family(field_type: Optional[FieldType]) -> str:
+    """How two-field constraints compare a field: "dates" for date/datetime, else "strings"."""
+    return "dates" if field_type in DATE_TYPES else "strings"
+
+
 class RelationshipOp(Enum):
     LT = "lt"
     LE = "le"

@@ -15,6 +15,7 @@ import json
 import os
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
@@ -61,11 +62,13 @@ class Manifest:
     version: int = MANIFEST_VERSION
     entries: tuple[ManifestEntry, ...] = ()
 
+    @cached_property
+    def _digests(self) -> dict[str, str]:
+        # built from the last entry back, so the first entry for a path wins
+        return {entry.path: entry.sha256 for entry in reversed(self.entries)}
+
     def digest_of(self, path: str) -> Optional[str]:
-        for entry in self.entries:
-            if entry.path == path:
-                return entry.sha256
-        return None
+        return self._digests.get(path)
 
 
 @dataclass(frozen=True)

@@ -169,9 +169,14 @@ def expand_output_rule(
 ) -> list[tuple[str, dict[str, atl.Value]]]:
     """(path, render-context) pairs for one rule: a single pair for per-model
     rules, one per (active) entity otherwise."""
-    config = config or GenConfig()
+    return _expand(rule, model, atl.ModelView(model, model), config or GenConfig())
+
+
+def _expand(
+    rule: OutputRule, model: ApplicationModel, view: atl.ModelView, config: GenConfig
+) -> list[tuple[str, dict[str, atl.Value]]]:
     base: dict[str, atl.Value] = {
-        "model": atl.wrap(model),
+        "model": view,
         "lang": _resolve_lang(model, config),
         "flags": dict(rule.flags),
     }
@@ -183,7 +188,7 @@ def expand_output_rule(
 
     pairs: list[tuple[str, dict[str, atl.Value]]] = []
     seen: dict[str, str] = {}
-    for entity in model.entities:
+    for entity, entity_view in zip(model.entities, view["entities"]):
         if rule.activeOnly and not entity.isActive:
             continue
         path = _expand_path(rule.pathPattern, entity)
@@ -193,7 +198,7 @@ def expand_output_rule(
                 f"{rule.pathPattern!r} to {path!r}")
         seen[path] = entity.name
         context = dict(base)
-        context["entity"] = atl.ModelNode(entity, model, entity)
+        context["entity"] = entity_view
         pairs.append((path, context))
     return pairs
 
@@ -207,11 +212,12 @@ def generate_all(
     is deterministic UTF-8 with LF line endings.
     """
     config = config or GenConfig()
+    view = atl.ModelView(model, model)  # one view of the model serves every rule
     artifacts: list[Artifact] = []
     seen: set[str] = set()
     for rule in pack.outputs:
         ast = pack.templates[rule.template]
-        for path, context in expand_output_rule(rule, model, config):
+        for path, context in _expand(rule, model, view, config):
             if path in seen:
                 raise PathCollision(f"two output rules produce the same path {path!r}")
             seen.add(path)

@@ -11,7 +11,6 @@ from sfgen.atl import (
     render,
     sql_operator,
     sql_type,
-    wrap,
 )
 from sfgen.model import (
     ApplicationModel,
@@ -33,8 +32,8 @@ def R(source, **context):
 def fakultet_ctx(newsboard_model):
     entity = newsboard_model.entities[0]
     return {
-        "model": wrap(newsboard_model),
-        "entity": atl.ModelNode(entity, newsboard_model, entity),
+        "model": atl.ModelView(newsboard_model, newsboard_model),
+        "entity": atl.ModelView(entity, newsboard_model),
         "lang": "English",
     }
 
@@ -257,7 +256,7 @@ def test_localized_builtin():
     )
     model = ApplicationModel(settings=Settings(defaultLanguage="English"),
                              entities=(entity,), languages=("Macedonian", "English"))
-    node = atl.ModelNode(entity, model, entity)
+    node = atl.ModelView(entity, model)
     assert R("{{ localized(e, 'English', 'display') }}", e=node) == "Faculty"
     assert R("{{ localized(e, 'Macedonian', 'display') }}", e=node) == "Факултет"
     # missing language falls back through the default
