@@ -514,11 +514,9 @@ class ModelView(dict):
     """Read-only template view of one model element; path steps read it as a dict.
 
     Each attribute is computed on first access and stored: a derived sequence
-    from _COMPUTED, or else the element's attribute with enums as their
-    tokens, tuples as lists, model elements as views and absent names as Null.
-    Views never refer to the view that made them, so a tree of views is
-    acyclic and reference counting frees it.
-    """
+    from _COMPUTED, or the element's attribute with enums as tokens, tuples as
+    lists, model elements as views and absent names as Null. A view never refers
+    to the view that made it, so reference counting frees a tree of views."""
 
     __slots__ = ("element", "model", "owner")
 
@@ -544,6 +542,8 @@ class ModelView(dict):
         return not self == other
 
     def _convert(self, value: Any) -> Any:
+        if value is None or type(value) in (str, int, bool):
+            return value
         if isinstance(value, (m.FieldType, m.RelationshipOp, m.ConstraintKind, m.Caching)):
             return value.value
         if isinstance(value, tuple):
@@ -595,8 +595,8 @@ Value = Union[None, bool, int, str, list, dict]
 
 
 def truthy(value: Value) -> bool:
-    if value is None:
-        return False
+    if value is None or value is True or value is False:
+        return value is True
     if isinstance(value, ModelView):
         return True
     return bool(value) if isinstance(value, (int, str, list, dict)) else True
