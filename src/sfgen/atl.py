@@ -63,7 +63,7 @@ class Path:
             try:
                 value = env[head]
             except KeyError:
-                raise _error(name, pos, f"unknown name '{head}'") from None
+                raise TemplateRuntimeError(name, *pos, f"unknown name '{head}'") from None
             for attr in attrs:
                 if type(value) is ModelView:
                     value = value[attr]
@@ -72,7 +72,7 @@ class Path:
                 elif isinstance(value, dict):
                     value = value.get(attr)
                 else:
-                    raise _error(name, pos,
+                    raise TemplateRuntimeError(name, *pos,
                                  f"cannot access '.{attr}' on {type(value).__name__} value")
             return value
 
@@ -90,7 +90,7 @@ class Call:
         func = BUILTINS.get(func_name)
         if func is None:
             def unknown(env: dict) -> Value:
-                raise _error(name, pos, f"unknown function '{func_name}'")
+                raise TemplateRuntimeError(name, *pos, f"unknown function '{func_name}'")
             return unknown
         args = tuple(arg.compile(name) for arg in self.args)
 
@@ -99,7 +99,7 @@ class Call:
             try:
                 return func(*values)
             except (TypeError, KeyError, AttributeError) as exc:
-                raise _error(name, pos, f"{func_name}(): {exc}") from None
+                raise TemplateRuntimeError(name, *pos, f"{func_name}(): {exc}") from None
 
         return call
 
@@ -142,7 +142,7 @@ class Binary:
             if isinstance(a, bool) or isinstance(b, bool) \
                     or not isinstance(a, (int, str)) or not isinstance(b, (int, str)) \
                     or isinstance(a, int) != isinstance(b, int):
-                raise _error(name, pos,
+                raise TemplateRuntimeError(name, *pos,
                              f"cannot compare {type(a).__name__} with {type(b).__name__}")
             return compare(a, b)
 
@@ -191,13 +191,14 @@ class ForNode:
         def for_(env: dict, append: Callable[[str], None]) -> None:
             seq = sequence_of(env)
             if not isinstance(seq, list):
-                raise _error(name, pos, "for-loop expression is not a sequence")
+                raise TemplateRuntimeError(name, *pos, "for-loop expression is not a sequence")
             length = len(seq)
+            inner = dict(env)  # the loop's own bindings; the enclosing ones hold after it
             for index, item in enumerate(seq, start=1):
-                # a child environment, so the enclosing bindings hold again after the loop
-                body({**env, var: item, "loop": {"index": index, "first": index == 1,
-                                                  "last": index == length, "length": length}},
-                     append)
+                inner[var] = item
+                inner["loop"] = {"index": index, "first": index == 1,
+                                 "last": index == length, "length": length}
+                body(inner, append)
 
         return for_
 
@@ -538,8 +539,7 @@ class ModelView(dict):
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ModelView) and self.element == other.element
 
-    def __ne__(self, other: object) -> bool:
-        return not self == other
+    __ne__ = object.__ne__  # the inverse of __eq__, not dict's comparison
 
     def _convert(self, value: Any) -> Any:
         if value is None or type(value) in (str, int, bool):
@@ -581,8 +581,7 @@ _COMPUTED: dict[tuple[type, str], Callable[[ModelView], Any]] = {
     (m.Entity, "unique_constraints"):
         lambda v: [c for c in v["constraints"] if c.element.kind is m.ConstraintKind.UNIQUE],
     (m.Entity, "twofields_constraints"):
-        lambda v: [c for c in v["constraints"]
-                   if c.element.kind is m.ConstraintKind.TWO_FIELDS],
+        lambda v: [c for c in v["constraints"] if c.element.kind is m.ConstraintKind.TWO_FIELDS],
     (m.Constraint, "fields"): _constraint_fields,
     (m.Constraint, "first_field"): lambda v: v["fields"][0] if v["fields"] else None,
     (m.Constraint, "second_field"):
@@ -666,10 +665,6 @@ _Body = Callable[[dict, Callable[[str], None]], None]
 _ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def _error(name: str, pos: Pos, reason: str) -> TemplateRuntimeError:
-    return TemplateRuntimeError(name, pos[0], pos[1], reason)
-
-
 def _values_equal(left: Value, right: Value) -> bool:
     if left is None or right is None:
         return left is None and right is None
@@ -685,7 +680,7 @@ def _to_text(value: Value, name: str, pos: Pos) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, str)):
         return str(value)
-    raise _error(name, pos, f"cannot render a {type(value).__name__} value as text")
+    raise TemplateRuntimeError(name, *pos, f"cannot render a {type(value).__name__} value as text")
 
 
 def _compile_body(nodes: Sequence[TplNode], name: str) -> _Body:

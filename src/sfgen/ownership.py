@@ -105,15 +105,12 @@ def plan_writes(
     actions: list[PlanEntry] = []
     for artifact in artifacts:
         on_disk = existing.get(artifact.path)
-        if artifact.ownership is Ownership.ONCE:
-            if on_disk is not None:
-                actions.append(PlanEntry(artifact.path, WriteAction.SKIP_ONCE,
-                                         "scaffolded once; owned by the developer"))
-            else:
-                actions.append(PlanEntry(artifact.path, WriteAction.CREATE, "new file"))
-            continue
         if on_disk is None:
             actions.append(PlanEntry(artifact.path, WriteAction.CREATE, "new file"))
+            continue
+        if artifact.ownership is Ownership.ONCE:
+            actions.append(PlanEntry(artifact.path, WriteAction.SKIP_ONCE,
+                                     "scaffolded once; owned by the developer"))
             continue
         recorded = manifest.digest_of(artifact.path) if manifest is not None else None
         if recorded is not None and digest(on_disk) == recorded:

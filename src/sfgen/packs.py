@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Mapping, Optional
 
 from . import atl
+from .loader import paused_gc
 from .model import ApplicationModel, Entity
 from .ownership import Ownership
 
@@ -181,9 +182,6 @@ def _expand(
         "flags": dict(rule.flags),
     }
     if rule.per == "model":
-        if _PLACEHOLDER_RE.search(rule.pathPattern):
-            raise PackError(
-                f"per-model path {rule.pathPattern!r} cannot use entity placeholders")
         return [(posixpath.normpath(rule.pathPattern), base)]
 
     pairs: list[tuple[str, dict[str, atl.Value]]] = []
@@ -215,18 +213,19 @@ def generate_all(
     view = atl.ModelView(model, model)  # one view of the model serves every rule
     artifacts: list[Artifact] = []
     seen: set[str] = set()
-    for rule in pack.outputs:
-        ast = pack.templates[rule.template]
-        for path, context in _expand(rule, model, view, config):
-            if path in seen:
-                raise PathCollision(f"two output rules produce the same path {path!r}")
-            seen.add(path)
-            try:
-                text = atl.render(ast, context)
-            except atl.TemplateRuntimeError as exc:
-                exc.args = (f"while rendering {path!r}: {exc}",)
-                raise
-            text = text.replace("\r\n", "\n")
-            artifacts.append(Artifact(path=path, content=text.encode("utf-8"),
-                                      ownership=rule.ownership))
+    with paused_gc():  # the views and artifacts are acyclic
+        for rule in pack.outputs:
+            ast = pack.templates[rule.template]
+            for path, context in _expand(rule, model, view, config):
+                if path in seen:
+                    raise PathCollision(f"two output rules produce the same path {path!r}")
+                seen.add(path)
+                try:
+                    text = atl.render(ast, context)
+                except atl.TemplateRuntimeError as exc:
+                    exc.args = (f"while rendering {path!r}: {exc}",)
+                    raise
+                text = text.replace("\r\n", "\n")
+                artifacts.append(Artifact(path=path, content=text.encode("utf-8"),
+                                          ownership=rule.ownership))
     return artifacts

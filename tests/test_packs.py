@@ -1,9 +1,10 @@
+import contextlib
 import dataclasses
 import gc
 
 import pytest
 
-from sfgen import packs
+from sfgen import atl, packs
 from sfgen.loader import load_model
 from sfgen.model import ConstraintKind
 from sfgen.ownership import Ownership
@@ -235,3 +236,20 @@ def test_generation_leaves_no_cyclic_garbage(newsboard_model, webstack):
     finally:
         if was_enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("gc_enabled", [True, False])
+@pytest.mark.parametrize("template, outcome", [
+    ("# {{ entity.name }}\n", contextlib.nullcontext()),
+    ("{{ count(1) }}", pytest.raises(atl.TemplateRuntimeError)),
+])
+def test_generate_all_restores_gc_state(newsboard_model, gc_enabled, template, outcome):
+    pack = load_pack({**MINIMAL_PACK, "t.atl": template})
+    was_enabled = gc.isenabled()
+    (gc.enable if gc_enabled else gc.disable)()
+    try:
+        with outcome:
+            generate_all(newsboard_model, pack)
+        assert gc.isenabled() is gc_enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
