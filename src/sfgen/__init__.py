@@ -6,57 +6,4 @@ web forms, client validation, docs, API description) while protecting
 handwritten code across regenerations.
 """
 
-from .model import (
-    ApplicationModel,
-    ColumnSpec,
-    Constraint,
-    ConstraintKind,
-    Entity,
-    Field,
-    FieldType,
-    LocalizedText,
-    RelationshipOp,
-    Settings,
-    display_name,
-    effective_columns,
-    find_entity,
-)
-from .loader import Diagnostic, Severity, bind_model, load_model, validate_model
-from .xmlsubset import ParseError, XmlNode, parse_document
-from .atl import (
-    TemplateRuntimeError,
-    TemplateSyntaxError,
-    compare_kind,
-    parse_template,
-    render,
-    sql_operator,
-    sql_type,
-)
-from .packs import (
-    Artifact,
-    GenConfig,
-    OutputRule,
-    PackError,
-    PathCollision,
-    TemplatePack,
-    builtin_pack_dir,
-    expand_output_rule,
-    generate_all,
-    load_pack,
-    read_pack_dir,
-)
-from .ownership import (
-    Manifest,
-    ManifestEntry,
-    Ownership,
-    WriteAction,
-    WritePlan,
-    apply_plan,
-    digest,
-    load_manifest,
-    plan_writes,
-    save_manifest,
-)
-from .stats import Advisory, StatsReport, classify_files, compute_report, lint_model, percentages
-
 __version__ = "0.1.0"

@@ -374,6 +374,7 @@ def parse_expr(source: str, name: str = "<expr>", base: Pos = (1, 1)) -> Expr:
 _TAG_OPEN_RE = re.compile(r"\{\{-?|\{%-?|\{#")
 _LTRIM_RE = re.compile(r"(?:[ \t]*\n)?[ \t]*\Z")
 _RTRIM_RE = re.compile(r"\A[ \t]*(?:\n[ \t]*)?")
+_DIRECTIVE_RE = re.compile(r"\s*(\S*)\s*")
 
 
 def _line_col(source: str, offset: int) -> Pos:
@@ -447,19 +448,20 @@ def parse_template(source: str, name: str) -> TemplateAst:
             raise err("unterminated directive", match.start())
         if tag.endswith("-"):
             apply_ltrim()
-        inner = source[match.end():close.start()].strip()
-        inner_pos = _line_col(source, match.end())
+        # the directive word, then `rest` from its first non-space character on
+        head = _DIRECTIVE_RE.match(source, match.end(), close.start())
+        word = head.group(1)
+        rest = source[head.end():close.start()].rstrip()
+        rest_pos = _line_col(source, head.end())
         pending_rtrim = close.group().startswith("-")
         pos = close.end()
-
-        word = inner.split(None, 1)[0] if inner else ""
-        rest = inner[len(word):].strip()
 
         if word == "for":
             m_for = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\s+in\s+(.+)", rest, re.DOTALL)
             if m_for is None:
                 raise err("malformed for directive; expected 'for NAME in EXPR'", match.start())
-            expr = parse_expr(m_for.group(2), name, inner_pos)
+            expr = parse_expr(m_for.group(2), name,
+                              _line_col(source, head.end() + m_for.start(2)))
             stack.append({"kind": "for", "var": m_for.group(1), "expr": expr,
                           "pos": tag_pos, "body": []})
         elif word == "endfor":
@@ -469,7 +471,7 @@ def parse_template(source: str, name: str) -> TemplateAst:
             stack[-1]["body"].append(
                 ForNode(frame["var"], frame["expr"], tuple(frame["body"]), frame["pos"]))
         elif word == "if":
-            expr = parse_expr(rest, name, inner_pos)
+            expr = parse_expr(rest, name, rest_pos)
             stack.append({"kind": "if", "pos": tag_pos, "branches": [],
                           "current_expr": expr, "body": [], "in_else": False})
         elif word == "elif":
@@ -477,7 +479,7 @@ def parse_template(source: str, name: str) -> TemplateAst:
             if frame["kind"] != "if" or frame["in_else"]:
                 raise err("'elif' without matching 'if'", match.start())
             frame["branches"].append((frame["current_expr"], tuple(frame["body"])))
-            frame["current_expr"] = parse_expr(rest, name, inner_pos)
+            frame["current_expr"] = parse_expr(rest, name, rest_pos)
             frame["body"] = []
         elif word == "else":
             frame = stack[-1]

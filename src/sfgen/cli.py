@@ -120,12 +120,13 @@ def _cmd_generate(args) -> int:
     existing: dict[str, bytes] = {}
     for artifact in artifacts:
         target = out_root / artifact.path
-        if target.exists():
-            try:
-                existing[artifact.path] = target.read_bytes()
-            except OSError as exc:
-                print(f"error E_IO: cannot read {target}: {exc.strerror}", file=sys.stderr)
-                return EXIT_IO
+        try:
+            existing[artifact.path] = target.read_bytes()
+        except (FileNotFoundError, NotADirectoryError):
+            continue
+        except OSError as exc:
+            print(f"error E_IO: cannot read {target}: {exc.strerror}", file=sys.stderr)
+            return EXIT_IO
     try:
         manifest = ownership.load_manifest(out_root)
     except ownership.ManifestError as exc:

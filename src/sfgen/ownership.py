@@ -63,12 +63,12 @@ class Manifest:
     entries: tuple[ManifestEntry, ...] = ()
 
     @cached_property
-    def _digests(self) -> dict[str, str]:
+    def _by_path(self) -> dict[str, ManifestEntry]:
         # built from the last entry back, so the first entry for a path wins
-        return {entry.path: entry.sha256 for entry in reversed(self.entries)}
+        return {entry.path: entry for entry in reversed(self.entries)}
 
-    def digest_of(self, path: str) -> Optional[str]:
-        return self._digests.get(path)
+    def entry_of(self, path: str) -> Optional[ManifestEntry]:
+        return self._by_path.get(path)
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,7 @@ class PlanEntry:
     path: str
     action: WriteAction
     reason: str = ""
+    sha256: Optional[str] = None  # what the new manifest records; None for a CONFLICT
 
 
 @dataclass(frozen=True)
@@ -101,31 +102,35 @@ def plan_writes(
     ONCE files that already exist are always skipped. ALWAYS files are only
     overwritten when the on-disk content is what the generator last wrote
     (digest matches the manifest); anything else is a CONFLICT unless forced.
+    Each entry carries the digest the new manifest records for its path: that
+    of the content written, or of the bytes left on disk. Every file is hashed
+    at most once.
     """
     actions: list[PlanEntry] = []
     for artifact in artifacts:
-        on_disk = existing.get(artifact.path)
+        path, content = artifact.path, artifact.content
+        on_disk = existing.get(path)
         if on_disk is None:
-            actions.append(PlanEntry(artifact.path, WriteAction.CREATE, "new file"))
+            actions.append(PlanEntry(path, WriteAction.CREATE, "new file", digest(content)))
             continue
         if artifact.ownership is Ownership.ONCE:
-            actions.append(PlanEntry(artifact.path, WriteAction.SKIP_ONCE,
-                                     "scaffolded once; owned by the developer"))
+            actions.append(PlanEntry(path, WriteAction.SKIP_ONCE,
+                                     "scaffolded once; owned by the developer", digest(on_disk)))
             continue
-        recorded = manifest.digest_of(artifact.path) if manifest is not None else None
-        if recorded is not None and digest(on_disk) == recorded:
-            if on_disk == artifact.content:
-                actions.append(PlanEntry(artifact.path, WriteAction.SKIP_UNCHANGED,
-                                         "content unchanged"))
+        recorded = manifest.entry_of(path) if manifest is not None else None
+        if recorded is not None and digest(on_disk) == recorded.sha256:
+            if on_disk == content:
+                actions.append(PlanEntry(path, WriteAction.SKIP_UNCHANGED,
+                                         "content unchanged", recorded.sha256))
             else:
-                actions.append(PlanEntry(artifact.path, WriteAction.OVERWRITE,
-                                         "regenerated content differs"))
+                actions.append(PlanEntry(path, WriteAction.OVERWRITE,
+                                         "regenerated content differs", digest(content)))
         elif force:
-            actions.append(PlanEntry(artifact.path, WriteAction.OVERWRITE, "forced"))
+            actions.append(PlanEntry(path, WriteAction.OVERWRITE, "forced", digest(content)))
         else:
             reason = ("file was modified after the last generation"
                       if recorded is not None else "file is not covered by the manifest")
-            actions.append(PlanEntry(artifact.path, WriteAction.CONFLICT, reason))
+            actions.append(PlanEntry(path, WriteAction.CONFLICT, reason))
     return WritePlan(tuple(actions))
 
 
@@ -143,28 +148,18 @@ def _atomic_write(target: Path, content: bytes) -> None:
 def apply_plan(plan: WritePlan, artifacts: Sequence["Artifact"], out_root: Path) -> Manifest:
     """Execute a conflict-free plan under `out_root` and return the new manifest.
 
-    Writes are atomic per file (temp file + rename). ONCE entries keep the
-    digest of whatever is on disk, so user-edited scaffolds stay recognizable.
+    `plan` is `plan_writes(artifacts, ...)`, one entry per artifact in order.
+    Writes are atomic per file (temp file + rename). The manifest records each
+    entry's digest, so user-edited ONCE scaffolds stay recognizable.
     """
     if plan.conflicts():
         raise ValueError("plan contains conflicts; resolve them or use force")
 
-    by_path = {a.path: a for a in artifacts}
-    for entry in plan.actions:
-        if entry.action in (WriteAction.CREATE, WriteAction.OVERWRITE):
-            _atomic_write(out_root / entry.path, by_path[entry.path].content)
-
     manifest_entries: list[ManifestEntry] = []
-    for artifact in artifacts:
-        if artifact.ownership is Ownership.ONCE:
-            try:
-                on_disk = (out_root / artifact.path).read_bytes()
-            except OSError as exc:
-                raise IoError(artifact.path, exc.strerror or str(exc)) from exc
-            sha = digest(on_disk)
-        else:
-            sha = digest(artifact.content)
-        manifest_entries.append(ManifestEntry(artifact.path, artifact.ownership, sha))
+    for entry, artifact in zip(plan.actions, artifacts, strict=True):
+        if entry.action in (WriteAction.CREATE, WriteAction.OVERWRITE):
+            _atomic_write(out_root / entry.path, artifact.content)
+        manifest_entries.append(ManifestEntry(entry.path, artifact.ownership, entry.sha256))
     manifest_entries.sort(key=lambda e: e.path)
     return Manifest(entries=tuple(manifest_entries))
 
@@ -180,15 +175,19 @@ def manifest_to_json(manifest: Manifest) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
+def _entry_from_json(e: Mapping) -> ManifestEntry:
+    path, owner, sha = e["path"], e["ownership"], e["sha256"]
+    if not (isinstance(path, str) and isinstance(owner, str) and isinstance(sha, str)):
+        raise TypeError("entry path, ownership and sha256 must be strings")
+    return ManifestEntry(path, Ownership(owner), sha)
+
+
 def manifest_from_json(text: str) -> Manifest:
     try:
         payload = json.loads(text)
-        entries = tuple(
-            ManifestEntry(e["path"], Ownership(e["ownership"]), e["sha256"])
-            for e in payload["entries"]
-        )
+        entries = tuple(_entry_from_json(e) for e in payload["entries"])
         return Manifest(version=int(payload["version"]), entries=entries)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise ManifestError(f"malformed manifest: {exc}") from exc
 
 
@@ -197,7 +196,15 @@ def save_manifest(manifest: Manifest, out_root: Path) -> None:
 
 
 def load_manifest(out_root: Path) -> Optional[Manifest]:
+    """The manifest under `out_root`, or None if there is none; any other read,
+    decode or shape failure is a ManifestError."""
     path = out_root / MANIFEST_FILENAME
-    if not path.exists():
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except (FileNotFoundError, NotADirectoryError):
         return None
-    return manifest_from_json(path.read_text("utf-8"))
+    except OSError as exc:
+        raise ManifestError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"malformed manifest: {exc}") from exc
+    return manifest_from_json(text)

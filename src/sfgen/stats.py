@@ -54,13 +54,12 @@ def classify_files(
     has taken them over. Files the manifest does not know are manual. The
     manifest file itself is excluded.
     """
-    by_path = {e.path: e for e in manifest.entries}
     generated: set[str] = set()
     manual: set[str] = set()
     for path, content in listing.items():
         if path == MANIFEST_FILENAME:
             continue
-        entry = by_path.get(path)
+        entry = manifest.entry_of(path)
         if entry is None:
             manual.add(path)
         elif entry.ownership is Ownership.ALWAYS:

@@ -267,7 +267,7 @@ def test_localized_builtin():
 # -- runtime error locations -----------------------------------------------
 
 # (source, context, line, column, reason); an expression inside a directive is
-# located relative to the end of '{%', as the parser records it
+# located from where it starts in the template, as one inside '{{ }}' is
 RUNTIME_ERRORS = [
     ("{{ nope }}", {}, 1, 4, "unknown name 'nope'"),
     ("ab\n  {{ x.y }}{{ nope.z }}", {"x": None}, 2, 15, "unknown name 'nope'"),
@@ -278,8 +278,8 @@ RUNTIME_ERRORS = [
      "cannot access '.len' on str value"),
     ("{{ items.first }}", {"items": [1]}, 1, 4, "cannot access '.first' on list value"),
     ("{{ 1 < 'a' }}", {}, 1, 6, "cannot compare int with str"),
-    ("{% if v >= true %}{% endif %}", {"v": 1}, 1, 5, "cannot compare int with bool"),
-    ("{% if\n  a <= b %}{% endif %}", {"a": [1], "b": [2]}, 1, 5,
+    ("{% if v >= true %}{% endif %}", {"v": 1}, 1, 9, "cannot compare int with bool"),
+    ("{% if\n  a <= b %}{% endif %}", {"a": [1], "b": [2]}, 2, 5,
      "cannot compare list with list"),
     ("{% for x in v %}{% endfor %}", {"v": 5}, 1, 1, "for-loop expression is not a sequence"),
     ("line\n  {%- for x in d %}{% endfor %}", {"d": {"k": 1}}, 2, 3,
@@ -295,6 +295,9 @@ RUNTIME_ERRORS = [
      "localized(): localized() expects an entity, field or constraint"),
     ("{{ lower() }}", {}, 1, 4,
      "lower(): <lambda>() missing 1 required positional argument: 't'"),
+    ("{% for x in a.b %}{% endfor %}", {"a": 42}, 1, 13, "cannot access '.b' on int value"),
+    ("{% if false %}{% elif v >= true %}{% endif %}", {"v": 1}, 1, 25,
+     "cannot compare int with bool"),
 ]
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import sfgen
-from sfgen import packs
+from sfgen import ownership, packs
 from sfgen.cli import main
 
 from conftest import FIXTURES
@@ -90,6 +90,18 @@ def test_generate_fresh_and_idempotent(tmp_path, capsys):
     assert "SKIP_ONCE" in summary and "SKIP_UNCHANGED" in summary
     assert "CREATE" not in summary and "OVERWRITE" not in summary
     assert tree_digest(out) == first
+
+
+def test_no_change_regeneration_hashes_each_artifact_once(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    assert generate(out) == 0
+    calls = []
+    real_digest = ownership.digest
+    monkeypatch.setattr(ownership, "digest", lambda content: calls.append(content)
+                        or real_digest(content))
+    assert generate(out) == 0
+    assert "generated 16 artifacts" in capsys.readouterr().out
+    assert len(calls) == 16
 
 
 def test_generate_dry_run_writes_nothing(tmp_path, capsys):
@@ -186,6 +198,26 @@ def test_stats_without_manifest(tmp_path, capsys):
     assert main(["stats", "--out", str(tmp_path)]) == 3
     assert "run generate first" in capsys.readouterr().err
     assert main(["stats", "--out", str(tmp_path / "missing")]) == 3
+
+
+@pytest.mark.parametrize("command", ["generate", "stats"])
+@pytest.mark.parametrize("manifest_kind", ["not-utf8", "directory"])
+def test_unreadable_manifest_is_manifest_error(tmp_path, command, manifest_kind):
+    out = tmp_path / "out"
+    out.mkdir()
+    manifest = out / ".sfgen-manifest.json"
+    if manifest_kind == "directory":
+        manifest.mkdir()
+    else:
+        manifest.write_bytes(b"\xff\xfe{}")
+    argv = (["generate", "--model", NEWSBOARD, "--pack", PACK, "--out", str(out)]
+            if command == "generate" else ["stats", "--out", str(out)])
+    env = {**os.environ, "PYTHONPATH": str(Path(sfgen.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-m", "sfgen.cli", *argv],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 3
+    assert "E_MANIFEST" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_lint(capsys):

@@ -41,16 +41,16 @@ def test_digest_known_vectors():
 
 # -- planning ----------------------------------------------------------------
 
-def test_manifest_digest_of_first_entry_wins():
+def test_manifest_entry_of_first_entry_wins():
     manifest = Manifest(entries=(
         ManifestEntry("a.sql", Ownership.ALWAYS, "1" * 64),
         ManifestEntry("b.js", Ownership.ONCE, "2" * 64),
         ManifestEntry("a.sql", Ownership.ALWAYS, "3" * 64),
     ))
-    assert manifest.digest_of("a.sql") == "1" * 64
-    assert manifest.digest_of("b.js") == "2" * 64
-    assert manifest.digest_of("absent.md") is None
-    assert Manifest().digest_of("a.sql") is None
+    assert manifest.entry_of("a.sql").sha256 == "1" * 64
+    assert manifest.entry_of("b.js").sha256 == "2" * 64
+    assert manifest.entry_of("absent.md") is None
+    assert Manifest().entry_of("a.sql") is None
 
 
 def test_plan_fresh_tree_creates_everything():
@@ -146,7 +146,7 @@ def test_apply_preserves_edited_once_file(tmp_path):
     manifest2 = apply_plan(plan, arts2, tmp_path)
     assert (tmp_path / "b.js").read_bytes() == b"my handwritten body\n"
     # the manifest tracks what is actually on disk for ONCE files
-    assert manifest2.digest_of("b.js") == digest(b"my handwritten body\n")
+    assert manifest2.entry_of("b.js").sha256 == digest(b"my handwritten body\n")
 
 
 def test_apply_refuses_conflicted_plan(tmp_path):
@@ -210,7 +210,27 @@ def test_load_missing_manifest_returns_none(tmp_path):
 @pytest.mark.parametrize("text", ["{}", "[]", "not json",
                                   '{"version": 1, "entries": [{"path": "a"}]}',
                                   '{"version": 1, "entries": [{"path": "a", '
-                                  '"ownership": "sometimes", "sha256": "00"}]}'])
+                                  '"ownership": "sometimes", "sha256": "00"}]}',
+                                  '{"version": 1, "entries": [{"path": ["a"], '
+                                  '"ownership": "always", "sha256": "00"}]}',
+                                  '{"version": 1, "entries": [{"path": "a", '
+                                  '"ownership": ["always"], "sha256": "00"}]}',
+                                  '{"version": 1, "entries": [{"path": "a", '
+                                  '"ownership": "always", "sha256": 0}]}',
+                                  '{"version": 1, "entries": [["a"]]}',
+                                  '{"version": 1, "entries": "a"}',
+                                  '{"version": Infinity, "entries": []}',
+                                  pytest.param("[" * 100_000, id="deeply-nested")])
 def test_malformed_manifest_rejected(text):
     with pytest.raises(ManifestError):
         manifest_from_json(text)
+
+
+def test_unreadable_manifest_rejected(tmp_path):
+    (tmp_path / MANIFEST_FILENAME).write_bytes(b'{"version": 1, "entries": []}\xff\n')
+    with pytest.raises(ManifestError, match="malformed manifest"):
+        load_manifest(tmp_path)
+    (tmp_path / MANIFEST_FILENAME).unlink()
+    (tmp_path / MANIFEST_FILENAME).mkdir()
+    with pytest.raises(ManifestError, match="cannot read"):
+        load_manifest(tmp_path)

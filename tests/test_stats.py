@@ -74,6 +74,18 @@ def test_edited_once_file_counts_as_manual():
     assert manual == {"b.js"}
 
 
+def test_duplicate_manifest_entries_read_as_plan_writes_reads_them():
+    # the first entry for a path wins, in stats as in plan_writes
+    manifest = Manifest(entries=(
+        ManifestEntry("b.js", Ownership.ONCE, digest(b"scaffold")),
+        ManifestEntry("b.js", Ownership.ONCE, digest(b"other")),
+    ))
+    assert manifest.entry_of("b.js").sha256 == digest(b"scaffold")
+    generated, manual = classify_files({"b.js": b"scaffold"}, manifest)
+    assert generated == {"b.js"}
+    assert manual == set()
+
+
 def test_manifest_file_excluded():
     listing = {MANIFEST_FILENAME: b"{}", "a.sql": b"x"}
     generated, manual = classify_files(listing, manifest_for({"a.sql": b"x"}))
