@@ -5,7 +5,16 @@ import pytest
 
 from sfgen import loader
 from sfgen.loader import Severity, bind_model, load_model, validate_model
-from sfgen.model import FieldType
+from sfgen.model import (
+    ApplicationModel,
+    Constraint,
+    ConstraintKind,
+    Entity,
+    Field,
+    FieldType,
+    LocalizedText,
+    Settings,
+)
 from sfgen.xmlsubset import ParseError, parse_document
 
 from conftest import FIXTURES
@@ -192,3 +201,164 @@ def test_load_model_restores_gc_state(data, gc_enabled, outcome):
         assert gc.isenabled() is gc_enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+def _texts(*entries):
+    return LocalizedText(tuple(entries))
+
+
+# Hostile documents that together reach every binding code, each with the
+# model it binds to and its diagnostics as (code, location, subject, message).
+BINDING_CASES = [
+    pytest.param(
+        '<xsource><Settings appName="A"/><EntityConfig>\n'
+        '<Entity name="E" tableName="T" caching="sometimes" isActive="yes">\n'
+        '<Field name="a" type="nvarchar" nullable="maybe" length="0"\n'
+        ' numberOfRows="x" numberOfCols="2" isShownInList="no"/>\n'
+        '<Constraint type="Bogus" relationship="approx"/>\n'
+        "</Entity></EntityConfig></xsource>",
+        ApplicationModel(settings=Settings(appName="A"), entities=(Entity(
+            name="E", tableName="T", location=(2, 1),
+            fields=(Field(name="a", type=FieldType.NVARCHAR, type_token="nvarchar",
+                          numberOfCols=2, location=(3, 1)),),
+            constraints=(Constraint(kind_token="Bogus", rel_token="approx",
+                                    location=(5, 1)),)),)),
+        [(loader.E_BAD_ENUM, (2, 32), "Entity[E]",
+          "attribute 'caching' must be 'enabled' or 'disabled', got 'sometimes'"),
+         (loader.E_BAD_BOOL, (2, 52), "Entity[E]",
+          "attribute 'isActive' must be 'true' or 'false', got 'yes'"),
+         (loader.E_BAD_BOOL, (3, 33), "Entity[E]/Field[a]",
+          "attribute 'nullable' must be 'true' or 'false', got 'maybe'"),
+         (loader.E_BAD_INT, (3, 50), "Entity[E]/Field[a]",
+          "attribute 'length' must be a positive integer, got '0'"),
+         (loader.E_BAD_INT, (4, 2), "Entity[E]/Field[a]",
+          "attribute 'numberOfRows' must be a positive integer, got 'x'"),
+         (loader.E_BAD_BOOL, (4, 36), "Entity[E]/Field[a]",
+          "attribute 'isShownInList' must be 'true' or 'false', got 'no'")],
+        id="bad-values"),
+    pytest.param(
+        '<xsource><Settings appName="A" theme="dark"/><Extra/>\n'
+        "<EntityConfig>\n"
+        '<Entity name="E" tableName="T" owner="me"><Bogus/>\n'
+        '<Language name="en"><DisplayName>E</DisplayName><Tooltip/></Language>\n'
+        '<Field name="a" type="int" isPK="true" frob="1"><Hint/>\n'
+        '<Language name="en"><DisplayName>A</DisplayName><Tooltip/></Language></Field>\n'
+        '<Constraint type="Unique" strict="yes"><CField name="a"/><Note/>\n'
+        '<Language name="en"><ErrorMessage>dup</ErrorMessage><Tooltip/></Language>'
+        "</Constraint>\n"
+        "</Entity><Junk/></EntityConfig>\n"
+        "<EntityConfig/></xsource>",
+        ApplicationModel(settings=Settings(appName="A"), languages=("en",), entities=(Entity(
+            name="E", tableName="T", location=(3, 1), displayNames=_texts(("en", "E")),
+            fields=(Field(name="a", type=FieldType.INT, type_token="int", isPK=True,
+                          displayNames=_texts(("en", "A")), location=(5, 1)),),
+            constraints=(Constraint(kind=ConstraintKind.UNIQUE, kind_token="Unique",
+                                    cfields=("a",), errorMessages=_texts(("en", "dup")),
+                                    location=(7, 1)),)),)),
+        [(loader.W_UNKNOWN_ATTR, (1, 32), "Settings", "unknown attribute 'theme' ignored"),
+         (loader.W_UNKNOWN_ELEM, (1, 46), "", "unknown element 'Extra' ignored"),
+         (loader.W_UNKNOWN_ELEM, (10, 1), "", "extra EntityConfig element ignored"),
+         (loader.W_UNKNOWN_ATTR, (3, 32), "Entity[E]", "unknown attribute 'owner' ignored"),
+         (loader.W_UNKNOWN_ELEM, (3, 43), "Entity[E]", "unknown element 'Bogus' ignored"),
+         (loader.W_UNKNOWN_ELEM, (4, 49), "Entity[E]", "unknown element 'Tooltip' ignored"),
+         (loader.W_UNKNOWN_ATTR, (5, 40), "Entity[E]/Field[a]",
+          "unknown attribute 'frob' ignored"),
+         (loader.W_UNKNOWN_ELEM, (5, 49), "Entity[E]/Field[a]", "unknown element 'Hint' ignored"),
+         (loader.W_UNKNOWN_ELEM, (6, 49), "Entity[E]/Field[a]",
+          "unknown element 'Tooltip' ignored"),
+         (loader.W_UNKNOWN_ATTR, (7, 27), "Entity[E]/Constraint[1]",
+          "unknown attribute 'strict' ignored"),
+         (loader.W_UNKNOWN_ELEM, (7, 58), "Entity[E]/Constraint[1]",
+          "unknown element 'Note' ignored"),
+         (loader.W_UNKNOWN_ELEM, (8, 53), "Entity[E]/Constraint[1]",
+          "unknown element 'Tooltip' ignored"),
+         (loader.W_UNKNOWN_ELEM, (9, 10), "EntityConfig", "unknown element 'Junk' ignored")],
+        id="unknown-names"),
+    pytest.param(
+        "<xsource><EntityConfig>\n"
+        '<Entity name="E" tableName="T">\n'
+        '<Language name="en"><DisplayName>One</DisplayName><PluralName>Ones</PluralName>'
+        "</Language>\n"
+        '<Language name="mk"><DisplayName>Eden</DisplayName></Language>\n'
+        '<Language name="en"><DisplayName>Two</DisplayName><PluralName>Twos</PluralName>'
+        "</Language>\n"
+        '<Field name="a" type="int" isPK="true">\n'
+        '<Language name="en"><DisplayName>A1</DisplayName></Language>\n'
+        '<Language name="en"><DisplayName>A2</DisplayName></Language></Field>\n'
+        '<Constraint type="Unique"><CField name="a"/>\n'
+        '<Language name="en"><ErrorMessage>m1</ErrorMessage></Language>\n'
+        '<Language name="en"><ErrorMessage>m2</ErrorMessage></Language></Constraint>\n'
+        "</Entity></EntityConfig></xsource>",
+        ApplicationModel(languages=("en", "mk"), entities=(Entity(
+            name="E", tableName="T", location=(2, 1),
+            displayNames=_texts(("mk", "Eden"), ("en", "Two")),
+            pluralNames=_texts(("en", "Twos")),
+            fields=(Field(name="a", type=FieldType.INT, type_token="int", isPK=True,
+                          displayNames=_texts(("en", "A2")), location=(6, 1)),),
+            constraints=(Constraint(kind=ConstraintKind.UNIQUE, kind_token="Unique",
+                                    cfields=("a",), errorMessages=_texts(("en", "m2")),
+                                    location=(9, 1)),)),)),
+        [(loader.W_DUP_LANG, (5, 1), "Entity[E]",
+          "duplicate DisplayName for language 'en'; last one wins"),
+         (loader.W_DUP_LANG, (5, 1), "Entity[E]",
+          "duplicate PluralName for language 'en'; last one wins"),
+         (loader.W_DUP_LANG, (8, 1), "Entity[E]/Field[a]",
+          "duplicate DisplayName for language 'en'; last one wins"),
+         (loader.W_DUP_LANG, (11, 1), "Entity[E]/Constraint[1]",
+          "duplicate ErrorMessage for language 'en'; last one wins")],
+        id="duplicate-languages"),
+    pytest.param(
+        "<xsource><EntityConfig>\n"
+        '<Entity name="E" tableName="T"><Field name="ID" type="int" isPK="true"/>\n'
+        '<Field name="a" type="int" nameName="legacy"/>\n'
+        '<Field name="b" type="int" nameName="legacy" fkName="modern"/>\n'
+        '<Field name="c" type="int" fkName="modern" nameName="legacy"/>\n'
+        "</Entity></EntityConfig></xsource>",
+        ApplicationModel(entities=(Entity(
+            name="E", tableName="T", location=(2, 1),
+            fields=(Field(name="ID", type=FieldType.INT, type_token="int", isPK=True,
+                          location=(2, 32)),
+                    Field(name="a", type=FieldType.INT, type_token="int", fkName="legacy",
+                          location=(3, 1)),
+                    Field(name="b", type=FieldType.INT, type_token="int", fkName="modern",
+                          location=(4, 1)),
+                    Field(name="c", type=FieldType.INT, type_token="int", fkName="modern",
+                          location=(5, 1)))),)),
+        [],
+        id="fkname-alias"),
+    # the Constraint and Field come before the entity's own Language block, and
+    # there is no defaultLanguage: the entity's languages still come first
+    pytest.param(
+        "<xsource><EntityConfig>\n"
+        '<Entity name="E" tableName="T">\n'
+        '<Constraint type="Unique"><CField name="ID"/>\n'
+        '<Language name="fr"><ErrorMessage>unique</ErrorMessage></Language></Constraint>\n'
+        '<Field name="ID" type="int" isPK="true">\n'
+        '<Language name="de"><DisplayName>Nummer</DisplayName></Language>\n'
+        '<Language name="en"><DisplayName>Number</DisplayName></Language></Field>\n'
+        '<Language name="en"><DisplayName>Thing</DisplayName></Language>\n'
+        "</Entity></EntityConfig></xsource>",
+        ApplicationModel(languages=("en", "de", "fr"), entities=(Entity(
+            name="E", tableName="T", location=(2, 1), displayNames=_texts(("en", "Thing")),
+            fields=(Field(name="ID", type=FieldType.INT, type_token="int", isPK=True,
+                          displayNames=_texts(("de", "Nummer"), ("en", "Number")),
+                          location=(5, 1)),),
+            constraints=(Constraint(kind=ConstraintKind.UNIQUE, kind_token="Unique",
+                                    cfields=("ID",), errorMessages=_texts(("fr", "unique")),
+                                    location=(3, 1)),)),)),
+        [],
+        id="language-order"),
+]
+
+
+def _located(diagnostics):
+    return [(d.code, d.location, d.subject, d.message) for d in diagnostics]
+
+
+@pytest.mark.parametrize("doc,model,diagnostics", BINDING_CASES)
+def test_binding_diagnostics_are_pinned(doc, model, diagnostics):
+    bound, found = bind_model(parse_document(doc.encode()))
+    assert bound == model
+    assert sorted(_located(found)) == sorted(diagnostics)
+    assert all(d.severity is (Severity.ERROR if d.code.startswith("E_") else Severity.WARNING)
+               for d in found)
