@@ -14,7 +14,8 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from functools import partial
+from typing import Any, Callable, Iterator, Optional
 
 from .model import (
     ApplicationModel,
@@ -85,22 +86,66 @@ E_CONSTRAINT_FIELD = "E_CONSTRAINT_FIELD"
 E_CONSTRAINT_FAMILY = "E_CONSTRAINT_FAMILY"
 E_BAD_DEFAULT_LANG = "E_BAD_DEFAULT_LANG"
 
-_ENTITY_ATTRS = {"name", "tableName", "caching", "isAudited", "isLogged", "isActive"}
-_FIELD_ATTRS = {
-    "name", "type", "length", "nullable", "isPK", "isIdentity", "isFK",
-    "fkEntityName", "fkName", "nameName", "isLookup", "createLookup", "isOVN",
-    "isAudited", "isShownInList", "isShownInEdit", "isShownInHistory",
-    "description", "defaultValue", "displayFormat", "numberOfRows",
-    "numberOfCols", "displayName",
-}
-_CONSTRAINT_ATTRS = {"type", "relationship"}
-_SETTINGS_ATTRS = {"appName", "defaultLanguage", "connectionStringName"}
 
-_FIELD_BOOL_DEFAULTS = {
-    "nullable": False, "isPK": False, "isIdentity": False, "isFK": False,
-    "isLookup": False, "createLookup": False, "isOVN": False, "isAudited": False,
-    "isShownInList": True, "isShownInEdit": True, "isShownInHistory": True,
-}
+def _bool(raw: str) -> bool:
+    if raw == "true":
+        return True
+    if raw == "false":
+        return False
+    raise ValueError(E_BAD_BOOL, "'true' or 'false'")
+
+
+def _positive_int(raw: str) -> int:
+    if raw.isascii() and raw.isdigit() and (value := int(raw)) > 0:
+        return value
+    raise ValueError(E_BAD_INT, "a positive integer")
+
+
+def _member(enum: type[Enum], token: str) -> Optional[Enum]:
+    try:
+        return enum(token)
+    except ValueError:
+        return None
+
+
+def _caching(raw: str) -> Caching:
+    if (caching := _member(Caching, raw)) is None:
+        raise ValueError(E_BAD_ENUM, "'enabled' or 'disabled'")
+    return caching
+
+
+# One table per element. A row names an XML attribute, its reader and, when it
+# differs from the attribute, the model keyword it binds. Rows are read in
+# order; a reader raises ValueError(code, expected) for a value it cannot read.
+_Table = tuple[tuple[tuple[str, str, Callable[[str], Any]], ...], frozenset[str]]
+
+
+def _table(*rows: tuple) -> _Table:
+    bound = tuple((attr, keyword[0] if keyword else attr, read) for attr, read, *keyword in rows)
+    return bound, frozenset(attr for attr, _, _ in bound)
+
+
+_SETTINGS = _table(("appName", str), ("defaultLanguage", str), ("connectionStringName", str))
+_ENTITY = _table(
+    ("name", str), ("tableName", str), ("caching", _caching),
+    ("isAudited", _bool), ("isLogged", _bool), ("isActive", _bool),
+)
+_FIELD = _table(
+    ("name", str), ("type", str, "type_token"), ("type", partial(_member, FieldType)),
+    ("length", _positive_int), ("nullable", _bool), ("isPK", _bool), ("isIdentity", _bool),
+    ("isFK", _bool), ("fkEntityName", str),
+    # 'nameName' is an alias of 'fkName', read first so that 'fkName' wins
+    ("nameName", str, "fkName"), ("fkName", str),
+    ("isLookup", _bool), ("createLookup", _bool), ("isOVN", _bool), ("isAudited", _bool),
+    ("isShownInList", _bool), ("isShownInEdit", _bool), ("isShownInHistory", _bool),
+    ("description", str), ("defaultValue", str), ("displayFormat", str),
+    ("numberOfRows", _positive_int), ("numberOfCols", _positive_int),
+    ("displayName", str, "displayNameAttr"),
+)
+_CONSTRAINT = _table(
+    ("type", str, "kind_token"), ("type", partial(_member, ConstraintKind), "kind"),
+    ("relationship", str, "rel_token"), ("relationship", partial(_member, RelationshipOp)),
+)
 
 
 class _Binder:
@@ -113,177 +158,98 @@ class _Binder:
         location = node.attribute_locations.get(attr, node.location) if attr else node.location
         self.diagnostics.append(Diagnostic(code, severity, message, location, subject))
 
-    def note_language(self, name: str) -> None:
-        if name and name not in self.languages:
-            self.languages.append(name)
+    def warn_element(self, node: XmlNode, subject: str, message: str = "") -> None:
+        self.diag(W_UNKNOWN_ELEM, Severity.WARNING,
+                  message or f"unknown element '{node.tag}' ignored", node, subject)
 
-    def read_bool(self, node: XmlNode, attr: str, default: bool, subject: str) -> bool:
-        raw = node.attributes.get(attr)
-        if raw is None:
-            return default
-        if raw == "true":
-            return True
-        if raw == "false":
-            return False
-        self.diag(E_BAD_BOOL, Severity.ERROR,
-                  f"attribute '{attr}' must be 'true' or 'false', got '{raw}'",
-                  node, subject, attr)
-        return default
+    def attributes(self, node: XmlNode, table: _Table, subject: str) -> dict[str, Any]:
+        """Model keyword arguments read from `node`'s attributes through `table`.
 
-    def read_int(self, node: XmlNode, attr: str, subject: str) -> Optional[int]:
-        raw = node.attributes.get(attr)
-        if raw is None:
-            return None
-        if raw.isdigit() and (parsed := int(raw)) > 0:
-            return parsed
-        self.diag(E_BAD_INT, Severity.ERROR,
-                  f"attribute '{attr}' must be a positive integer, got '{raw}'",
-                  node, subject, attr)
-        return None
-
-    def warn_unknown(self, node: XmlNode, known: set[str], subject: str) -> None:
-        for attr in node.attributes:
+        An attribute that is absent or cannot be read is left out, so the
+        model type's default applies.
+        """
+        rows, known = table
+        attrs = node.attributes
+        for attr in attrs:
             if attr not in known:
                 self.diag(W_UNKNOWN_ATTR, Severity.WARNING,
                           f"unknown attribute '{attr}' ignored", node, subject, attr)
-
-    def localized(self, owner: XmlNode, child_tag: str, subject: str) -> LocalizedText:
-        entries: list[tuple[str, str]] = []
-        seen: set[str] = set()
-        for lang in owner.find_all("Language"):
-            name = lang.attributes.get("name", "")
-            self.note_language(name)
-            text_node = lang.find(child_tag)
-            if text_node is None:
+        kwargs: dict[str, Any] = {}
+        for attr, keyword, read in rows:
+            raw = attrs.get(attr)
+            if raw is None:
                 continue
-            if name in seen:
-                self.diag(W_DUP_LANG, Severity.WARNING,
-                          f"duplicate {child_tag} for language '{name}'; last one wins",
-                          lang, subject)
-                entries = [(n, t) for n, t in entries if n != name]
-            seen.add(name)
-            entries.append((name, text_node.text.strip()))
-        return LocalizedText(tuple(entries))
+            try:
+                kwargs[keyword] = read(raw)
+            except ValueError as exc:
+                code, expected = exc.args
+                self.diag(code, Severity.ERROR,
+                          f"attribute '{attr}' must be {expected}, got '{raw}'",
+                          node, subject, attr)
+        return kwargs
 
-    def note_language_children(self, owner: XmlNode, known_tags: set[str], subject: str) -> None:
-        for lang in owner.find_all("Language"):
-            for child in lang.children:
-                if child.tag not in known_tags:
-                    self.diag(W_UNKNOWN_ELEM, Severity.WARNING,
-                              f"unknown element '{child.tag}' ignored", child, subject)
+    def children(self, node: XmlNode, allowed: tuple[str, ...], text_tags: tuple[str, ...],
+                 subject: str) -> tuple[dict[str, list[XmlNode]], list[LocalizedText]]:
+        """`node`'s children with an allowed tag, by tag, and one LocalizedText
+        per tag in `text_tags`, read from its `Language` blocks.
+
+        Other children, and other children of a `Language` block, are warned
+        about. Within one block the first text of a tag counts; a later block
+        of the same language replaces it.
+        """
+        found: dict[str, list[XmlNode]] = {tag: [] for tag in allowed}
+        texts: dict[str, dict[str, str]] = {tag: {} for tag in text_tags}
+        for child in node.children:
+            if child.tag in found:
+                found[child.tag].append(child)
+            elif child.tag == "Language" and text_tags:
+                self.language(child, texts, subject)
+            else:
+                self.warn_element(child, subject)
+        return found, [LocalizedText(tuple(texts[tag].items())) for tag in text_tags]
+
+    def language(self, block: XmlNode, texts: dict[str, dict[str, str]], subject: str) -> None:
+        name = block.attributes.get("name", "")
+        if name and name not in self.languages:
+            self.languages.append(name)
+        read: set[str] = set()
+        for child in block.children:
+            entries = texts.get(child.tag)
+            if entries is None:
+                self.warn_element(child, subject)
+            elif child.tag not in read:
+                read.add(child.tag)
+                if name in entries:
+                    self.diag(W_DUP_LANG, Severity.WARNING,
+                              f"duplicate {child.tag} for language '{name}'; last one wins",
+                              block, subject)
+                    del entries[name]
+                entries[name] = child.text.strip()
 
     def bind_field(self, node: XmlNode, entity_subject: str) -> Field:
-        name = node.attributes.get("name", "")
-        subject = f"{entity_subject}/Field[{name}]"
-        self.warn_unknown(node, _FIELD_ATTRS, subject)
-        for child in node.children:
-            if child.tag != "Language":
-                self.diag(W_UNKNOWN_ELEM, Severity.WARNING,
-                          f"unknown element '{child.tag}' ignored", child, subject)
-        self.note_language_children(node, {"DisplayName"}, subject)
-
-        type_token = node.attributes.get("type")
-        try:
-            field_type = FieldType(type_token) if type_token is not None else None
-        except ValueError:
-            field_type = None
-
-        bools = {
-            attr: self.read_bool(node, attr, default, subject)
-            for attr, default in _FIELD_BOOL_DEFAULTS.items()
-        }
-        return Field(
-            name=name,
-            type=field_type,
-            type_token=type_token,
-            length=self.read_int(node, "length", subject),
-            numberOfRows=self.read_int(node, "numberOfRows", subject),
-            numberOfCols=self.read_int(node, "numberOfCols", subject),
-            fkEntityName=node.attributes.get("fkEntityName"),
-            # 'nameName' is accepted as an alias of 'fkName'
-            fkName=node.attributes.get("fkName", node.attributes.get("nameName")),
-            description=node.attributes.get("description"),
-            defaultValue=node.attributes.get("defaultValue"),
-            displayFormat=node.attributes.get("displayFormat"),
-            displayNameAttr=node.attributes.get("displayName"),
-            displayNames=self.localized(node, "DisplayName", subject),
-            location=node.location,
-            **bools,
-        )
+        subject = f"{entity_subject}/Field[{node.attributes.get('name', '')}]"
+        kwargs = self.attributes(node, _FIELD, subject)
+        _, (display_names,) = self.children(node, (), ("DisplayName",), subject)
+        return Field(**kwargs, displayNames=display_names, location=node.location)
 
     def bind_constraint(self, node: XmlNode, index: int, entity_subject: str) -> Constraint:
         subject = f"{entity_subject}/Constraint[{index}]"
-        self.warn_unknown(node, _CONSTRAINT_ATTRS, subject)
-        for child in node.children:
-            if child.tag not in ("Language", "CField"):
-                self.diag(W_UNKNOWN_ELEM, Severity.WARNING,
-                          f"unknown element '{child.tag}' ignored", child, subject)
-        self.note_language_children(node, {"ErrorMessage"}, subject)
-
-        kind_token = node.attributes.get("type")
-        try:
-            kind = ConstraintKind(kind_token) if kind_token is not None else None
-        except ValueError:
-            kind = None
-        rel_token = node.attributes.get("relationship")
-        try:
-            relationship = RelationshipOp(rel_token) if rel_token is not None else None
-        except ValueError:
-            relationship = None
-
-        return Constraint(
-            kind=kind,
-            kind_token=kind_token,
-            relationship=relationship,
-            rel_token=rel_token,
-            cfields=tuple(c.attributes.get("name", "") for c in node.find_all("CField")),
-            errorMessages=self.localized(node, "ErrorMessage", subject),
-            location=node.location,
-        )
+        kwargs = self.attributes(node, _CONSTRAINT, subject)
+        found, (error_messages,) = self.children(node, ("CField",), ("ErrorMessage",), subject)
+        return Constraint(**kwargs, errorMessages=error_messages, location=node.location,
+                          cfields=tuple(c.attributes.get("name", "") for c in found["CField"]))
 
     def bind_entity(self, node: XmlNode) -> Entity:
-        name = node.attributes.get("name", "")
-        subject = f"Entity[{name}]"
-        self.warn_unknown(node, _ENTITY_ATTRS, subject)
-        for child in node.children:
-            if child.tag not in ("Language", "Field", "Constraint"):
-                self.diag(W_UNKNOWN_ELEM, Severity.WARNING,
-                          f"unknown element '{child.tag}' ignored", child, subject)
-        self.note_language_children(node, {"DisplayName", "PluralName"}, subject)
-
-        caching_token = node.attributes.get("caching")
-        caching = Caching.DISABLED
-        if caching_token is not None:
-            try:
-                caching = Caching(caching_token)
-            except ValueError:
-                self.diag(E_BAD_ENUM, Severity.ERROR,
-                          f"attribute 'caching' must be 'enabled' or 'disabled', got '{caching_token}'",
-                          node, subject, "caching")
-
+        subject = f"Entity[{node.attributes.get('name', '')}]"
+        kwargs = self.attributes(node, _ENTITY, subject)
+        found, (display_names, plural_names) = self.children(
+            node, ("Field", "Constraint"), ("DisplayName", "PluralName"), subject)
         return Entity(
-            name=name,
-            tableName=node.attributes.get("tableName", ""),
-            caching=caching,
-            isAudited=self.read_bool(node, "isAudited", False, subject),
-            isLogged=self.read_bool(node, "isLogged", False, subject),
-            isActive=self.read_bool(node, "isActive", True, subject),
-            displayNames=self.localized(node, "DisplayName", subject),
-            pluralNames=self.localized(node, "PluralName", subject),
-            fields=tuple(self.bind_field(f, subject) for f in node.find_all("Field")),
-            constraints=tuple(
-                self.bind_constraint(c, i, subject)
-                for i, c in enumerate(node.find_all("Constraint"), start=1)
-            ),
+            **kwargs, displayNames=display_names, pluralNames=plural_names,
+            fields=tuple(self.bind_field(f, subject) for f in found["Field"]),
+            constraints=tuple(self.bind_constraint(c, i, subject)
+                              for i, c in enumerate(found["Constraint"], start=1)),
             location=node.location,
-        )
-
-    def bind_settings(self, node: XmlNode) -> Settings:
-        self.warn_unknown(node, _SETTINGS_ATTRS, "Settings")
-        return Settings(
-            appName=node.attributes.get("appName", ""),
-            defaultLanguage=node.attributes.get("defaultLanguage"),
-            connectionStringName=node.attributes.get("connectionStringName"),
         )
 
 
@@ -301,19 +267,18 @@ def bind_model(root: XmlNode) -> tuple[ApplicationModel, list[Diagnostic]]:
         binder.diag(E_DOC_SHAPE, Severity.ERROR,
                     f"root element must be 'xsource', got '{root.tag}'", root, "")
     else:
-        entity_config = None
+        first: dict[str, XmlNode] = {}
         for child in root.children:
-            if child.tag == "Settings":
-                settings = binder.bind_settings(child)
-            elif child.tag == "EntityConfig":
-                if entity_config is None:
-                    entity_config = child
-                else:
-                    binder.diag(W_UNKNOWN_ELEM, Severity.WARNING,
-                                "extra EntityConfig element ignored", child, "")
+            if child.tag not in ("Settings", "EntityConfig"):
+                binder.warn_element(child, "")
+            elif child.tag in first:
+                binder.warn_element(child, "", f"extra {child.tag} element ignored")
             else:
-                binder.diag(W_UNKNOWN_ELEM, Severity.WARNING,
-                            f"unknown element '{child.tag}' ignored", child, "")
+                first[child.tag] = child
+                if child.tag == "Settings":
+                    settings = Settings(**binder.attributes(child, _SETTINGS, "Settings"))
+                    binder.children(child, (), (), "Settings")
+        entity_config = first.get("EntityConfig")
         if entity_config is None:
             binder.diag(E_DOC_SHAPE, Severity.ERROR,
                         "document has no EntityConfig element", root, "")
@@ -322,8 +287,7 @@ def bind_model(root: XmlNode) -> tuple[ApplicationModel, list[Diagnostic]]:
                 if child.tag == "Entity":
                     entities.append(binder.bind_entity(child))
                 else:
-                    binder.diag(W_UNKNOWN_ELEM, Severity.WARNING,
-                                f"unknown element '{child.tag}' ignored", child, "EntityConfig")
+                    binder.warn_element(child, "EntityConfig")
 
     model = ApplicationModel(
         settings=settings,

@@ -95,7 +95,7 @@ class Settings:
 
 @dataclass(frozen=True)
 class Field:
-    name: str
+    name: str = ""
     type: Optional[FieldType] = None
     type_token: Optional[str] = None  # raw attribute text; None when absent
     length: Optional[int] = None
@@ -135,8 +135,8 @@ class Constraint:
 
 @dataclass(frozen=True)
 class Entity:
-    name: str
-    tableName: str
+    name: str = ""
+    tableName: str = ""
     caching: Caching = Caching.DISABLED
     isAudited: bool = False
     isLogged: bool = False

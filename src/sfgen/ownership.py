@@ -59,7 +59,6 @@ class ManifestEntry:
 
 @dataclass(frozen=True)
 class Manifest:
-    version: int = MANIFEST_VERSION
     entries: tuple[ManifestEntry, ...] = ()
 
     @cached_property
@@ -166,7 +165,7 @@ def apply_plan(plan: WritePlan, artifacts: Sequence["Artifact"], out_root: Path)
 
 def manifest_to_json(manifest: Manifest) -> str:
     payload = {
-        "version": manifest.version,
+        "version": MANIFEST_VERSION,
         "entries": [
             {"path": e.path, "ownership": e.ownership.value, "sha256": e.sha256}
             for e in manifest.entries
@@ -185,9 +184,11 @@ def _entry_from_json(e: Mapping) -> ManifestEntry:
 def manifest_from_json(text: str) -> Manifest:
     try:
         payload = json.loads(text)
-        entries = tuple(_entry_from_json(e) for e in payload["entries"])
-        return Manifest(version=int(payload["version"]), entries=entries)
-    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+        version = payload["version"]
+        if type(version) is not int or version != MANIFEST_VERSION:
+            raise ValueError(f"unsupported manifest version {version!r}")
+        return Manifest(entries=tuple(_entry_from_json(e) for e in payload["entries"]))
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ManifestError(f"malformed manifest: {exc}") from exc
 
 

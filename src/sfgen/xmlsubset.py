@@ -51,15 +51,6 @@ class XmlNode:
     location: tuple[int, int] = (1, 1)
     attribute_locations: dict[str, tuple[int, int]] = field(default_factory=dict)
 
-    def find(self, tag: str) -> "XmlNode | None":
-        for child in self.children:
-            if child.tag == tag:
-                return child
-        return None
-
-    def find_all(self, tag: str) -> list["XmlNode"]:
-        return [child for child in self.children if child.tag == tag]
-
 
 class _Parser:
     """One document's text, with the readers that work on it.

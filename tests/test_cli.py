@@ -66,6 +66,21 @@ def test_validate_deeply_nested_model(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("length", ["\u00b2", "\u0661\u0662"], ids=["superscript-two", "arabic-12"])
+def test_validate_non_ascii_digits(tmp_path, length):
+    model = tmp_path / "model.xml"
+    model.write_text('<xsource><EntityConfig><Entity name="E" tableName="E">'
+                     '<Field name="ID" type="int" isPK="true"/>'
+                     f'<Field name="s" type="nvarchar" length="{length}"/>'
+                     "</Entity></EntityConfig></xsource>", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(sfgen.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-m", "sfgen.cli", "validate", str(model)],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 1
+    assert "E_BAD_INT" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_missing_model_file_is_io_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.xml")]) == 3
     assert "E_IO" in capsys.readouterr().err
@@ -201,13 +216,15 @@ def test_stats_without_manifest(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["generate", "stats"])
-@pytest.mark.parametrize("manifest_kind", ["not-utf8", "directory"])
+@pytest.mark.parametrize("manifest_kind", ["not-utf8", "directory", "future-version"])
 def test_unreadable_manifest_is_manifest_error(tmp_path, command, manifest_kind):
     out = tmp_path / "out"
     out.mkdir()
     manifest = out / ".sfgen-manifest.json"
     if manifest_kind == "directory":
         manifest.mkdir()
+    elif manifest_kind == "future-version":
+        manifest.write_text('{"version": 99, "entries": []}')
     else:
         manifest.write_bytes(b"\xff\xfe{}")
     argv = (["generate", "--model", NEWSBOARD, "--pack", PACK, "--out", str(out)]

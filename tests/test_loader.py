@@ -2,6 +2,7 @@ import contextlib
 import gc
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sfgen import loader
 from sfgen.loader import Severity, bind_model, load_model, validate_model
@@ -15,7 +16,7 @@ from sfgen.model import (
     LocalizedText,
     Settings,
 )
-from sfgen.xmlsubset import ParseError, parse_document
+from sfgen.xmlsubset import ParseError, XmlNode, parse_document
 
 from conftest import FIXTURES
 
@@ -362,3 +363,101 @@ def test_binding_diagnostics_are_pinned(doc, model, diagnostics):
     assert sorted(_located(found)) == sorted(diagnostics)
     assert all(d.severity is (Severity.ERROR if d.code.startswith("E_") else Severity.WARNING)
                for d in found)
+
+
+# every integer attribute takes ASCII digits only; other digits are unreadable
+@pytest.mark.parametrize("raw", ["zero", "0", "-1", "+3", "1.5", "²", "١٢"],
+                         ids=["word", "zero", "negative", "plus", "decimal", "superscript-two",
+                              "arabic-12"])
+def test_bad_int_located_at_attribute(raw):
+    doc = _wrap('<Entity name="E" tableName="E">\n'
+                f'<Field name="x" type="nvarchar" isPK="true" length="{raw}"/>\n</Entity>')
+    model, diagnostics = bind_model(parse_document(doc))
+    assert _located(diagnostics) == [
+        (loader.E_BAD_INT, (2, 45), "Entity[E]/Field[x]",
+         f"attribute 'length' must be a positive integer, got '{raw}'")]
+    assert model.entities[0].fields[0].length is None
+
+
+def test_binding_diagnostic_order_within_an_element():
+    # an element's attributes (unknown ones first, then in table order), then
+    # its children and texts, then its fields, then its constraints
+    doc = ('<xsource><EntityConfig>\n'
+           '<Entity isActive="no" name="E" tableName="T" owner="me">\n'
+           '<Constraint type="Unique" strict="yes"/>\n'
+           '<Field name="a" length="x" nullable="maybe"/>\n'
+           '<Language name="en"><DisplayName>A</DisplayName><Tooltip/></Language>\n'
+           '<Bogus/>\n'
+           '<Language name="en"><DisplayName>B</DisplayName></Language>\n'
+           "</Entity></EntityConfig></xsource>")
+    _, diagnostics = bind_model(parse_document(doc.encode()))
+    assert [(d.code, d.location) for d in diagnostics] == [
+        (loader.W_UNKNOWN_ATTR, (2, 46)),
+        (loader.E_BAD_BOOL, (2, 9)),
+        (loader.W_UNKNOWN_ELEM, (5, 49)),
+        (loader.W_UNKNOWN_ELEM, (6, 1)),
+        (loader.W_DUP_LANG, (7, 1)),
+        (loader.E_BAD_INT, (4, 17)),
+        (loader.E_BAD_BOOL, (4, 28)),
+        (loader.W_UNKNOWN_ATTR, (3, 27)),
+    ]
+
+
+def test_settings_bound_like_other_elements():
+    doc = ('<xsource><Settings appName="a" frob="1"><Theme/><Language name="en"/></Settings>\n'
+           '<Settings appName="b"/><EntityConfig/></xsource>')
+    model, diagnostics = bind_model(parse_document(doc.encode()))
+    assert model.settings == Settings(appName="a")
+    assert model.languages == ()
+    assert _located(diagnostics) == [
+        (loader.W_UNKNOWN_ATTR, (1, 32), "Settings", "unknown attribute 'frob' ignored"),
+        (loader.W_UNKNOWN_ELEM, (1, 41), "Settings", "unknown element 'Theme' ignored"),
+        (loader.W_UNKNOWN_ELEM, (1, 49), "Settings", "unknown element 'Language' ignored"),
+        (loader.W_UNKNOWN_ELEM, (2, 1), "", "extra Settings element ignored"),
+    ]
+
+
+# trees shaped like model documents, with every attribute value drawn from
+# arbitrary text or from digit-like text (Unicode categories Nd and No)
+_ATTRIBUTES = {
+    "Settings": ["appName", "defaultLanguage"],
+    "Entity": ["name", "tableName", "caching", "isActive"],
+    "Field": ["name", "type", "length", "numberOfRows", "numberOfCols", "isPK", "isFK",
+              "fkEntityName", "fkName", "nameName"],
+    "Constraint": ["type", "relationship"],
+    "CField": ["name"],
+    "Language": ["name"],
+}
+# each element's structural child, always present, and the tags it may also hold
+_CHILDREN = {
+    "xsource": ("EntityConfig", ["Settings", "EntityConfig"]),
+    "Settings": (None, ["Language"]),
+    "EntityConfig": ("Entity", []),
+    "Entity": ("Field", ["Constraint", "Language"]),
+    "Field": (None, ["Language"]),
+    "Constraint": ("CField", ["Language"]),
+    "Language": (None, ["DisplayName", "PluralName", "ErrorMessage"]),
+}
+_VALUES = st.one_of(st.text(max_size=8),
+                    st.text(st.characters(whitelist_categories=("Nd",)), min_size=1, max_size=3),
+                    st.text(st.characters(whitelist_categories=("No",)), min_size=1, max_size=3))
+
+
+@st.composite
+def _trees(draw, tag="xsource"):
+    names = st.sampled_from(_ATTRIBUTES.get(tag, []) + ["frob"])
+    attributes = draw(st.dictionaries(names, _VALUES, max_size=4))
+    tags = []
+    if tag in _CHILDREN:  # any other tag is a leaf
+        required, optional = _CHILDREN[tag]
+        tags = [required] if required else []
+        tags += draw(st.lists(st.sampled_from(optional + ["Bogus"]), max_size=2))
+    children = [draw(_trees(t)) for t in draw(st.permutations(tags))]
+    return XmlNode(tag, attributes, children, draw(st.text(max_size=4)))
+
+
+@given(_trees())
+def test_binding_never_raises(root):
+    model, diagnostics = bind_model(root)
+    diagnostics += validate_model(model)
+    assert all(isinstance(d, loader.Diagnostic) for d in diagnostics)

@@ -220,7 +220,11 @@ def test_load_missing_manifest_returns_none(tmp_path):
                                   '{"version": 1, "entries": [["a"]]}',
                                   '{"version": 1, "entries": "a"}',
                                   '{"version": Infinity, "entries": []}',
-                                  pytest.param("[" * 100_000, id="deeply-nested")])
+                                  pytest.param("[" * 100_000, id="deeply-nested"),
+                                  '{"version": 99, "entries": []}',
+                                  '{"version": "7", "entries": []}',
+                                  '{"version": true, "entries": []}',
+                                  '{"version": 1.9, "entries": []}'])
 def test_malformed_manifest_rejected(text):
     with pytest.raises(ManifestError):
         manifest_from_json(text)

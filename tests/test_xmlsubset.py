@@ -22,7 +22,8 @@ def test_entity_fragment():
     assert entity.tag == "Entity"
     assert entity.attributes["name"] == "Fakultet"
     assert entity.attributes["isLogged"] == "true"
-    assert entity.find("Constraint").attributes["type"] == "Unique"
+    [constraint] = entity.children
+    assert (constraint.tag, constraint.attributes["type"]) == ("Constraint", "Unique")
     assert entity.location == (2, 1)
 
 
