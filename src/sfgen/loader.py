@@ -212,13 +212,13 @@ class _Binder:
         name = block.attributes.get("name", "")
         if name and name not in self.languages:
             self.languages.append(name)
-        read: set[str] = set()
+        taken: set[str] = set()
         for child in block.children:
             entries = texts.get(child.tag)
             if entries is None:
                 self.warn_element(child, subject)
-            elif child.tag not in read:
-                read.add(child.tag)
+            elif child.tag not in taken:
+                taken.add(child.tag)
                 if name in entries:
                     self.diag(W_DUP_LANG, Severity.WARNING,
                               f"duplicate {child.tag} for language '{name}'; last one wins",

@@ -366,9 +366,8 @@ def test_binding_diagnostics_are_pinned(doc, model, diagnostics):
 
 
 # every integer attribute takes ASCII digits only; other digits are unreadable
-@pytest.mark.parametrize("raw", ["zero", "0", "-1", "+3", "1.5", "²", "١٢"],
-                         ids=["word", "zero", "negative", "plus", "decimal", "superscript-two",
-                              "arabic-12"])
+@pytest.mark.parametrize("raw", ["0", "+3", "²", "١٢"],
+                         ids=["zero", "plus", "superscript-two", "arabic-12"])
 def test_bad_int_located_at_attribute(raw):
     doc = _wrap('<Entity name="E" tableName="E">\n'
                 f'<Field name="x" type="nvarchar" isPK="true" length="{raw}"/>\n</Entity>')
