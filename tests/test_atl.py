@@ -76,6 +76,47 @@ def test_syntax_error_carries_position():
     assert exc.value.line == 2
 
 
+# (source, line, column, reason); a block error is located at its tag, an
+# expression error at the token, or where the expression ends
+SYNTAX_ERRORS = [
+    ("{# never closed", 1, 1, "unterminated comment"),
+    ("ab\n  {{ a", 2, 3, "unterminated output expression"),
+    ("{% if x %}\n{% endif", 2, 1, "unterminated directive"),
+    ("x {% frob %}", 1, 3, "unknown directive 'frob'"),
+    ("{% for in x %}{% endfor %}", 1, 1, "malformed for directive; expected 'for NAME in EXPR'"),
+    ("{% for x in %}{% endfor %}", 1, 1, "malformed for directive; expected 'for NAME in EXPR'"),
+    ("{% endfor %}", 1, 1, "'endfor' without matching 'for'"),
+    ("{% if a %}\n{% endfor %}", 2, 1, "'endfor' without matching 'for'"),
+    ("{% for x in a %}{% endif %}{% endfor %}", 1, 17, "'endif' without matching 'if'"),
+    ("{% endif %}", 1, 1, "'endif' without matching 'if'"),
+    ("{% elif x %}", 1, 1, "'elif' without matching 'if'"),
+    ("{% if a %}{% else %}{% elif b %}{% endif %}", 1, 21, "'elif' without matching 'if'"),
+    ("{% if a %}{% else %}{% else %}{% endif %}", 1, 21, "'else' without matching 'if'"),
+    ("{% if a %}{% else x %}{% endif %}", 1, 11, "'else' without matching 'if'"),
+    ("{% if a %}\n  {% for x in b %}", 2, 3, "unclosed 'for' block"),
+    ("{% for x in b %}{% if a %}{% else %}", 1, 17, "unclosed 'if' block"),
+    ("{{ }}", 1, 4, "unexpected end of expression"),
+    ("{% if a ==  %}{% endif %}", 1, 11, "unexpected end of expression"),
+    ("{{ a. }}", 1, 7, "unexpected end of expression"),
+    ("{{ (a }}", 1, 7, "unexpected end of expression"),
+    ("{{ a b }}", 1, 6, "unexpected 'b'"),
+    ("{{ == }}", 1, 4, "unexpected '=='"),
+    ("{% if a\n  b %}{% endif %}", 2, 3, "unexpected 'b'"),
+    ("{{ f(a b) }}", 1, 8, "expected ')', got 'b'"),
+    ("{{ a..b }}", 1, 6, "expected attribute name after '.', got '.'"),
+    ("{% for x in a.1 %}{% endfor %}", 1, 15, "expected attribute name after '.', got '1'"),
+]
+
+
+@pytest.mark.parametrize("source, line, column, reason", SYNTAX_ERRORS)
+def test_syntax_errors_are_located(source, line, column, reason):
+    with pytest.raises(TemplateSyntaxError) as exc:
+        parse_template(source, "t.atl")
+    assert (exc.value.name, exc.value.line, exc.value.column, exc.value.reason) \
+        == ("t.atl", line, column, reason)
+    assert str(exc.value) == f"t.atl:{line}:{column}: {reason}"
+
+
 # -- rendering --------------------------------------------------------------
 
 def test_render_output(fakultet_ctx):
