@@ -237,8 +237,18 @@ class TemplateAst:
 
 
 # ---------------------------------------------------------------------------
-# expression parsing
+# parsing: one recursive-descent parser over the whole template source; every
+# node and every error is located by its offset in that source
 
+MAX_DEPTH = 100  # a block nested deeper than this is a syntax error
+
+_TAG_OPEN_RE = re.compile(r"\{\{-?|\{%-?|\{#")
+_TAG_CLOSE_RE = {"{{": re.compile(r"-?\}\}"), "{%": re.compile(r"-?%\}")}
+# the directive word, then the rest of the directive without surrounding whitespace
+_DIRECTIVE_RE = re.compile(r"\s*(\S*)\s*(.*?)\s*", re.DOTALL)
+_FOR_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s+in\s+(.+)", re.DOTALL)
+_LTRIM_RE = re.compile(r"(?:[ \t]*\n)?[ \t]*\Z")
+_RTRIM_RE = re.compile(r"[ \t]*(?:\n[ \t]*)?")
 _TOKEN_RE = re.compile(
     r"""\s+
       | ==|!=|<=|>=|<|>
@@ -251,130 +261,7 @@ _TOKEN_RE = re.compile(
 )
 
 _COMPARE_OPS = {"==", "!=", "<", "<=", ">", ">="}
-
-
-class _ExprParser:
-    def __init__(self, source: str, name: str, base: Pos):
-        self.name = name
-        self.base = base  # template position of source[0]
-        self.tokens: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(source):
-            match = _TOKEN_RE.match(source, pos)
-            if match is None:
-                raise self.error(f"unexpected character {source[pos]!r}", pos)
-            if not match.group().isspace():
-                self.tokens.append((match.group(), pos))
-            pos = match.end()
-        self.source = source
-        self.index = 0
-
-    def pos_of(self, offset: int) -> Pos:
-        line, col = _line_col(self.source, offset)
-        return self.base[0] + line - 1, (self.base[1] + col - 1 if line == 1 else col)
-
-    def error(self, reason: str, offset: int) -> TemplateSyntaxError:
-        line, col = self.pos_of(offset)
-        return TemplateSyntaxError(self.name, line, col, reason)
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.index][0] if self.index < len(self.tokens) else None
-
-    def next(self) -> tuple[str, int]:
-        if self.index >= len(self.tokens):
-            raise self.error("unexpected end of expression", len(self.source))
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def expect(self, token: str) -> int:
-        got, offset = self.next()
-        if got != token:
-            raise self.error(f"expected {token!r}, got {got!r}", offset)
-        return offset
-
-    def parse(self) -> Expr:
-        expr = self.parse_or()
-        if self.index < len(self.tokens):
-            token, offset = self.tokens[self.index]
-            raise self.error(f"unexpected {token!r}", offset)
-        return expr
-
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
-        while self.peek() == "or":
-            _, offset = self.next()
-            left = Binary("or", left, self.parse_and(), self.pos_of(offset))
-        return left
-
-    def parse_and(self) -> Expr:
-        left = self.parse_not()
-        while self.peek() == "and":
-            _, offset = self.next()
-            left = Binary("and", left, self.parse_not(), self.pos_of(offset))
-        return left
-
-    def parse_not(self) -> Expr:
-        if self.peek() == "not":
-            _, offset = self.next()
-            return Unary("not", self.parse_not(), self.pos_of(offset))
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> Expr:
-        left = self.parse_primary()
-        if self.peek() in _COMPARE_OPS:
-            op, offset = self.next()
-            return Binary(op, left, self.parse_primary(), self.pos_of(offset))
-        return left
-
-    def parse_primary(self) -> Expr:
-        token, offset = self.next()
-        pos = self.pos_of(offset)
-        if token == "(":
-            inner = self.parse_or()
-            self.expect(")")
-            return inner
-        if token.isdigit():
-            return Lit(int(token), pos)
-        if token[0] in "'\"":
-            return Lit(token[1:-1], pos)
-        if token == "true":
-            return Lit(True, pos)
-        if token == "false":
-            return Lit(False, pos)
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", token):
-            if self.peek() == "(":
-                self.next()
-                args: list[Expr] = []
-                if self.peek() != ")":
-                    args.append(self.parse_or())
-                    while self.peek() == ",":
-                        self.next()
-                        args.append(self.parse_or())
-                self.expect(")")
-                return Call(token, tuple(args), pos)
-            names = [token]
-            while self.peek() == ".":
-                self.next()
-                part, part_offset = self.next()
-                if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", part):
-                    raise self.error(f"expected attribute name after '.', got {part!r}", part_offset)
-                names.append(part)
-            return Path(tuple(names), pos)
-        raise self.error(f"unexpected {token!r}", offset)
-
-
-def parse_expr(source: str, name: str = "<expr>", base: Pos = (1, 1)) -> Expr:
-    return _ExprParser(source, name, base).parse()
-
-
-# ---------------------------------------------------------------------------
-# template parsing
-
-_TAG_OPEN_RE = re.compile(r"\{\{-?|\{%-?|\{#")
-_LTRIM_RE = re.compile(r"(?:[ \t]*\n)?[ \t]*\Z")
-_RTRIM_RE = re.compile(r"\A[ \t]*(?:\n[ \t]*)?")
-_DIRECTIVE_RE = re.compile(r"\s*(\S*)\s*")
+_BLOCK_ENDS = {"endfor", "elif", "else", "endif"}
 
 
 def _line_col(source: str, offset: int) -> Pos:
@@ -383,131 +270,202 @@ def _line_col(source: str, offset: int) -> Pos:
     return line, offset - start + 1
 
 
+class _Parser:
+    def __init__(self, source: str, name: str):
+        self.source = source
+        self.name = name
+        self.pos = 0  # where the text after the last tag starts
+        self.rtrim = False  # whether that tag ended with a trim marker
+        self.tokens: list[tuple[str, int]] = []  # the expression being parsed
+        self.index = 0
+        self.end = 0  # where that expression ends
+
+    def error(self, reason: str, offset: int) -> TemplateSyntaxError:
+        return TemplateSyntaxError(self.name, *_line_col(self.source, offset), reason)
+
+    def block(self, depth: int, ends: tuple[str, ...] = (),
+              opened: int = 0) -> tuple[tuple[TplNode, ...], Optional[tuple[str, int, int]]]:
+        """The nodes of a block opened at offset `opened`, and the directive in
+        `ends` that closes it: (word, start, end) of the rest of that directive."""
+        source, body = self.source, []
+        while True:
+            match = _TAG_OPEN_RE.search(source, self.pos)
+            self.text(body, match.start() if match else len(source))
+            if match is None:
+                if ends:
+                    raise self.error(f"unclosed '{'for' if ends == ('endfor',) else 'if'}' block",
+                                     opened)
+                return tuple(body), None
+            start, tag = match.start(), match.group()
+            if tag == "{#":
+                end = source.find("#}", match.end())
+                if end < 0:
+                    raise self.error("unterminated comment", start)
+                self.pos = end + 2
+                continue
+            close = _TAG_CLOSE_RE[tag[:2]].search(source, match.end())
+            if close is None:
+                raise self.error("unterminated output expression" if tag[1] == "{"
+                                 else "unterminated directive", start)
+            if tag.endswith("-") and body and type(body[-1]) is TextNode:
+                last = body.pop()
+                if text := _LTRIM_RE.sub("", last.text, count=1):
+                    body.append(TextNode(text, last.pos))
+            self.pos, self.rtrim = close.end(), close.group().startswith("-")
+            if tag[1] == "{":
+                expr = self.expr(match.end(), close.start())
+                body.append(OutputNode(expr, _line_col(source, start)))
+                continue
+            directive = _DIRECTIVE_RE.fullmatch(source, match.end(), close.start())
+            word, (rest, end) = directive.group(1), directive.span(2)
+            if word in _BLOCK_ENDS:
+                if word not in ends or word == "else" and rest < end:
+                    raise self.error(
+                        f"'{word}' without matching '{'for' if word == 'endfor' else 'if'}'", start)
+                return tuple(body), (word, rest, end)
+            if word not in ("for", "if"):
+                raise self.error(f"unknown directive '{word}'", start)
+            if depth == MAX_DEPTH:
+                raise self.error("blocks nested too deeply", start)
+            parse_block = self.for_block if word == "for" else self.if_block
+            body.append(parse_block(start, rest, end, depth + 1))
+
+    def text(self, body: list[TplNode], end: int) -> None:
+        start = self.pos
+        first = _RTRIM_RE.match(self.source, start, end).end() if self.rtrim else start
+        self.rtrim = False
+        if first < end:
+            body.append(TextNode(self.source[first:end], _line_col(self.source, start)))
+
+    def for_block(self, start: int, rest: int, end: int, depth: int) -> ForNode:
+        header = _FOR_RE.fullmatch(self.source, rest, end)
+        if header is None:
+            raise self.error("malformed for directive; expected 'for NAME in EXPR'", start)
+        expr = self.expr(*header.span(2))
+        body, _ = self.block(depth, ("endfor",), start)
+        return ForNode(header.group(1), expr, body, _line_col(self.source, start))
+
+    def if_block(self, start: int, rest: int, end: int, depth: int) -> IfNode:
+        branches = []
+        cond = self.expr(rest, end)
+        while True:
+            body, (word, rest, end) = self.block(depth, ("elif", "else", "endif"), start)
+            branches.append((cond, body))
+            if word != "elif":
+                break
+            cond = self.expr(rest, end)
+        else_body = self.block(depth, ("endif",), start)[0] if word == "else" else None
+        return IfNode(tuple(branches), else_body, _line_col(self.source, start))
+
+    # -- expressions: tokenized first, then parsed by precedence --------------
+
+    def expr(self, start: int, end: int) -> Expr:
+        """The expression in source[start:end]."""
+        source, tokens, pos = self.source, [], start
+        while pos < end:
+            match = _TOKEN_RE.match(source, pos, end)
+            if match is None:
+                raise self.error(f"unexpected character {source[pos]!r}", pos)
+            if not source[pos].isspace():
+                tokens.append((match.group(), pos))
+            pos = match.end()
+        self.tokens, self.index, self.end = tokens, 0, end
+        expr = self.parse_or()
+        if self.index < len(tokens):
+            token, offset = tokens[self.index]
+            raise self.error(f"unexpected {token!r}", offset)
+        return expr
+
+    def peek(self) -> Optional[str]:
+        return self.tokens[self.index][0] if self.index < len(self.tokens) else None
+
+    def next(self) -> tuple[str, int]:
+        if self.index >= len(self.tokens):
+            raise self.error("unexpected end of expression", self.end)
+        token = self.tokens[self.index]
+        self.index += 1
+        return token
+
+    def expect(self, token: str) -> None:
+        got, offset = self.next()
+        if got != token:
+            raise self.error(f"expected {token!r}, got {got!r}", offset)
+
+    def parse_or(self) -> Expr:
+        left = self.parse_and()
+        while self.peek() == "or":
+            _, offset = self.next()
+            left = Binary("or", left, self.parse_and(), _line_col(self.source, offset))
+        return left
+
+    def parse_and(self) -> Expr:
+        left = self.parse_not()
+        while self.peek() == "and":
+            _, offset = self.next()
+            left = Binary("and", left, self.parse_not(), _line_col(self.source, offset))
+        return left
+
+    def parse_not(self) -> Expr:
+        if self.peek() == "not":
+            _, offset = self.next()
+            return Unary("not", self.parse_not(), _line_col(self.source, offset))
+        return self.parse_comparison()
+
+    def parse_comparison(self) -> Expr:
+        left = self.parse_primary()
+        if self.peek() in _COMPARE_OPS:
+            op, offset = self.next()
+            return Binary(op, left, self.parse_primary(), _line_col(self.source, offset))
+        return left
+
+    def parse_primary(self) -> Expr:
+        token, offset = self.next()
+        pos = _line_col(self.source, offset)
+        if token == "(":
+            inner = self.parse_or()
+            self.expect(")")
+            return inner
+        if token.isdigit():
+            return Lit(int(token), pos)
+        if token[0] in "'\"":
+            return Lit(token[1:-1], pos)
+        if token in ("true", "false"):
+            return Lit(token == "true", pos)
+        if not _is_name(token):
+            raise self.error(f"unexpected {token!r}", offset)
+        if self.peek() == "(":
+            self.next()
+            args: list[Expr] = []
+            if self.peek() != ")":
+                args.append(self.parse_or())
+                while self.peek() == ",":
+                    self.next()
+                    args.append(self.parse_or())
+            self.expect(")")
+            return Call(token, tuple(args), pos)
+        names = [token]
+        while self.peek() == ".":
+            self.next()
+            part, part_offset = self.next()
+            if not _is_name(part):
+                raise self.error(f"expected attribute name after '.', got {part!r}", part_offset)
+            names.append(part)
+        return Path(tuple(names), pos)
+
+
+def _is_name(token: str) -> bool:
+    return token[0].isalpha() or token[0] == "_"  # names are the only such tokens
+
+
+def parse_expr(source: str, name: str = "<expr>") -> Expr:
+    return _Parser(source, name).expr(0, len(source))
+
+
 def parse_template(source: str, name: str) -> TemplateAst:
     """Parse ATL source into an immutable AST; literal text is preserved
     byte-exactly except where trim markers apply."""
-    # frames: (kind, pos, extra) where extra holds partial if/for state
-    root: list[TplNode] = []
-    stack: list[dict[str, Any]] = [{"kind": "root", "body": root}]
-    pos = 0
-    pending_rtrim = False
-
-    def err(reason: str, offset: int) -> TemplateSyntaxError:
-        line, col = _line_col(source, offset)
-        return TemplateSyntaxError(name, line, col, reason)
-
-    def emit_text(text: str, offset: int) -> None:
-        nonlocal pending_rtrim
-        if pending_rtrim:
-            text = _RTRIM_RE.sub("", text, count=1)
-            pending_rtrim = False
-        if text:
-            stack[-1]["body"].append(TextNode(text, _line_col(source, offset)))
-
-    def apply_ltrim() -> None:
-        body = stack[-1]["body"]
-        if body and isinstance(body[-1], TextNode):
-            trimmed = _LTRIM_RE.sub("", body[-1].text, count=1)
-            if trimmed:
-                body[-1] = TextNode(trimmed, body[-1].pos)
-            else:
-                body.pop()
-
-    while pos < len(source):
-        match = _TAG_OPEN_RE.search(source, pos)
-        if match is None:
-            emit_text(source[pos:], pos)
-            break
-        emit_text(source[pos:match.start()], pos)
-        tag = match.group()
-        tag_pos = _line_col(source, match.start())
-
-        if tag == "{#":
-            end = source.find("#}", match.end())
-            if end < 0:
-                raise err("unterminated comment", match.start())
-            pos = end + 2
-            continue
-
-        if tag.startswith("{{"):
-            close = re.compile(r"-?\}\}").search(source, match.end())
-            if close is None:
-                raise err("unterminated output expression", match.start())
-            if tag.endswith("-"):
-                apply_ltrim()
-            inner = source[match.end():close.start()]
-            expr = parse_expr(inner, name, _line_col(source, match.end()))
-            stack[-1]["body"].append(OutputNode(expr, tag_pos))
-            pending_rtrim = close.group().startswith("-")
-            pos = close.end()
-            continue
-
-        # {% directive %}
-        close = re.compile(r"-?%\}").search(source, match.end())
-        if close is None:
-            raise err("unterminated directive", match.start())
-        if tag.endswith("-"):
-            apply_ltrim()
-        # the directive word, then `rest` from its first non-space character on
-        head = _DIRECTIVE_RE.match(source, match.end(), close.start())
-        word = head.group(1)
-        rest = source[head.end():close.start()].rstrip()
-        rest_pos = _line_col(source, head.end())
-        pending_rtrim = close.group().startswith("-")
-        pos = close.end()
-
-        if word == "for":
-            m_for = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\s+in\s+(.+)", rest, re.DOTALL)
-            if m_for is None:
-                raise err("malformed for directive; expected 'for NAME in EXPR'", match.start())
-            expr = parse_expr(m_for.group(2), name,
-                              _line_col(source, head.end() + m_for.start(2)))
-            stack.append({"kind": "for", "var": m_for.group(1), "expr": expr,
-                          "pos": tag_pos, "body": []})
-        elif word == "endfor":
-            if stack[-1]["kind"] != "for":
-                raise err("'endfor' without matching 'for'", match.start())
-            frame = stack.pop()
-            stack[-1]["body"].append(
-                ForNode(frame["var"], frame["expr"], tuple(frame["body"]), frame["pos"]))
-        elif word == "if":
-            expr = parse_expr(rest, name, rest_pos)
-            stack.append({"kind": "if", "pos": tag_pos, "branches": [],
-                          "current_expr": expr, "body": [], "in_else": False})
-        elif word == "elif":
-            frame = stack[-1]
-            if frame["kind"] != "if" or frame["in_else"]:
-                raise err("'elif' without matching 'if'", match.start())
-            frame["branches"].append((frame["current_expr"], tuple(frame["body"])))
-            frame["current_expr"] = parse_expr(rest, name, rest_pos)
-            frame["body"] = []
-        elif word == "else":
-            frame = stack[-1]
-            if frame["kind"] != "if" or frame["in_else"] or rest:
-                raise err("'else' without matching 'if'", match.start())
-            frame["branches"].append((frame["current_expr"], tuple(frame["body"])))
-            frame["body"] = []
-            frame["in_else"] = True
-        elif word == "endif":
-            frame = stack[-1]
-            if frame["kind"] != "if":
-                raise err("'endif' without matching 'if'", match.start())
-            stack.pop()
-            if frame["in_else"]:
-                else_body: Optional[tuple[TplNode, ...]] = tuple(frame["body"])
-                branches = tuple(frame["branches"])
-            else:
-                else_body = None
-                branches = tuple(frame["branches"]) + ((frame["current_expr"], tuple(frame["body"])),)
-            stack[-1]["body"].append(IfNode(branches, else_body, frame["pos"]))
-        else:
-            raise err(f"unknown directive '{word}'", match.start())
-
-    if len(stack) > 1:
-        frame = stack[-1]
-        line, col = frame["pos"]
-        raise TemplateSyntaxError(name, line, col, f"unclosed '{frame['kind']}' block")
-    return TemplateAst(name, tuple(root), _compile_body(root, name))
+    nodes, _ = _Parser(source, name).block(0)
+    return TemplateAst(name, nodes, _compile_body(nodes, name))
 
 
 # ---------------------------------------------------------------------------

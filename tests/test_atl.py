@@ -105,6 +105,10 @@ SYNTAX_ERRORS = [
     ("{{ f(a b) }}", 1, 8, "expected ')', got 'b'"),
     ("{{ a..b }}", 1, 6, "expected attribute name after '.', got '.'"),
     ("{% for x in a.1 %}{% endfor %}", 1, 15, "expected attribute name after '.', got '1'"),
+    ("{{ a + b }}", 1, 6, "unexpected character '+'"),
+    ("{{ x | upper }}", 1, 6, "unexpected character '|'"),
+    ("{{ '}}' }}", 1, 4, "unexpected character \"'\""),
+    ("x\n{% if a |b %}{% endif %}", 2, 9, "unexpected character '|'"),
 ]
 
 
@@ -115,6 +119,32 @@ def test_syntax_errors_are_located(source, line, column, reason):
     assert (exc.value.name, exc.value.line, exc.value.column, exc.value.reason) \
         == ("t.atl", line, column, reason)
     assert str(exc.value) == f"t.atl:{line}:{column}: {reason}"
+
+
+_SOUP = st.lists(st.sampled_from([
+    "{{", "}}", "{{-", "-}}", "{%", "%}", "{%-", "-%}", "{#", "#}", "'", '"', "+", "|",
+    "for", "in", "if", "elif", "else", "endif", "endfor", "x", "a.b", " ", "\n",
+])).map("".join)
+
+
+@given(_SOUP)
+def test_parse_template_is_total(source):
+    try:
+        parse_template(source, "t.atl")
+    except TemplateSyntaxError:
+        pass
+
+
+@pytest.mark.parametrize("tag, end", [("{% if true %}", "{% endif %}"),
+                                      ("{% for x in items %}", "{% endfor %}")],
+                         ids=["if", "for"])
+def test_nesting_is_bounded(tag, end):
+    nested = tag * atl.MAX_DEPTH + "{{ 1 }}" + end * atl.MAX_DEPTH
+    assert R(nested, items=[0]) == "1"
+    with pytest.raises(TemplateSyntaxError) as exc:
+        parse_template(tag * 1000 + end * 1000, "t.atl")
+    assert (exc.value.line, exc.value.column, exc.value.reason) \
+        == (1, atl.MAX_DEPTH * len(tag) + 1, "blocks nested too deeply")
 
 
 # -- rendering --------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -186,6 +187,21 @@ def test_generate_bad_pack(tmp_path, capsys):
     assert main(["generate", "--model", NEWSBOARD, "--pack", str(pack_dir),
                  "--out", str(out)]) == 4
     assert "E_PACK" in capsys.readouterr().err
+
+
+def test_generate_pack_with_template_syntax_error(tmp_path):
+    pack_dir = tmp_path / "pack"
+    shutil.copytree(PACK, pack_dir)
+    (pack_dir / "docs.md.atl").write_text("{{ a + b }}")
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(sfgen.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-m", "sfgen.cli", "generate", "--model", NEWSBOARD,
+                             "--pack", str(pack_dir), "--out", str(out)],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 4
+    assert "error E_PACK: docs.md.atl:1:6: unexpected character '+'" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
 
 
 def test_stats_table_and_json(tmp_path, capsys):
