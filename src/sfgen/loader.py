@@ -146,6 +146,7 @@ _CONSTRAINT = _table(
     ("type", str, "kind_token"), ("type", partial(_member, ConstraintKind), "kind"),
     ("relationship", str, "rel_token"), ("relationship", partial(_member, RelationshipOp)),
 )
+_NAME = _table(("name", str))  # Language and CField
 
 
 class _Binder:
@@ -209,7 +210,7 @@ class _Binder:
         return found, [LocalizedText(tuple(texts[tag].items())) for tag in text_tags]
 
     def language(self, block: XmlNode, texts: dict[str, dict[str, str]], subject: str) -> None:
-        name = block.attributes.get("name", "")
+        name = self.attributes(block, _NAME, subject).get("name", "")
         if name and name not in self.languages:
             self.languages.append(name)
         taken: set[str] = set()
@@ -237,7 +238,8 @@ class _Binder:
         kwargs = self.attributes(node, _CONSTRAINT, subject)
         found, (error_messages,) = self.children(node, ("CField",), ("ErrorMessage",), subject)
         return Constraint(**kwargs, errorMessages=error_messages, location=node.location,
-                          cfields=tuple(c.attributes.get("name", "") for c in found["CField"]))
+                          cfields=tuple(self.attributes(c, _NAME, subject).get("name", "")
+                                        for c in found["CField"]))
 
     def bind_entity(self, node: XmlNode) -> Entity:
         subject = f"Entity[{node.attributes.get('name', '')}]"

@@ -349,6 +349,31 @@ BINDING_CASES = [
                                     location=(3, 1)),)),)),
         [],
         id="language-order"),
+    # a Language and a CField bind only 'name'; an unnamed block binds the empty name
+    pytest.param(
+        "<xsource><EntityConfig>\n"
+        '<Entity name="E" tableName="T">\n'
+        '<Language lang="en"><DisplayName>Thing</DisplayName></Language>\n'
+        '<Field name="ID" type="int" isPK="true">\n'
+        '<Language name="en" region="GB"><DisplayName>Number</DisplayName></Language></Field>\n'
+        '<Constraint type="Unique"><CField nam="ID"/><CField name="ID" field="x"/>\n'
+        '<Language name="en"><ErrorMessage>dup</ErrorMessage></Language></Constraint>\n'
+        "</Entity></EntityConfig></xsource>",
+        ApplicationModel(languages=("en",), entities=(Entity(
+            name="E", tableName="T", location=(2, 1), displayNames=_texts(("", "Thing")),
+            fields=(Field(name="ID", type=FieldType.INT, type_token="int", isPK=True,
+                          displayNames=_texts(("en", "Number")), location=(4, 1)),),
+            constraints=(Constraint(kind=ConstraintKind.UNIQUE, kind_token="Unique",
+                                    cfields=("", "ID"), errorMessages=_texts(("en", "dup")),
+                                    location=(6, 1)),)),)),
+        [(loader.W_UNKNOWN_ATTR, (3, 11), "Entity[E]", "unknown attribute 'lang' ignored"),
+         (loader.W_UNKNOWN_ATTR, (5, 21), "Entity[E]/Field[ID]",
+          "unknown attribute 'region' ignored"),
+         (loader.W_UNKNOWN_ATTR, (6, 35), "Entity[E]/Constraint[1]",
+          "unknown attribute 'nam' ignored"),
+         (loader.W_UNKNOWN_ATTR, (6, 63), "Entity[E]/Constraint[1]",
+          "unknown attribute 'field' ignored")],
+        id="language-and-cfield-attributes"),
 ]
 
 
