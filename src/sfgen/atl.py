@@ -285,15 +285,16 @@ class _Parser:
 
     def block(self, depth: int, ends: tuple[str, ...] = (),
               opened: int = 0) -> tuple[tuple[TplNode, ...], Optional[tuple[str, int, int]]]:
-        """The nodes of a block opened at offset `opened`, and the directive in
-        `ends` that closes it: (word, start, end) of the rest of that directive."""
+        """The nodes of the block opened at offset `opened`, and the directive in
+        `ends` that closes it as (word, start, end), where source[start:end] is
+        the rest of that directive. The template itself is the block with no `ends`."""
         source, body = self.source, []
         while True:
             match = _TAG_OPEN_RE.search(source, self.pos)
             self.text(body, match.start() if match else len(source))
             if match is None:
                 if ends:
-                    raise self.error(f"unclosed '{'for' if ends == ('endfor',) else 'if'}' block",
+                    raise self.error(f"unclosed '{'for' if 'endfor' in ends else 'if'}' block",
                                      opened)
                 return tuple(body), None
             start, tag = match.start(), match.group()
