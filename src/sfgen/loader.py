@@ -171,10 +171,11 @@ class _Binder:
         """
         rows, known = table
         attrs = node.attributes
-        for attr in attrs:
-            if attr not in known:
-                self.diag(W_UNKNOWN_ATTR, Severity.WARNING,
-                          f"unknown attribute '{attr}' ignored", node, subject, attr)
+        if not known.issuperset(attrs):
+            for attr in attrs:
+                if attr not in known:
+                    self.diag(W_UNKNOWN_ATTR, Severity.WARNING,
+                              f"unknown attribute '{attr}' ignored", node, subject, attr)
         kwargs: dict[str, Any] = {}
         for attr, keyword, read in rows:
             raw = attrs.get(attr)
