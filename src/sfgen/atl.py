@@ -244,10 +244,8 @@ MAX_DEPTH = 100  # a block nested deeper than this is a syntax error
 
 _TAG_OPEN_RE = re.compile(r"\{\{-?|\{%-?|\{#")
 _TAG_CLOSE_RE = {"{{": re.compile(r"-?\}\}"), "{%": re.compile(r"-?%\}")}
-# the directive word, then the rest of the directive without surrounding whitespace
-_DIRECTIVE_RE = re.compile(r"\s*(\S*)\s*(.*?)\s*", re.DOTALL)
+_DIRECTIVE_RE = re.compile(r"\s*(\S*)\s*")  # the directive word
 _FOR_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s+in\s+(.+)", re.DOTALL)
-_LTRIM_RE = re.compile(r"(?:[ \t]*\n)?[ \t]*\Z")
 _RTRIM_RE = re.compile(r"[ \t]*(?:\n[ \t]*)?")
 _TOKEN_RE = re.compile(
     r"""\s+
@@ -310,15 +308,19 @@ class _Parser:
                                  else "unterminated directive", start)
             if tag.endswith("-") and body and type(body[-1]) is TextNode:
                 last = body.pop()
-                if text := _LTRIM_RE.sub("", last.text, count=1):
+                text = last.text.rstrip(" \t")
+                if text.endswith("\n"):
+                    text = text[:-1].rstrip(" \t")
+                if text:
                     body.append(TextNode(text, last.pos))
             self.pos, self.rtrim = close.end(), close.group().startswith("-")
             if tag[1] == "{":
                 expr = self.expr(match.end(), close.start())
                 body.append(OutputNode(expr, _line_col(source, start)))
                 continue
-            directive = _DIRECTIVE_RE.fullmatch(source, match.end(), close.start())
-            word, (rest, end) = directive.group(1), directive.span(2)
+            head = _DIRECTIVE_RE.match(source, match.end(), close.start())
+            word, rest = head.group(1), head.end()
+            end = rest + len(source[rest:close.start()].rstrip())  # the rest of the directive
             if word in _BLOCK_ENDS:
                 if word not in ends or word == "else" and rest < end:
                     raise self.error(
