@@ -107,6 +107,21 @@ def test_path_collision_across_entities():
         expand_output_rule(rule, model)
 
 
+def test_path_collision_across_rules(newsboard_model):
+    listing = {
+        "pack.json": '{"name": "p", "version": "1", "outputs": ['
+                     '{"template": "t.atl", "path": "docs/index.md", '
+                     '"per": "model", "ownership": "always"}, '
+                     '{"template": "t.atl", "path": "docs/{entity.name}.md", '
+                     '"per": "entity", "ownership": "always"}, '
+                     '{"template": "t.atl", "path": "docs/./Vest.md", '
+                     '"per": "model", "ownership": "always"}]}',
+        "t.atl": "x\n",
+    }
+    with pytest.raises(PathCollision, match="'docs/Vest.md'"):
+        generate_all(newsboard_model, load_pack(listing))
+
+
 def test_generate_all_deterministic(newsboard_model, webstack):
     config = GenConfig(lang="English")
     first = generate_all(newsboard_model, webstack, config)
