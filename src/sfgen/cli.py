@@ -108,7 +108,7 @@ def _cmd_generate(args) -> int:
 
     try:
         pack = packs.load_pack(packs.read_pack_dir(Path(args.pack)))
-        artifacts = packs.generate_all(model, pack, packs.GenConfig(lang=args.lang))
+        artifacts = packs.generate_all(model, pack, lang=args.lang)
     except TemplateRuntimeError as exc:
         print(f"error E_TEMPLATE: {exc}", file=sys.stderr)
         return EXIT_TEMPLATE

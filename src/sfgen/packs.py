@@ -13,7 +13,7 @@ import posixpath
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping
 
 from . import atl
 from .loader import paused_gc
@@ -38,7 +38,6 @@ class OutputRule:
     pathPattern: str
     per: str  # "model" | "entity"
     ownership: Ownership
-    activeOnly: bool = True
     flags: Mapping[str, object] = field(default_factory=dict)
 
 
@@ -55,11 +54,6 @@ class Artifact:
     path: str
     content: bytes
     ownership: Ownership
-
-
-@dataclass(frozen=True)
-class GenConfig:
-    lang: str = ""
 
 
 def builtin_pack_dir(name: str = "webstack") -> Path:
@@ -115,7 +109,6 @@ def load_pack(listing: Mapping[str, str]) -> TemplatePack:
                 pathPattern=raw["path"],
                 per=raw["per"],
                 ownership=Ownership(raw["ownership"]),
-                activeOnly=bool(raw.get("activeOnly", True)),
                 flags=dict(raw.get("flags", {})),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -141,14 +134,6 @@ def load_pack(listing: Mapping[str, str]) -> TemplatePack:
     return TemplatePack(name=name, version=version, outputs=tuple(rules), templates=templates)
 
 
-def _resolve_lang(model: ApplicationModel, config: GenConfig) -> str:
-    if config.lang:
-        return config.lang
-    if model.settings.defaultLanguage:
-        return model.settings.defaultLanguage
-    return model.languages[0] if model.languages else ""
-
-
 def _expand_path(pattern: str, entity: Entity) -> str:
     def substitute(match: re.Match) -> str:
         attr = match.group(1)
@@ -165,61 +150,37 @@ def _expand_path(pattern: str, entity: Entity) -> str:
     return normalized
 
 
-def expand_output_rule(
-    rule: OutputRule, model: ApplicationModel, config: Optional[GenConfig] = None
-) -> list[tuple[str, dict[str, atl.Value]]]:
-    """(path, render-context) pairs for one rule: a single pair for per-model
-    rules, one per (active) entity otherwise."""
-    return _expand(rule, model, atl.ModelView(model, model), config or GenConfig())
-
-
-def _expand(
-    rule: OutputRule, model: ApplicationModel, view: atl.ModelView, config: GenConfig
-) -> list[tuple[str, dict[str, atl.Value]]]:
-    base: dict[str, atl.Value] = {
-        "model": view,
-        "lang": _resolve_lang(model, config),
-        "flags": dict(rule.flags),
-    }
-    if rule.per == "model":
-        return [(posixpath.normpath(rule.pathPattern), base)]
-
-    pairs: list[tuple[str, dict[str, atl.Value]]] = []
-    seen: dict[str, str] = {}
-    for entity, entity_view in zip(model.entities, view["entities"]):
-        if rule.activeOnly and not entity.isActive:
-            continue
-        path = _expand_path(rule.pathPattern, entity)
-        if path in seen:
-            raise PathCollision(
-                f"entities '{seen[path]}' and '{entity.name}' both expand "
-                f"{rule.pathPattern!r} to {path!r}")
-        seen[path] = entity.name
-        context = dict(base)
-        context["entity"] = entity_view
-        pairs.append((path, context))
-    return pairs
-
-
 def generate_all(
-    model: ApplicationModel, pack: TemplatePack, config: Optional[GenConfig] = None
+    model: ApplicationModel, pack: TemplatePack, lang: str = ""
 ) -> list[Artifact]:
-    """Render every output rule over the model.
+    """Render every output rule over the model: once per model, or once per
+    active entity with `entity` bound.
 
-    Artifact order is manifest rule order, then entity document order; content
-    is deterministic UTF-8 with LF line endings.
+    `lang` falls back to the model's defaultLanguage, then to its first declared
+    language. Artifact order is manifest rule order, then entity document order;
+    content is deterministic UTF-8 with LF line endings. Two artifacts with one
+    path raise PathCollision.
     """
-    config = config or GenConfig()
+    lang = lang or model.settings.defaultLanguage or next(iter(model.languages), "")
     view = atl.ModelView(model, model)  # one view of the model serves every rule
     artifacts: list[Artifact] = []
-    seen: set[str] = set()
+    producers: dict[str, str] = {}  # path -> the rule (and entity) that produced it
     with paused_gc():  # the views and artifacts are acyclic
-        for rule in pack.outputs:
+        for number, rule in enumerate(pack.outputs, start=1):
             ast = pack.templates[rule.template]
-            for path, context in _expand(rule, model, view, config):
-                if path in seen:
-                    raise PathCollision(f"two output rules produce the same path {path!r}")
-                seen.add(path)
+            base: dict[str, atl.Value] = {"model": view, "lang": lang, "flags": dict(rule.flags)}
+            if rule.per == "model":
+                targets = [(posixpath.normpath(rule.pathPattern), f"output rule #{number}", base)]
+            else:
+                targets = [(_expand_path(rule.pathPattern, entity),
+                            f"output rule #{number} for entity {entity.name!r}",
+                            {**base, "entity": entity_view})
+                           for entity, entity_view in zip(model.entities, view["entities"])
+                           if entity.isActive]
+            for path, producer, context in targets:
+                if path in producers:
+                    raise PathCollision(f"{producers[path]} and {producer} both produce {path!r}")
+                producers[path] = producer
                 try:
                     text = atl.render(ast, context)
                 except atl.TemplateRuntimeError as exc:

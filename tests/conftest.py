@@ -18,7 +18,7 @@ def load_fixture(name: str):
 
 def render_pack(model, pack, lang="English"):
     """path -> text of every generated artifact."""
-    artifacts = packs.generate_all(model, pack, packs.GenConfig(lang=lang))
+    artifacts = packs.generate_all(model, pack, lang=lang)
     return {a.path: a.content.decode("utf-8") for a in artifacts}
 
 

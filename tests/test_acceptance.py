@@ -128,7 +128,7 @@ def test_c7_regeneration_preserves_edits(tmp_path):
             ok = False
             break
         pack = packs.load_pack(packs.read_pack_dir(packs.builtin_pack_dir()))
-        artifacts = packs.generate_all(model, pack, packs.GenConfig(lang=""))
+        artifacts = packs.generate_all(model, pack, lang="")
         root = tmp_path / f"cycle{cycle}"
         plan = ownership.plan_writes(artifacts, {}, None)
         manifest = ownership.apply_plan(plan, artifacts, root)
@@ -174,8 +174,8 @@ def test_c8_determinism_over_random_models(tmp_path, webstack):
         if loader.validate_model(model):
             ok = False
             break
-        first = packs.generate_all(model, webstack, packs.GenConfig(lang=""))
-        second = packs.generate_all(model, webstack, packs.GenConfig(lang=""))
+        first = packs.generate_all(model, webstack, lang="")
+        second = packs.generate_all(model, webstack, lang="")
         if first != second:
             ok = False
             break
@@ -251,14 +251,13 @@ def test_c10_validator_codes_are_located():
 def test_c11_large_model_performance(webstack):
     model = random_model(random.Random(1234), force_size=(50, 20))
     assert loader.validate_model(model) == []
-    config = packs.GenConfig(lang="")
 
     start = time.perf_counter()
-    artifacts = packs.generate_all(model, webstack, config)
+    artifacts = packs.generate_all(model, webstack, lang="")
     elapsed = time.perf_counter() - start
 
     tracemalloc.start()
-    packs.generate_all(model, webstack, config)
+    packs.generate_all(model, webstack, lang="")
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 

@@ -40,7 +40,7 @@ FIXTURE_TREES = [
 @pytest.mark.parametrize("fixture, lang, expected", FIXTURE_TREES)
 def test_fixture_trees_are_pinned(fixture, lang, expected, webstack):
     model = load_fixture(fixture)
-    artifacts = packs.generate_all(model, webstack, packs.GenConfig(lang=lang))
+    artifacts = packs.generate_all(model, webstack, lang=lang)
     assert tree_sha256(artifacts) == expected
 
 
@@ -153,7 +153,7 @@ def test_random_model_trees_are_pinned(webstack):
     rng = random.Random(7)
     sizes = [None] * 99 + [(20, 30)]
     got = [tree_sha256(packs.generate_all(random_model(rng, force_size=size), webstack,
-                                          packs.GenConfig(lang="")))
+                                          lang=""))
            for size in sizes]
     mismatched = [i for i, (g, e) in enumerate(zip(got, RANDOM_TREES)) if g != e]
     assert not mismatched, f"trees of random models {mismatched} changed"

@@ -9,11 +9,8 @@ from sfgen.loader import load_model
 from sfgen.model import ConstraintKind
 from sfgen.ownership import Ownership
 from sfgen.packs import (
-    GenConfig,
-    OutputRule,
     PackError,
     PathCollision,
-    expand_output_rule,
     generate_all,
     load_pack,
 )
@@ -70,11 +67,21 @@ def test_per_model_pattern_rejects_placeholders():
         load_pack(listing)
 
 
+def _pack(*rules, template="x\n"):
+    # one template, rendered by each (path, per) rule with ALWAYS ownership
+    outputs = ", ".join(
+        f'{{"template": "t.atl", "path": "{path}", "per": "{per}", "ownership": "always"}}'
+        for path, per in rules)
+    return load_pack({"pack.json": f'{{"name": "p", "version": "1", "outputs": [{outputs}]}}',
+                      "t.atl": template})
+
+
 def test_expand_per_entity(newsboard_model):
-    pack = load_pack(MINIMAL_PACK)
-    pairs = expand_output_rule(pack.outputs[0], newsboard_model)
-    assert [p for p, _ in pairs] == ["docs/Fakultet.md", "docs/Vest.md"]
-    assert all("entity" in ctx and "model" in ctx for _, ctx in pairs)
+    pack = _pack(("docs/{entity.name}.md", "entity"),
+                 template="# {{ entity.name }} of {{ count(model.entities) }}\n")
+    artifacts = generate_all(newsboard_model, pack)
+    assert [(a.path, a.content) for a in artifacts] == [
+        ("docs/Fakultet.md", b"# Fakultet of 2\n"), ("docs/Vest.md", b"# Vest of 2\n")]
 
 
 def test_expand_skips_inactive_entities():
@@ -83,16 +90,12 @@ def test_expand_skips_inactive_entities():
         b'<Entity name="Ghost" tableName="Ghost" isActive="false">'
         b'<Field name="ID" type="int" isPK="true"/></Entity>'
         b"</EntityConfig></xsource>")
-    pack = load_pack(MINIMAL_PACK)
-    assert expand_output_rule(pack.outputs[0], model) == []
+    assert generate_all(model, load_pack(MINIMAL_PACK)) == []
 
 
 def test_expand_per_model_single_pair(newsboard_model):
-    rule = OutputRule(template="t.atl", pathPattern="sql/001_tables.sql",
-                      per="model", ownership=Ownership.ALWAYS)
-    pairs = expand_output_rule(rule, newsboard_model)
-    assert len(pairs) == 1
-    assert pairs[0][0] == "sql/001_tables.sql"
+    artifacts = generate_all(newsboard_model, _pack(("sql/./001_tables.sql", "model")))
+    assert [a.path for a in artifacts] == ["sql/001_tables.sql"]
 
 
 def test_path_collision_across_entities():
@@ -101,31 +104,24 @@ def test_path_collision_across_entities():
         b'<Entity name="A" tableName="T1"><Field name="ID" type="int" isPK="true"/></Entity>'
         b'<Entity name="B" tableName="T2"><Field name="ID" type="int" isPK="true"/></Entity>'
         b"</EntityConfig></xsource>")
-    rule = OutputRule(template="t.atl", pathPattern="docs/all.md",
-                      per="entity", ownership=Ownership.ALWAYS)
-    with pytest.raises(PathCollision):
-        expand_output_rule(rule, model)
+    with pytest.raises(PathCollision) as caught:
+        generate_all(model, _pack(("docs/all.md", "entity")))
+    assert str(caught.value) == ("output rule #1 for entity 'A' and output rule #1 "
+                                 "for entity 'B' both produce 'docs/all.md'")
 
 
 def test_path_collision_across_rules(newsboard_model):
-    listing = {
-        "pack.json": '{"name": "p", "version": "1", "outputs": ['
-                     '{"template": "t.atl", "path": "docs/index.md", '
-                     '"per": "model", "ownership": "always"}, '
-                     '{"template": "t.atl", "path": "docs/{entity.name}.md", '
-                     '"per": "entity", "ownership": "always"}, '
-                     '{"template": "t.atl", "path": "docs/./Vest.md", '
-                     '"per": "model", "ownership": "always"}]}',
-        "t.atl": "x\n",
-    }
-    with pytest.raises(PathCollision, match="'docs/Vest.md'"):
-        generate_all(newsboard_model, load_pack(listing))
+    pack = _pack(("docs/index.md", "model"), ("docs/{entity.name}.md", "entity"),
+                 ("docs/./Vest.md", "model"))
+    with pytest.raises(PathCollision) as caught:
+        generate_all(newsboard_model, pack)
+    assert str(caught.value) == \
+        "output rule #2 for entity 'Vest' and output rule #3 both produce 'docs/Vest.md'"
 
 
 def test_generate_all_deterministic(newsboard_model, webstack):
-    config = GenConfig(lang="English")
-    first = generate_all(newsboard_model, webstack, config)
-    second = generate_all(newsboard_model, webstack, config)
+    first = generate_all(newsboard_model, webstack, lang="English")
+    second = generate_all(newsboard_model, webstack, lang="English")
     assert first == second
     # order: manifest rule order, then entity document order
     paths = [a.path for a in first]
@@ -205,7 +201,7 @@ def test_inactive_entities_in_no_artifact(newsboard_model, webstack):
 
 
 def test_once_artifacts_have_always_sibling(newsboard_model, webstack):
-    artifacts = generate_all(newsboard_model, webstack, GenConfig(lang="English"))
+    artifacts = generate_all(newsboard_model, webstack, lang="English")
     always_paths = {a.path for a in artifacts if a.ownership is Ownership.ALWAYS}
     for artifact in artifacts:
         if artifact.ownership is Ownership.ONCE:
@@ -214,7 +210,7 @@ def test_once_artifacts_have_always_sibling(newsboard_model, webstack):
 
 
 def test_artifacts_are_lf_only(newsboard_model, webstack):
-    for artifact in generate_all(newsboard_model, webstack, GenConfig(lang="English")):
+    for artifact in generate_all(newsboard_model, webstack, lang="English"):
         assert b"\r" not in artifact.content
 
 
@@ -246,7 +242,7 @@ def test_generation_leaves_no_cyclic_garbage(newsboard_model, webstack):
     gc.disable()
     try:
         gc.collect()
-        generate_all(newsboard_model, webstack, GenConfig(lang="English"))
+        generate_all(newsboard_model, webstack, lang="English")
         assert gc.collect() == 0
     finally:
         if was_enabled:
