@@ -210,8 +210,7 @@ def _cmd_lint(args) -> int:
         print(f"{errors} validation errors; fix them before linting", file=sys.stderr)
         return EXIT_VALIDATION
     advisories = stats.lint_model(model)
-    for advisory in advisories:
-        print(f"advice {advisory.code} [{advisory.subject}]: {advisory.message}")
+    _print_diagnostics(advisories)
     print(f"{len(advisories)} advisories")
     return EXIT_OK
 

@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+from .loader import Diagnostic, Severity
 from .model import ApplicationModel, ConstraintKind
 from .ownership import MANIFEST_FILENAME, Manifest, Ownership, digest
 
@@ -24,13 +25,6 @@ class StatsReport:
     pctManualBytes: int
     pctGeneratedFiles: int
     pctManualFiles: int
-
-
-@dataclass(frozen=True)
-class Advisory:
-    code: str
-    subject: str
-    message: str
 
 
 def percentages(generated: int, manual: int) -> tuple[int, int]:
@@ -89,11 +83,11 @@ def compute_report(listing: Mapping[str, bytes], manifest: Manifest) -> StatsRep
     )
 
 
-def lint_model(model: ApplicationModel) -> list[Advisory]:
-    """Advisories for a valid model: constraint kinds modeled in fewer than
-    three entities (cheaper to handcraft), and declared languages that no
+def lint_model(model: ApplicationModel) -> list[Diagnostic]:
+    """ADVICE diagnostics for a valid model: constraint kinds modeled in fewer
+    than three entities (cheaper to handcraft), and declared languages that no
     generated-visible element uses."""
-    advisories: list[Advisory] = []
+    advisories: list[Diagnostic] = []
 
     usage: dict[str, set[str]] = {}
     for entity in model.entities:
@@ -109,11 +103,11 @@ def lint_model(model: ApplicationModel) -> list[Advisory]:
     for key, entities in usage.items():
         if 1 <= len(entities) <= 2:
             names = ", ".join(sorted(entities))
-            advisories.append(Advisory(
-                ADV_RULE_OF_THREE, key,
+            advisories.append(Diagnostic(
+                ADV_RULE_OF_THREE, Severity.ADVICE,
                 f"constraint kind '{key}' is modeled in only {len(entities)} "
                 f"entity(ies) ({names}); handcrafting it is likely cheaper than templating",
-            ))
+                subject=key))
 
     used_langs: set[str] = set()
     for entity in model.entities:
@@ -126,10 +120,10 @@ def lint_model(model: ApplicationModel) -> list[Advisory]:
             used_langs.update(table.languages())
     for lang in model.languages:
         if lang not in used_langs:
-            advisories.append(Advisory(
-                ADV_UNUSED_LANGUAGE, lang,
+            advisories.append(Diagnostic(
+                ADV_UNUSED_LANGUAGE, Severity.ADVICE,
                 f"language '{lang}' is declared but never used by any active entity",
-            ))
+                subject=lang))
 
     advisories.sort(key=lambda a: (a.code, a.subject))
     return advisories
