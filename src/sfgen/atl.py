@@ -240,7 +240,7 @@ class TemplateAst:
 # parsing: one recursive-descent parser over the whole template source; every
 # node and every error is located by its offset in that source
 
-MAX_DEPTH = 100  # a block nested deeper than this is a syntax error
+MAX_DEPTH = 100  # a block or expression nested deeper than this is a syntax error
 
 _TAG_OPEN_RE = re.compile(r"\{\{-?|\{%-?|\{#")
 _TAG_CLOSE_RE = {"{{": re.compile(r"-?\}\}"), "{%": re.compile(r"-?%\}")}
@@ -277,6 +277,7 @@ class _Parser:
         self.tokens: list[tuple[str, int]] = []  # the expression being parsed
         self.index = 0
         self.end = 0  # where that expression ends
+        self.height = 0  # levels of nesting in the operand parsed last
 
     def error(self, reason: str, offset: int) -> TemplateSyntaxError:
         return TemplateSyntaxError(self.name, *_line_col(self.source, offset), reason)
@@ -364,13 +365,14 @@ class _Parser:
 
     def expr(self, start: int, end: int) -> Expr:
         """The expression in source[start:end]."""
-        source, tokens, pos = self.source, [], start
+        source, tokens, pos, depth = self.source, [], start, 0  # depth: '(' still open
         while pos < end:
             match = _TOKEN_RE.match(source, pos, end)
             if match is None:
                 raise self.error(f"unexpected character {source[pos]!r}", pos)
             if not source[pos].isspace():
                 tokens.append((match.group(), pos))
+                depth = self.nest(pos, depth + (source[pos] == "(") - (source[pos] == ")"))
             pos = match.end()
         self.tokens, self.index, self.end = tokens, 0, end
         expr = self.parse_or()
@@ -394,42 +396,57 @@ class _Parser:
         if got != token:
             raise self.error(f"expected {token!r}, got {got!r}", offset)
 
+    def nest(self, offset: int, levels: int) -> int:
+        """`levels` of expression nesting at `offset`, if within MAX_DEPTH."""
+        if levels > MAX_DEPTH:
+            raise self.error("expression nested too deeply", offset)
+        return levels
+
+    def binary(self, left: Expr, parse_right: Callable[[], Expr]) -> Binary:
+        """`left`, the operator next and the operand parse_right() reads."""
+        height, (op, offset) = self.height, self.next()
+        right = parse_right()
+        self.height = self.nest(offset, max(height, self.height) + 1)
+        return Binary(op, left, right, _line_col(self.source, offset))
+
     def parse_or(self) -> Expr:
         left = self.parse_and()
         while self.peek() == "or":
-            _, offset = self.next()
-            left = Binary("or", left, self.parse_and(), _line_col(self.source, offset))
+            left = self.binary(left, self.parse_and)
         return left
 
     def parse_and(self) -> Expr:
         left = self.parse_not()
         while self.peek() == "and":
-            _, offset = self.next()
-            left = Binary("and", left, self.parse_not(), _line_col(self.source, offset))
+            left = self.binary(left, self.parse_not)
         return left
 
-    def parse_not(self) -> Expr:
-        if self.peek() == "not":
-            _, offset = self.next()
-            return Unary("not", self.parse_not(), _line_col(self.source, offset))
-        return self.parse_comparison()
+    def parse_not(self, run: int = 0) -> Expr:
+        if self.peek() != "not":
+            return self.parse_comparison()
+        _, offset = self.next()
+        operand = self.parse_not(self.nest(offset, run + 1))  # bounds the recursion
+        self.height = self.nest(offset, self.height + 1)
+        return Unary("not", operand, _line_col(self.source, offset))
 
     def parse_comparison(self) -> Expr:
         left = self.parse_primary()
-        if self.peek() in _COMPARE_OPS:
-            op, offset = self.next()
-            return Binary(op, left, self.parse_primary(), _line_col(self.source, offset))
-        return left
+        return self.binary(left, self.parse_primary) if self.peek() in _COMPARE_OPS else left
 
     def parse_primary(self) -> Expr:
         token, offset = self.next()
         pos = _line_col(self.source, offset)
+        self.height = 0
         if token == "(":
             inner = self.parse_or()
             self.expect(")")
+            self.height = self.nest(offset, self.height + 1)
             return inner
         if token.isdigit():
-            return Lit(int(token), pos)
+            try:
+                return Lit(int(token), pos)
+            except ValueError:  # more digits than the interpreter converts
+                raise self.error("integer literal too long", offset) from None
         if token[0] in "'\"":
             return Lit(token[1:-1], pos)
         if token in ("true", "false"):
@@ -438,13 +455,16 @@ class _Parser:
             raise self.error(f"unexpected {token!r}", offset)
         if self.peek() == "(":
             self.next()
-            args: list[Expr] = []
+            args, height = [], 0
             if self.peek() != ")":
                 args.append(self.parse_or())
+                height = self.height
                 while self.peek() == ",":
                     self.next()
                     args.append(self.parse_or())
+                    height = max(height, self.height)
             self.expect(")")
+            self.height = self.nest(offset, height + 1)
             return Call(token, tuple(args), pos)
         names = [token]
         while self.peek() == ".":

@@ -109,6 +109,16 @@ SYNTAX_ERRORS = [
     ("{{ x | upper }}", 1, 6, "unexpected character '|'"),
     ("{{ '}}' }}", 1, 4, "unexpected character \"'\""),
     ("x\n{% if a |b %}{% endif %}", 2, 9, "unexpected character '|'"),
+    pytest.param("{{ " + " and ".join(["a"] * 1000) + " }}", 1, 606,
+                 "expression nested too deeply", id="1000-term and"),
+    pytest.param("{{ " + "(" * 200 + "a" + ")" * 200 + " }}", 1, 104,
+                 "expression nested too deeply", id="200 parentheses"),
+    pytest.param("{{ " + "not " * 1000 + "a }}", 1, 404,
+                 "expression nested too deeply", id="1000 nots"),
+    pytest.param("{{ " + "lower(" * 200 + "a" + ")" * 200 + " }}", 1, 609,
+                 "expression nested too deeply", id="200 calls"),
+    pytest.param("{{ " + "1" * 5000 + " }}", 1, 4, "integer literal too long",
+                 id="5000-digit literal"),
 ]
 
 
@@ -145,6 +155,17 @@ def test_nesting_is_bounded(tag, end):
         parse_template(tag * 1000 + end * 1000, "t.atl")
     assert (exc.value.line, exc.value.column, exc.value.reason) \
         == (1, atl.MAX_DEPTH * len(tag) + 1, "blocks nested too deeply")
+
+
+@pytest.mark.parametrize("expr, value", [
+    (" and ".join(["true"] * (atl.MAX_DEPTH + 1)), "true"),
+    ("(" * atl.MAX_DEPTH + "1" + ")" * atl.MAX_DEPTH, "1"),
+    ("not " * atl.MAX_DEPTH + "true", "true"),
+    ("lower(" * atl.MAX_DEPTH + "'X'" + ")" * atl.MAX_DEPTH, "x"),
+], ids=["and", "parens", "not", "calls"])
+def test_deepest_expression_in_deepest_blocks(expr, value):
+    tag, end = "{% if true %}", "{% endif %}"
+    assert R(tag * atl.MAX_DEPTH + "{{ " + expr + " }}" + end * atl.MAX_DEPTH) == value
 
 
 # -- rendering --------------------------------------------------------------

@@ -189,19 +189,31 @@ def test_generate_bad_pack(tmp_path, capsys):
     assert "E_PACK" in capsys.readouterr().err
 
 
-def test_generate_pack_with_template_syntax_error(tmp_path):
+def _generate_with_docs_template(tmp_path, template):
+    """`sfgen generate` in a subprocess, with webstack's docs.md.atl replaced."""
     pack_dir = tmp_path / "pack"
     shutil.copytree(PACK, pack_dir)
-    (pack_dir / "docs.md.atl").write_text("{{ a + b }}")
-    out = tmp_path / "out"
+    (pack_dir / "docs.md.atl").write_text(template)
     env = {**os.environ, "PYTHONPATH": str(Path(sfgen.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-m", "sfgen.cli", "generate", "--model", NEWSBOARD,
-                             "--pack", str(pack_dir), "--out", str(out)],
-                            capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "sfgen.cli", "generate", "--model", NEWSBOARD,
+                           "--pack", str(pack_dir), "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_generate_pack_with_template_syntax_error(tmp_path):
+    result = _generate_with_docs_template(tmp_path, "{{ a + b }}")
     assert result.returncode == 4
     assert "error E_PACK: docs.md.atl:1:6: unexpected character '+'" in result.stderr
     assert "Traceback" not in result.stderr
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_generate_pack_with_too_deep_expression(tmp_path):
+    result = _generate_with_docs_template(tmp_path, "{{ " + " and ".join(["a"] * 1000) + " }}")
+    assert result.returncode == 4
+    assert "error E_PACK: docs.md.atl:1:606: expression nested too deeply" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_stats_table_and_json(tmp_path, capsys):
