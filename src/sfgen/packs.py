@@ -153,14 +153,10 @@ def _expand_path(pattern: str, entity: Entity) -> str:
 def generate_all(
     model: ApplicationModel, pack: TemplatePack, lang: str = ""
 ) -> list[Artifact]:
-    """Render every output rule over the model: once per model, or once per
-    active entity with `entity` bound.
-
-    `lang` falls back to the model's defaultLanguage, then to its first declared
-    language. Artifact order is manifest rule order, then entity document order;
-    content is deterministic UTF-8 with LF line endings. Two artifacts with one
-    path raise PathCollision.
-    """
+    """Render each output rule once per model, or once per active entity with
+    `entity` bound, in rule order, then entity order. `lang` falls back to the
+    model's defaultLanguage, then its first language. Content is UTF-8 with LF
+    line endings; two artifacts with one path raise PathCollision."""
     lang = lang or model.settings.defaultLanguage or next(iter(model.languages), "")
     view = atl.ModelView(model, model)  # one view of the model serves every rule
     artifacts: list[Artifact] = []
@@ -186,7 +182,6 @@ def generate_all(
                 except atl.TemplateRuntimeError as exc:
                     exc.args = (f"while rendering {path!r}: {exc}",)
                     raise
-                text = text.replace("\r\n", "\n")
-                artifacts.append(Artifact(path=path, content=text.encode("utf-8"),
-                                          ownership=rule.ownership))
+                artifacts.append(Artifact(path=path, ownership=rule.ownership,
+                                          content=text.replace("\r\n", "\n").encode("utf-8")))
     return artifacts
