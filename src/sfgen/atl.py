@@ -240,7 +240,9 @@ class TemplateAst:
 # parsing: one recursive-descent parser over the whole template source; every
 # node and every error is located by its offset in that source
 
-MAX_DEPTH = 100  # a block or expression nested deeper than this is a syntax error
+# A block or expression nested deeper than MAX_DEPTH is a syntax error: parsing,
+# compiling and rendering recurse once per level.
+MAX_DEPTH = 100
 
 _TAG_OPEN_RE = re.compile(r"\{\{-?|\{%-?|\{#")
 _TAG_CLOSE_RE = {"{{": re.compile(r"-?\}\}"), "{%": re.compile(r"-?%\}")}
@@ -365,7 +367,7 @@ class _Parser:
 
     def expr(self, start: int, end: int) -> Expr:
         """The expression in source[start:end]."""
-        source, tokens, pos, depth = self.source, [], start, 0  # depth: '(' still open
+        source, tokens, pos, depth = self.source, [], start, 0  # depth: unclosed '('
         while pos < end:
             match = _TOKEN_RE.match(source, pos, end)
             if match is None:
