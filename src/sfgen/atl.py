@@ -367,17 +367,16 @@ class _Parser:
 
     def expr(self, start: int, end: int) -> Expr:
         """The expression in source[start:end]."""
-        source, tokens, pos, depth = self.source, [], start, 0  # depth: unclosed '('
+        source, tokens, pos = self.source, [], start
         while pos < end:
             match = _TOKEN_RE.match(source, pos, end)
             if match is None:
                 raise self.error(f"unexpected character {source[pos]!r}", pos)
             if not source[pos].isspace():
                 tokens.append((match.group(), pos))
-                depth = self.nest(pos, depth + (source[pos] == "(") - (source[pos] == ")"))
             pos = match.end()
         self.tokens, self.index, self.end = tokens, 0, end
-        expr = self.parse_or()
+        expr = self.parse_or(0)
         if self.index < len(tokens):
             token, offset = tokens[self.index]
             raise self.error(f"unexpected {token!r}", offset)
@@ -399,48 +398,49 @@ class _Parser:
             raise self.error(f"expected {token!r}, got {got!r}", offset)
 
     def nest(self, offset: int, levels: int) -> int:
-        """`levels` of expression nesting at `offset`, if within MAX_DEPTH."""
+        """`levels` of expression nesting at `offset`, if within MAX_DEPTH. Each parse_*
+        method reads an expression `depth` levels deep and its operands one level deeper."""
         if levels > MAX_DEPTH:
             raise self.error("expression nested too deeply", offset)
         return levels
 
-    def binary(self, left: Expr, parse_right: Callable[[], Expr]) -> Binary:
+    def binary(self, left: Expr, parse_right: Callable[[int], Expr], depth: int) -> Binary:
         """`left`, the operator next and the operand parse_right() reads."""
         height, (op, offset) = self.height, self.next()
-        right = parse_right()
+        right = parse_right(self.nest(offset, depth + 1))
         self.height = self.nest(offset, max(height, self.height) + 1)
         return Binary(op, left, right, _line_col(self.source, offset))
 
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
+    def parse_or(self, depth: int) -> Expr:
+        left = self.parse_and(depth)
         while self.peek() == "or":
-            left = self.binary(left, self.parse_and)
+            left = self.binary(left, self.parse_and, depth)
         return left
 
-    def parse_and(self) -> Expr:
-        left = self.parse_not()
+    def parse_and(self, depth: int) -> Expr:
+        left = self.parse_not(depth)
         while self.peek() == "and":
-            left = self.binary(left, self.parse_not)
+            left = self.binary(left, self.parse_not, depth)
         return left
 
-    def parse_not(self, run: int = 0) -> Expr:
+    def parse_not(self, depth: int) -> Expr:
         if self.peek() != "not":
-            return self.parse_comparison()
+            return self.parse_comparison(depth)
         _, offset = self.next()
-        operand = self.parse_not(self.nest(offset, run + 1))  # bounds the recursion
+        operand = self.parse_not(self.nest(offset, depth + 1))
         self.height = self.nest(offset, self.height + 1)
         return Unary("not", operand, _line_col(self.source, offset))
 
-    def parse_comparison(self) -> Expr:
-        left = self.parse_primary()
-        return self.binary(left, self.parse_primary) if self.peek() in _COMPARE_OPS else left
+    def parse_comparison(self, depth: int) -> Expr:
+        left = self.parse_primary(depth)
+        return self.binary(left, self.parse_primary, depth) if self.peek() in _COMPARE_OPS else left
 
-    def parse_primary(self) -> Expr:
+    def parse_primary(self, depth: int) -> Expr:
         token, offset = self.next()
         pos = _line_col(self.source, offset)
         self.height = 0
         if token == "(":
-            inner = self.parse_or()
+            inner = self.parse_or(self.nest(offset, depth + 1))
             self.expect(")")
             self.height = self.nest(offset, self.height + 1)
             return inner
@@ -459,11 +459,11 @@ class _Parser:
             self.next()
             args, height = [], 0
             if self.peek() != ")":
-                args.append(self.parse_or())
+                args.append(self.parse_or(self.nest(offset, depth + 1)))
                 height = self.height
                 while self.peek() == ",":
                     self.next()
-                    args.append(self.parse_or())
+                    args.append(self.parse_or(self.nest(offset, depth + 1)))
                     height = max(height, self.height)
             self.expect(")")
             self.height = self.nest(offset, height + 1)

@@ -115,8 +115,14 @@ SYNTAX_ERRORS = [
                  "expression nested too deeply", id="200 parentheses"),
     pytest.param("{{ " + "not " * 1000 + "a }}", 1, 404,
                  "expression nested too deeply", id="1000 nots"),
-    pytest.param("{{ " + "lower(" * 200 + "a" + ")" * 200 + " }}", 1, 609,
+    pytest.param("{{ " + "lower(" * 200 + "a" + ")" * 200 + " }}", 1, 604,
                  "expression nested too deeply", id="200 calls"),
+    pytest.param("{{ " + ("not " * 100 + "(") * 10 + "a" + ")" * 10 + " }}", 1, 404,
+                 "expression nested too deeply", id="nots in parentheses"),
+    pytest.param("{{ " + ("not " * 100 + "lower(") * 10 + "a" + ")" * 10 + " }}", 1, 404,
+                 "expression nested too deeply", id="nots in calls"),
+    pytest.param("{{ " + "(a or a and a == " * 100 + "a" + ")" * 100 + " }}", 1, 429,
+                 "expression nested too deeply", id="right operands"),
     pytest.param("{{ " + "1" * 5000 + " }}", 1, 4, "integer literal too long",
                  id="5000-digit literal"),
 ]
@@ -162,7 +168,8 @@ def test_nesting_is_bounded(tag, end):
     ("(" * atl.MAX_DEPTH + "1" + ")" * atl.MAX_DEPTH, "1"),
     ("not " * atl.MAX_DEPTH + "true", "true"),
     ("lower(" * atl.MAX_DEPTH + "'X'" + ")" * atl.MAX_DEPTH, "x"),
-], ids=["and", "parens", "not", "calls"])
+    ("(true or true and 1 == " * (atl.MAX_DEPTH // 4) + "1" + ")" * (atl.MAX_DEPTH // 4), "true"),
+], ids=["and", "parens", "not", "calls", "right operands"])
 def test_deepest_expression_in_deepest_blocks(expr, value):
     tag, end = "{% if true %}", "{% endif %}"
     assert R(tag * atl.MAX_DEPTH + "{{ " + expr + " }}" + end * atl.MAX_DEPTH) == value
