@@ -374,6 +374,20 @@ BINDING_CASES = [
          (loader.W_UNKNOWN_ATTR, (6, 63), "Entity[E]/Constraint[1]",
           "unknown attribute 'field' ignored")],
         id="language-and-cfield-attributes"),
+    # an attribute on the third line of a multi-line start tag is located there
+    pytest.param(
+        "<xsource><EntityConfig>\n"
+        '<Entity name="E" tableName="T"><Field name="ID"\n'
+        '  type="int"\n'
+        '  isPK="true" nullable="maybe"/>\n'
+        "</Entity></EntityConfig></xsource>",
+        ApplicationModel(entities=(Entity(
+            name="E", tableName="T", location=(2, 1),
+            fields=(Field(name="ID", type=FieldType.INT, type_token="int", isPK=True,
+                          location=(2, 32)),)),)),
+        [(loader.E_BAD_BOOL, (4, 15), "Entity[E]/Field[ID]",
+          "attribute 'nullable' must be 'true' or 'false', got 'maybe'")],
+        id="multi-line-start-tag"),
 ]
 
 

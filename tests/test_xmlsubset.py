@@ -108,6 +108,8 @@ def test_disallowed_constructs(payload, needle):
         (b"<a></ a>", 1, 6, "expected closing tag name"),
         (b"<a x='1'/ >", 1, 9, "expected attribute name"),
         (b'<a x="1" =/>', 1, 10, "expected attribute name"),
+        (b'<a\n  x="1"\n  y="2" x="3"/>', 3, 9, "duplicate attribute 'x'"),
+        (b'<a x="1" y=\'2\' z="&bad;"/>', 1, 19, "undefined or malformed entity reference"),
     ],
 )
 def test_parse_errors_are_located(payload, line, column, reason):
@@ -125,6 +127,12 @@ def test_xml_declaration_and_comments_discarded():
 def test_single_and_double_quoted_attributes():
     root = parse_document(b"<a x='1' y=\"2\"/>")
     assert root.attributes == {"x": "1", "y": "2"}
+
+
+def test_attributes_need_no_whitespace_between_them():
+    root = parse_document(b'<a x="1"y="2"/>')
+    assert root.attributes == {"x": "1", "y": "2"}
+    assert root.attribute_locations == {"x": (1, 4), "y": (1, 9)}
 
 
 def test_duplicate_attribute_rejected():
@@ -183,3 +191,71 @@ def test_attribute_value_roundtrip(value):
     encoded = (value.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;"))
     root = parse_document(f'<a v="{encoded}"/>'.encode())
     assert root.attributes["v"] == value
+
+
+_TAGS = st.sampled_from(["a", "b", "Field", "x.y", "_n-1"])
+_SPACE = st.text(alphabet=" \t\r\n", max_size=3)
+_VALUE_PIECES = st.sampled_from(["v", " ", "\n", ">", "&amp;", "&lt;", "&gt;", "&quot;", "&apos;"])
+_TEXT_PIECES = st.sampled_from(["t", " ", "\n", ">", "&amp;", "&lt;", "<!-- c\n-->"])
+
+
+@st.composite
+def _located_documents(draw):
+    """A well-formed document, with the offset of each element's '<' and of
+    each of its attribute names, elements in document order."""
+    parts: list[str] = []
+    expected: list[tuple[int, dict[str, int]]] = []
+
+    def emit(piece: str) -> int:
+        offset = sum(map(len, parts))
+        parts.append(piece)
+        return offset
+
+    def element(depth: int) -> None:
+        tag = draw(_TAGS)
+        offsets: dict[str, int] = {}
+        expected.append((emit("<" + tag), offsets))
+        for name in draw(st.lists(st.sampled_from(["k", "name", "x.y", "_z-9"]),
+                                  unique=True, max_size=4)):
+            emit(draw(_SPACE.filter(bool)))
+            offsets[name] = emit(name)
+            quote = draw(st.sampled_from("\"'"))
+            value = "".join(draw(st.lists(_VALUE_PIECES, max_size=4)))
+            value += "'\"".replace(quote, "") * draw(st.integers(0, 1))
+            emit(f"{draw(_SPACE)}={draw(_SPACE)}{quote}{value}{quote}")
+        emit(draw(_SPACE))
+        if depth >= 3 or draw(st.booleans()):
+            emit("/>")
+            return
+        emit(">")
+        for _ in range(draw(st.integers(0, 3))):
+            emit("".join(draw(st.lists(_TEXT_PIECES, max_size=3))))
+            element(depth + 1)
+        emit("".join(draw(st.lists(_TEXT_PIECES, max_size=3))))
+        emit(f"</{tag}{draw(_SPACE)}>")
+
+    emit(draw(st.sampled_from(["", "<?xml version='1.0'?>\n", "<!-- head -->\n \n"])))
+    element(0)
+    emit(draw(st.sampled_from(["", "\n", "\n<!-- tail -->\n"])))
+    return "".join(parts), expected
+
+
+def _line_and_column(text, offset):
+    """1-based line and column of `offset`, counted independently of the parser."""
+    return text.count("\n", 0, offset) + 1, offset - (text.rfind("\n", 0, offset) + 1) + 1
+
+
+@given(_located_documents())
+def test_locations_match_offsets(document):
+    text, expected = document
+    nodes = []
+    stack = [parse_document(text.encode())]
+    while stack:  # preorder, children left to right
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(reversed(node.children))
+    assert len(nodes) == len(expected)
+    for node, (offset, attribute_offsets) in zip(nodes, expected):
+        assert node.location == _line_and_column(text, offset)
+        assert node.attribute_locations == {
+            name: _line_and_column(text, at) for name, at in attribute_offsets.items()}
