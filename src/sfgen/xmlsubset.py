@@ -12,6 +12,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_.\-]*"
 # Ends a name only where no name character or ':' follows, so a failed match
@@ -25,13 +27,17 @@ PREDEFINED_ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'
 WHITESPACE_RE = re.compile(_WS)
 NEWLINE_RE = re.compile("\n")
 
-# Well-formed markup is matched whole by these; where one does not match, the
-# step-by-step readers of `_Parser` run instead and raise the located error.
-START_TAG_RE = re.compile("<(" + _NAME + ")" + _NAME_END)
 ATTRIBUTE_RE = re.compile(
     _WS + "(" + _NAME + ")" + _NAME_END + _WS + "=" + _WS + "(?:\"([^\"<]*)\"|'([^'<]*)')")
 TAG_END_RE = re.compile(_WS + "(/?)>")
-END_TAG_RE = re.compile("</(" + _NAME + ")" + _NAME_END + _WS + ">")
+# The text before the next markup, then a whole start tag with no '&' in its
+# attribute values (groups 2-4: name, attributes, '/' if it closes itself) or
+# an end tag (group 5: name). Where it does not match, the step-by-step readers
+# of `_Parser` run instead: they decode entities and raise the located errors.
+MARKUP_RE = re.compile(
+    "([^<]*)<(?:(" + _NAME + ")" + _NAME_END
+    + "((?:" + _WS + _NAME + _NAME_END + _WS + "=" + _WS + "(?:\"[^\"<&]*\"|'[^'<&]*'))*)"
+    + _WS + "(/?)>|/(" + _NAME + ")" + _NAME_END + _WS + ">)")
 
 
 class ParseError(Exception):
@@ -48,8 +54,25 @@ class XmlNode:
     attributes: dict[str, str] = field(default_factory=dict)
     children: list["XmlNode"] = field(default_factory=list)
     text: str = ""
-    location: tuple[int, int] = (1, 1)
-    attribute_locations: dict[str, tuple[int, int]] = field(default_factory=dict)
+    offset: int = 0  # of the start tag's '<' in the source
+    source: Optional[_Parser] = field(default=None, repr=False, compare=False)
+
+    @property
+    def location(self) -> tuple[int, int]:
+        """1-based (line, column) of the start tag; (1, 1) without a source."""
+        return (1, 1) if self.source is None else self.source.location(self.offset)
+
+    @property
+    def attribute_locations(self) -> dict[str, tuple[int, int]]:
+        """1-based (line, column) of each attribute name, read again from the start tag."""
+        if self.source is None:
+            return {}
+        locations = {}
+        pos = self.offset + 1 + len(self.tag)
+        while (m := ATTRIBUTE_RE.match(self.source.text, pos)) is not None:
+            locations[m.group(1)] = self.source.location(m.start(1))
+            pos = m.end()
+        return locations
 
 
 class _Parser:
@@ -60,9 +83,11 @@ class _Parser:
 
     def __init__(self, text: str):
         self.text = text
-        # offsets of line starts, for O(log n) location lookup
-        self.line_starts = [0]
-        self.line_starts.extend(m.end() for m in NEWLINE_RE.finditer(text))
+
+    @cached_property
+    def line_starts(self) -> list[int]:
+        """Offsets of line starts, for O(log n) location lookup; built when first read."""
+        return [0, *(m.end() for m in NEWLINE_RE.finditer(self.text))]
 
     def location(self, pos: int) -> tuple[int, int]:
         line = bisect_right(self.line_starts, pos)
@@ -112,11 +137,8 @@ class _Parser:
             out.append(PREDEFINED_ENTITIES[m.group(1)])
             i = m.end()
 
-    def read_attribute(self, pos: int, attributes: dict[str, str]) -> tuple[int, str, str, int]:
-        """Read one attribute check by check; returns (name position, name, value, end).
-
-        Runs only where ATTRIBUTE_RE does not match, so one of the checks fails.
-        """
+    def read_attribute(self, pos: int, attributes: dict[str, str]) -> tuple[str, str, int]:
+        """Read one attribute check by check; returns (name, value, end)."""
         text = self.text
         name_pos = self.skip_whitespace(pos)
         pos = self.read_name(name_pos, "attribute name")
@@ -136,12 +158,27 @@ class _Parser:
         raw = text[value_start:end]
         if "<" in raw:
             raise self.fail("'<' in attribute value", value_start + raw.index("<"))
-        return name_pos, name, self.decode_text(raw, value_start), end + 1
+        return name, self.decode_text(raw, value_start), end + 1
+
+    def read_start_tag(self, pos: int) -> tuple[str, dict[str, str], bool, int]:
+        """Read the start tag at pos check by check; returns its name, its
+        attributes, whether it closes itself, and its end.
+
+        Runs only where MARKUP_RE does not match it: one of the checks fails,
+        an attribute name repeats, or a value holds an entity reference.
+        """
+        end = self.read_name(pos + 1, "element name")
+        tag = self.text[pos + 1:end]
+        attributes: dict[str, str] = {}
+        while (tag_end := TAG_END_RE.match(self.text, end)) is None:
+            name, value, end = self.read_attribute(end, attributes)
+            attributes[name] = value
+        return tag, attributes, bool(tag_end.group(1)), tag_end.end()
 
     def read_end_tag(self, pos: int, tag: str) -> int:
         """Read the closing tag at pos check by check; it must close `tag`.
 
-        Runs only where END_TAG_RE does not match it, so one of the checks fails.
+        Runs only where MARKUP_RE does not match it, so one of the checks fails.
         """
         end = self.read_name(pos + 2, "closing tag name")
         close = self.text[pos + 2:end]
@@ -156,92 +193,68 @@ class _Parser:
         """Parse the element whose start tag is at pos; returns it and its end.
 
         One loop with an explicit stack of the open elements, each with its
-        start position and text parts, so nesting depth is bounded by memory
-        rather than by the interpreter's recursion limit.
+        text parts, so nesting depth is bounded by memory rather than by the
+        interpreter's recursion limit. Each turn reads the text before the next
+        markup and that markup, with one MARKUP_RE match where it can.
         """
         text = self.text
-        line_starts = self.line_starts
         find = text.find
         startswith = text.startswith
-        match_start_tag = START_TAG_RE.match
-        match_attribute = ATTRIBUTE_RE.match
-        match_tag_end = TAG_END_RE.match
-        match_end_tag = END_TAG_RE.match
-        stack: list[tuple[XmlNode, int, list[str]]] = []
+        match_markup = MARKUP_RE.match
+        find_attributes = ATTRIBUTE_RE.findall
+        stack: list[tuple[XmlNode, list[str]]] = []
         while True:
-            # pos is at the '<' of a start tag
-            start = pos
-            m = match_start_tag(text, pos)
-            if m is None:
-                pos = self.read_name(pos + 1, "element name")
-                tag = text[start + 1:pos]
-            else:
-                tag = m.group(1)
-                pos = m.end()
-            attributes: dict[str, str] = {}
-            attribute_locations: dict[str, tuple[int, int]] = {}
-            while True:
-                m = match_attribute(text, pos)
-                if m is not None:
-                    name, value, single_quoted = m.groups()
-                    name_pos = m.start(1)
-                    if name in attributes:
-                        raise self.fail(f"duplicate attribute '{name}'", name_pos)
-                    if value is None:
-                        value = single_quoted
-                    if "&" in value:
-                        value = self.decode_text(value, m.end() - 1 - len(value))
-                    pos = m.end()
+            m = match_markup(text, pos)
+            lt = find("<", pos) if m is None else m.end(1)
+            if lt < 0:
+                node = stack[-1][0]
+                raise self.fail(f"unclosed element '{node.tag}'", node.offset)
+            if lt > pos:
+                raw = text[pos:lt]
+                stack[-1][1].append(self.decode_text(raw, pos) if "&" in raw else raw)
+                pos = lt
+            if m is not None:
+                tag, attributes, empty, close = m.group(2, 3, 4, 5)
+                if tag is None:
+                    if not stack or close != stack[-1][0].tag:
+                        m = None
+                elif attributes:
+                    pairs = find_attributes(attributes)
+                    attributes = {name: double or single for name, double, single in pairs}
+                    if len(attributes) < len(pairs):  # a repeated name
+                        m = None
                 else:
-                    tag_end = match_tag_end(text, pos)
-                    if tag_end is not None:
-                        break
-                    name_pos, name, value, pos = self.read_attribute(pos, attributes)
-                attributes[name] = value
-                line = bisect_right(line_starts, name_pos)
-                attribute_locations[name] = (line, name_pos - line_starts[line - 1] + 1)
-            line = bisect_right(line_starts, start)
-            node = XmlNode(tag, attributes, [], "", (line, start - line_starts[line - 1] + 1),
-                           attribute_locations)
-            if stack:
-                stack[-1][0].children.append(node)
-            pos = tag_end.end()
-            if tag_end.group(1):  # self-closing
-                if not stack:
-                    return node, pos
+                    attributes = {}
+            if m is not None:
+                end = m.end()
+            elif stack and startswith("</", pos):
+                tag, end = None, self.read_end_tag(pos, stack[-1][0].tag)
+            elif startswith("<!--", pos):
+                pos = self.read_comment(pos)
+                continue
+            elif startswith("<![CDATA[", pos):
+                raise self.fail("CDATA sections are not allowed", pos)
+            elif startswith("<!", pos):
+                raise self.fail("DOCTYPE and markup declarations are not allowed", pos)
+            elif startswith("<?", pos):
+                raise self.fail("processing instructions are not allowed", pos)
             else:
-                stack.append((node, start, []))
+                tag, attributes, empty, end = self.read_start_tag(pos)
 
-            # content up to the next start tag, closing elements on the way
-            while True:
-                node, start, text_parts = stack[-1]
-                lt = find("<", pos)
-                if lt < 0:
-                    raise self.fail(f"unclosed element '{node.tag}'", start)
-                if lt > pos:
-                    raw = text[pos:lt]
-                    text_parts.append(self.decode_text(raw, pos) if "&" in raw else raw)
-                    pos = lt
-                if startswith("</", pos):
-                    m = match_end_tag(text, pos)
-                    if m is not None and m.group(1) == node.tag:
-                        pos = m.end()
-                    else:
-                        pos = self.read_end_tag(pos, node.tag)
-                    node.text = "".join(text_parts)
-                    stack.pop()
-                    if not stack:
-                        return node, pos
-                elif startswith("<!--", pos):
-                    pos = self.read_comment(pos)
-                elif startswith("<![CDATA[", pos):
-                    raise self.fail("CDATA sections are not allowed", pos)
-                elif startswith("<!", pos):
-                    raise self.fail("DOCTYPE and markup declarations are not allowed", pos)
-                elif startswith("<?", pos):
-                    raise self.fail("processing instructions are not allowed", pos)
-                else:
-                    break
+            if tag is None:  # an end tag
+                node, text_parts = stack.pop()
+                node.text = "".join(text_parts)
+                if not stack:
+                    return node, end
+            else:
+                node = XmlNode(tag, attributes, [], "", pos, self)
+                if stack:
+                    stack[-1][0].children.append(node)
+                if not empty:
+                    stack.append((node, []))
+                elif not stack:
+                    return node, end
+            pos = end
 
 
 def parse_document(data: bytes) -> XmlNode:
