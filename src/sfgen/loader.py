@@ -30,6 +30,7 @@ from .model import (
     RelationshipOp,
     SIZED_STRING_TYPES,
     Settings,
+    build,
     comparison_family,
     find_entity,
 )
@@ -232,23 +233,23 @@ class _Binder:
         subject = f"{entity_subject}/Field[{node.attributes.get('name', '')}]"
         kwargs = self.attributes(node, _FIELD, subject)
         _, (display_names,) = self.children(node, (), ("DisplayName",), subject)
-        return Field(**kwargs, displayNames=display_names, location=node.location)
+        return build(Field, **kwargs, displayNames=display_names, location=node.location)
 
     def bind_constraint(self, node: XmlNode, index: int, entity_subject: str) -> Constraint:
         subject = f"{entity_subject}/Constraint[{index}]"
         kwargs = self.attributes(node, _CONSTRAINT, subject)
         found, (error_messages,) = self.children(node, ("CField",), ("ErrorMessage",), subject)
-        return Constraint(**kwargs, errorMessages=error_messages, location=node.location,
-                          cfields=tuple(self.attributes(c, _NAME, subject).get("name", "")
-                                        for c in found["CField"]))
+        return build(Constraint, **kwargs, errorMessages=error_messages, location=node.location,
+                     cfields=tuple(self.attributes(c, _NAME, subject).get("name", "")
+                                   for c in found["CField"]))
 
     def bind_entity(self, node: XmlNode) -> Entity:
         subject = f"Entity[{node.attributes.get('name', '')}]"
         kwargs = self.attributes(node, _ENTITY, subject)
         found, (display_names, plural_names) = self.children(
             node, ("Field", "Constraint"), ("DisplayName", "PluralName"), subject)
-        return Entity(
-            **kwargs, displayNames=display_names, pluralNames=plural_names,
+        return build(
+            Entity, **kwargs, displayNames=display_names, pluralNames=plural_names,
             fields=tuple(self.bind_field(f, subject) for f in found["Field"]),
             constraints=tuple(self.bind_constraint(c, i, subject)
                               for i, c in enumerate(found["Constraint"], start=1)),

@@ -6,9 +6,12 @@ across threads and compare structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
-from typing import Optional
+from functools import cache
+from typing import Any, Optional, TypeVar
+
+T = TypeVar("T")
 
 
 class FieldType(Enum):
@@ -59,6 +62,33 @@ class Caching(Enum):
 
 
 Location = tuple[int, int]  # 1-based (line, column)
+
+
+@cache
+def _defaults(cls: type) -> dict[str, Any]:
+    defaults = {f.name: f.default for f in fields(cls)}
+    if MISSING in defaults.values():
+        raise TypeError(f"{cls.__name__} has a field without a plain default")
+    return defaults
+
+
+def build(cls: type[T], /, **values: Any) -> T:
+    """An instance of the frozen dataclass `cls` equal to `cls(**values)`.
+
+    It fills the instance's `__dict__` in one step, where the constructor of a
+    frozen dataclass calls `object.__setattr__` once per field: twice as fast
+    for a `Field`. Every field of `cls` needs a plain default.
+    """
+    defaults = _defaults(cls)
+    if not defaults.keys() >= values.keys():
+        unknown = next(k for k in values if k not in defaults)
+        raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {unknown!r}")
+    instance = object.__new__(cls)
+    # Pairs, not a dict: updating an empty instance dict from a dict copies its
+    # key table, and the instance stops sharing keys with the rest of its class
+    # (896 bytes in place of 368 for a Field on Python 3.11).
+    instance.__dict__.update({**defaults, **values}.items())
+    return instance
 
 
 @dataclass(frozen=True)

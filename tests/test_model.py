@@ -1,4 +1,5 @@
 import dataclasses
+import typing
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,7 @@ from sfgen.model import (
     Field,
     FieldType,
     LocalizedText,
+    build,
     display_name,
     effective_columns,
     find_entity,
@@ -115,3 +117,32 @@ def test_types_are_immutable():
 def test_structural_equality():
     assert _fakultet() == _fakultet()
     assert _fakultet() != _fakultet(is_logged=False)
+
+
+_OVERRIDES = {  # keep nested model elements small
+    "fields": st.lists(st.builds(Field, name=st.text(max_size=3)), max_size=2).map(tuple),
+    "constraints": st.lists(st.builds(Constraint, cfields=st.just(("a",))), max_size=2).map(tuple),
+}
+
+
+def _keywords(cls):
+    """Any subset of `cls`'s fields, each with a value of its annotated type."""
+    hints = typing.get_type_hints(cls)
+    return st.fixed_dictionaries({}, optional={
+        f.name: _OVERRIDES[f.name] if f.name in _OVERRIDES else st.from_type(hints[f.name])
+        for f in dataclasses.fields(cls)})
+
+
+@pytest.mark.parametrize("cls", [Field, Entity, Constraint, LocalizedText])
+@given(data=st.data())
+def test_build_equals_the_constructor(cls, data):
+    values = data.draw(_keywords(cls))
+    built, constructed = build(cls, **values), cls(**values)
+    assert built == constructed
+    assert hash(built) == hash(constructed)
+    assert repr(built) == repr(constructed)
+    name = dataclasses.fields(cls)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(built, name, getattr(constructed, name))
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        build(cls, **values, bogus=1)
