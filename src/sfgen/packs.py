@@ -62,14 +62,18 @@ def builtin_pack_dir(name: str = "webstack") -> Path:
 
 
 def read_pack_dir(directory: Path) -> dict[str, str]:
-    """Flat path -> text listing of a pack directory."""
+    """Flat path -> text listing of a pack directory; every file must be UTF-8."""
     directory = Path(directory)
     if not directory.is_dir():
         raise PackError(f"pack directory not found: {directory}")
     listing: dict[str, str] = {}
     for path in sorted(directory.rglob("*")):
         if path.is_file():
-            listing[path.relative_to(directory).as_posix()] = path.read_text("utf-8")
+            name = path.relative_to(directory).as_posix()
+            try:
+                listing[name] = path.read_text("utf-8")
+            except UnicodeDecodeError as exc:
+                raise PackError(f"{name} is not valid UTF-8: {exc.reason}") from None
     return listing
 
 
@@ -93,6 +97,8 @@ def load_pack(listing: Mapping[str, str]) -> TemplatePack:
         manifest = json.loads(listing["pack.json"])
     except ValueError as exc:
         raise PackError(f"pack.json is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise PackError("pack.json must hold a JSON object")
 
     name = manifest.get("name")
     version = manifest.get("version")
@@ -113,6 +119,8 @@ def load_pack(listing: Mapping[str, str]) -> TemplatePack:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise PackError(f"output rule #{i} is malformed: {exc}") from exc
+        if not all(isinstance(v, str) for v in (rule.template, rule.pathPattern, rule.per)):
+            raise PackError(f"output rule #{i}: 'template', 'path' and 'per' must be strings")
         if rule.per not in ("model", "entity"):
             raise PackError(f"output rule #{i}: 'per' must be 'model' or 'entity'")
         _check_path_pattern(i, rule)

@@ -189,11 +189,13 @@ def test_generate_bad_pack(tmp_path, capsys):
     assert "E_PACK" in capsys.readouterr().err
 
 
-def _generate_with_docs_template(tmp_path, template):
-    """`sfgen generate` in a subprocess, with webstack's docs.md.atl replaced."""
+def _generate_with_pack_file(tmp_path, name, content):
+    """`sfgen generate` in a subprocess, with webstack's file `name` replaced."""
     pack_dir = tmp_path / "pack"
     shutil.copytree(PACK, pack_dir)
-    (pack_dir / "docs.md.atl").write_text(template)
+    if isinstance(content, str):
+        content = content.encode()
+    (pack_dir / name).write_bytes(content)
     env = {**os.environ, "PYTHONPATH": str(Path(sfgen.__file__).parents[1])}
     return subprocess.run([sys.executable, "-m", "sfgen.cli", "generate", "--model", NEWSBOARD,
                            "--pack", str(pack_dir), "--out", str(tmp_path / "out")],
@@ -201,7 +203,7 @@ def _generate_with_docs_template(tmp_path, template):
 
 
 def test_generate_pack_with_template_syntax_error(tmp_path):
-    result = _generate_with_docs_template(tmp_path, "{{ a + b }}")
+    result = _generate_with_pack_file(tmp_path, "docs.md.atl", "{{ a + b }}")
     assert result.returncode == 4
     assert "error E_PACK: docs.md.atl:1:6: unexpected character '+'" in result.stderr
     assert "Traceback" not in result.stderr
@@ -209,11 +211,37 @@ def test_generate_pack_with_template_syntax_error(tmp_path):
 
 
 def test_generate_pack_with_too_deep_expression(tmp_path):
-    result = _generate_with_docs_template(tmp_path, "{{ " + " and ".join(["a"] * 1000) + " }}")
+    result = _generate_with_pack_file(tmp_path, "docs.md.atl",
+                                      "{{ " + " and ".join(["a"] * 1000) + " }}")
     assert result.returncode == 4
     assert "error E_PACK: docs.md.atl:1:606: expression nested too deeply" in result.stderr
     assert "Traceback" not in result.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_generate_pack_json_not_an_object(tmp_path):
+    result = _generate_with_pack_file(tmp_path, "pack.json", "[]")
+    assert result.returncode == 4
+    assert "error E_PACK: pack.json must hold a JSON object" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_generate_pack_file_not_utf8(tmp_path):
+    result = _generate_with_pack_file(tmp_path, "docs.md.atl", b"\xff\xfe")
+    assert result.returncode == 4
+    assert "error E_PACK: docs.md.atl is not valid UTF-8: invalid start byte" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("key", ["path", "template", "per"])
+def test_generate_output_rule_value_not_a_string(tmp_path, key):
+    rule = {"template": "docs.md.atl", "path": "docs.md", "per": "model", "ownership": "always"}
+    pack = {"name": "p", "version": "1", "outputs": [{**rule, key: 5}]}
+    result = _generate_with_pack_file(tmp_path, "pack.json", json.dumps(pack))
+    assert result.returncode == 4
+    assert ("error E_PACK: output rule #1: 'template', 'path' and 'per' must be strings"
+            in result.stderr)
+    assert "Traceback" not in result.stderr
 
 
 def test_stats_table_and_json(tmp_path, capsys):
