@@ -32,8 +32,9 @@ ATTRIBUTE_RE = re.compile(
 TAG_END_RE = re.compile(_WS + "(/?)>")
 # The text before the next markup, then a whole start tag with no '&' in its
 # attribute values (groups 2-4: name, attributes, '/' if it closes itself) or
-# an end tag (group 5: name). Where it does not match, the step-by-step readers
-# of `_Parser` run instead: they decode entities and raise the located errors.
+# an end tag (group 5: name). Where it does not match, or the tag repeats an
+# attribute name or closes another element than the open one, the step-by-step
+# readers of `_Parser` run instead: they decode entities and raise the errors.
 MARKUP_RE = re.compile(
     "([^<]*)<(?:(" + _NAME + ")" + _NAME_END
     + "((?:" + _WS + _NAME + _NAME_END + _WS + "=" + _WS + "(?:\"[^\"<&]*\"|'[^'<&]*'))*)"
@@ -164,8 +165,8 @@ class _Parser:
         """Read the start tag at pos check by check; returns its name, its
         attributes, whether it closes itself, and its end.
 
-        Runs only where MARKUP_RE does not match it: one of the checks fails,
-        an attribute name repeats, or a value holds an entity reference.
+        Runs only where MARKUP_RE cannot read it: one of the checks fails, an
+        attribute name repeats, or a value holds an entity reference to decode.
         """
         end = self.read_name(pos + 1, "element name")
         tag = self.text[pos + 1:end]
@@ -178,7 +179,8 @@ class _Parser:
     def read_end_tag(self, pos: int, tag: str) -> int:
         """Read the closing tag at pos check by check; it must close `tag`.
 
-        Runs only where MARKUP_RE does not match it, so one of the checks fails.
+        Runs only where MARKUP_RE does not match it or it closes another
+        element, so one of the checks fails.
         """
         end = self.read_name(pos + 2, "closing tag name")
         close = self.text[pos + 2:end]
@@ -203,30 +205,33 @@ class _Parser:
         match_markup = MARKUP_RE.match
         find_attributes = ATTRIBUTE_RE.findall
         stack: list[tuple[XmlNode, list[str]]] = []
+        parts: list[str] = []  # the text of the innermost open element
         while True:
             m = match_markup(text, pos)
-            lt = find("<", pos) if m is None else m.end(1)
-            if lt < 0:
-                node = stack[-1][0]
-                raise self.fail(f"unclosed element '{node.tag}'", node.offset)
-            if lt > pos:
-                raw = text[pos:lt]
-                stack[-1][1].append(self.decode_text(raw, pos) if "&" in raw else raw)
-                pos = lt
             if m is not None:
-                tag, attributes, empty, close = m.group(2, 3, 4, 5)
-                if tag is None:
-                    if not stack or close != stack[-1][0].tag:
-                        m = None
-                elif attributes:
+                raw, tag, attributes, empty, close = m.groups()
+                lt = pos + len(raw)
+            else:
+                lt = find("<", pos)
+                if lt < 0:
+                    node = stack[-1][0]
+                    raise self.fail(f"unclosed element '{node.tag}'", node.offset)
+                raw = text[pos:lt]
+            if raw:
+                parts.append(self.decode_text(raw, pos) if "&" in raw else raw)
+                pos = lt
+
+            if m is not None:
+                end = m.end()
+                if tag is not None:
                     pairs = find_attributes(attributes)
                     attributes = {name: double or single for name, double, single in pairs}
                     if len(attributes) < len(pairs):  # a repeated name
-                        m = None
-                else:
-                    attributes = {}
-            if m is not None:
-                end = m.end()
+                        tag, attributes, empty, end = self.read_start_tag(pos)
+                elif not stack:
+                    tag, attributes, empty, end = self.read_start_tag(pos)
+                elif close != stack[-1][0].tag:
+                    end = self.read_end_tag(pos, stack[-1][0].tag)
             elif stack and startswith("</", pos):
                 tag, end = None, self.read_end_tag(pos, stack[-1][0].tag)
             elif startswith("<!--", pos):
@@ -242,16 +247,18 @@ class _Parser:
                 tag, attributes, empty, end = self.read_start_tag(pos)
 
             if tag is None:  # an end tag
-                node, text_parts = stack.pop()
-                node.text = "".join(text_parts)
+                node = stack.pop()[0]
+                node.text = "".join(parts)
                 if not stack:
                     return node, end
+                parts = stack[-1][1]
             else:
                 node = XmlNode(tag, attributes, [], "", pos, self)
                 if stack:
                     stack[-1][0].children.append(node)
                 if not empty:
-                    stack.append((node, []))
+                    parts = []
+                    stack.append((node, parts))
                 elif not stack:
                     return node, end
             pos = end
