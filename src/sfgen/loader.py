@@ -209,7 +209,8 @@ class _Binder:
                 self.language(child, texts, subject)
             else:
                 self.warn_element(child, subject)
-        return found, [LocalizedText(tuple(texts[tag].items())) for tag in text_tags]
+        return found, [build(LocalizedText, entries=tuple(texts[tag].items()))
+                       for tag in text_tags]
 
     def language(self, block: XmlNode, texts: dict[str, dict[str, str]], subject: str) -> None:
         name = self.attributes(block, _NAME, subject).get("name", "")

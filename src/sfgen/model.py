@@ -76,18 +76,20 @@ def build(cls: type[T], /, **values: Any) -> T:
     """An instance of the frozen dataclass `cls` equal to `cls(**values)`.
 
     It fills the instance's `__dict__` in one step, where the constructor of a
-    frozen dataclass calls `object.__setattr__` once per field: twice as fast
-    for a `Field`. Every field of `cls` needs a plain default.
+    frozen dataclass calls `object.__setattr__` once per field: four times as
+    fast for a `Field` on Python 3.11. Every field of `cls` needs a plain default.
     """
     defaults = _defaults(cls)
     if not defaults.keys() >= values.keys():
         unknown = next(k for k in values if k not in defaults)
         raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {unknown!r}")
     instance = object.__new__(cls)
-    # Pairs, not a dict: updating an empty instance dict from a dict copies its
-    # key table, and the instance stops sharing keys with the rest of its class
-    # (896 bytes in place of 368 for a Field on Python 3.11).
-    instance.__dict__.update({**defaults, **values}.items())
+    # The instance's dict gets its own copy of the key table, where constructed
+    # instances share their class's: a Field takes 896 bytes, not 304, on
+    # Python 3.11, and its attributes still read about as fast.
+    attributes = instance.__dict__
+    attributes.update(defaults)
+    attributes.update(values)
     return instance
 
 

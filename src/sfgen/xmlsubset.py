@@ -31,10 +31,9 @@ ATTRIBUTE_RE = re.compile(
     _WS + "(" + _NAME + ")" + _NAME_END + _WS + "=" + _WS + "(?:\"([^\"<]*)\"|'([^'<]*)')")
 TAG_END_RE = re.compile(_WS + "(/?)>")
 # The text before the next markup, then a whole start tag with no '&' in its
-# attribute values (groups 2-4: name, attributes, '/' if it closes itself) or
-# an end tag (group 5: name). Where it does not match, or the tag repeats an
-# attribute name or closes another element than the open one, the step-by-step
-# readers of `_Parser` run instead: they decode entities and raise the errors.
+# attribute values (groups 2-4: name, attributes, '/' if it closes itself) or an
+# end tag (group 5: name). Where it does not match, repeats an attribute name or
+# closes another element, the step-by-step readers of `_Parser` run instead.
 MARKUP_RE = re.compile(
     "([^<]*)<(?:(" + _NAME + ")" + _NAME_END
     + "((?:" + _WS + _NAME + _NAME_END + _WS + "=" + _WS + "(?:\"[^\"<&]*\"|'[^'<&]*'))*)"
@@ -91,8 +90,9 @@ class _Parser:
         return [0, *(m.end() for m in NEWLINE_RE.finditer(self.text))]
 
     def location(self, pos: int) -> tuple[int, int]:
-        line = bisect_right(self.line_starts, pos)
-        return line, pos - self.line_starts[line - 1] + 1
+        line_starts = self.line_starts
+        line = bisect_right(line_starts, pos)
+        return line, pos - line_starts[line - 1] + 1
 
     def fail(self, reason: str, pos: int) -> ParseError:
         line, column = self.location(pos)
