@@ -365,6 +365,10 @@ def test_localized_builtin():
 
 # -- runtime error locations -----------------------------------------------
 
+# MAX_DEPTH blocks, alternately for and if; the loop variable v is each item
+_DEEP_OPEN = "{% for v in items %}{% if true %}" * (atl.MAX_DEPTH // 2)
+_DEEP_CLOSE = "{% endif %}{% endfor %}" * (atl.MAX_DEPTH // 2)
+
 # (source, context, line, column, reason); an expression inside a directive is
 # located from where it starts in the template, as one inside '{{ }}' is
 RUNTIME_ERRORS = [
@@ -397,6 +401,15 @@ RUNTIME_ERRORS = [
     ("{% for x in a.b %}{% endfor %}", {"a": 42}, 1, 13, "cannot access '.b' on int value"),
     ("{% if false %}{% elif v >= true %}{% endif %}", {"v": 1}, 1, 25,
      "cannot compare int with bool"),
+    pytest.param(_DEEP_OPEN + "\n  {{ nope }}" + _DEEP_CLOSE, {"items": [1]}, 2, 6,
+                 "unknown name 'nope'", id="unknown name 100 levels deep"),
+    pytest.param(_DEEP_OPEN + "\n{{ v < 'a' }}" + _DEEP_CLOSE, {"items": [1]}, 2, 6,
+                 "cannot compare int with str", id="comparison 100 levels deep"),
+    pytest.param(_DEEP_OPEN[:-len("{% if true %}")] + "\n{% for x in v.name %}{% endfor %}"
+                 + _DEEP_CLOSE[len("{% endif %}"):], {"items": [{"name": "n"}]}, 2, 1,
+                 "for-loop expression is not a sequence", id="for 100 levels deep"),
+    pytest.param(_DEEP_OPEN + "\n {{ loop.index.value }}" + _DEEP_CLOSE, {"items": [1]}, 2, 5,
+                 "cannot access '.value' on int value", id="loop.index 100 levels deep"),
 ]
 
 
@@ -415,3 +428,122 @@ def test_runtime_errors_are_located(source, context, line, column, reason):
 ])
 def test_code_that_never_runs_raises_nothing(source, expected):
     assert render(parse_template(source, "t.atl"), {}) == expected
+
+
+# -- hostile names and literals ---------------------------------------------
+
+# (source, context, expected): the exact output, or the (line, column, reason)
+# of the error; names, attributes and literals that mean something to Python
+HOSTILE = [
+    ("{{ class }}{{ None }}{{ def }}", {"class": "c", "None": "n", "def": "d"}, "cnd"),
+    ("{{ __import__ }}{{ env }}{{ append }}{{ t1 }}",
+     {"__import__": "i", "env": "e", "append": "a", "t1": 1}, "iea1"),
+    ("{{ class }}", {}, (1, 4, "unknown name 'class'")),
+    ("{{ None }}", {"none": 1}, (1, 4, "unknown name 'None'")),
+    ("{{ __builtins__ }}", {}, (1, 4, "unknown name '__builtins__'")),
+    ("{{ env.x }}", {"x": 1}, (1, 4, "unknown name 'env'")),
+    ("{{ d.class }}|{{ d.None }}|{{ d.__class__ }}|{{ d.keys }}",
+     {"d": {"class": "k", "None": 0}}, "k|0||"),
+    ("{{ e.__class__ }}", {"e": "ENTITY"}, (1, 1, "cannot render a type value as text")),
+    ("{{ e.__class__.__name__ }}", {"e": "ENTITY"},
+     (1, 4, "cannot access '.__name__' on type value")),
+    ("{{ e.name }}{{ e.class }}{{ e.None }}", {"e": "ENTITY"}, "Fakultet"),
+    ("{% for class in items %}{{ class }}{% endfor %}", {"items": [1, 2]}, "12"),
+    ("{% for None in items %}{{ None }}{% endfor %}", {"items": ["a"]}, "a"),
+    ("{% for env in items %}{{ env }}{{ append }}{% endfor %}",
+     {"items": [1], "append": "A"}, "1A"),
+    ("{% for t1 in items %}{% for t2 in t1 %}{{ t1.x }}{{ t2 }}{% endfor %}{% endfor %}",
+     {"items": [[1, 2]]}, (1, 43, "cannot access '.x' on list value")),
+    ("{% for __import__ in items %}{{ __import__ }}{% endfor %}", {"items": [3]}, "3"),
+    ("{% for x in items %}{{ x }}{% endfor %}{{ x }}", {"x": "ctx", "items": [1, 2]}, "12ctx"),
+    ("{% for x in x %}{{ x }}{% endfor %}{{ count(x) }}", {"x": ["a", "b"]}, "ab2"),
+    ("{% for loop in items %}{{ loop.index }}{% endfor %}", {"items": ["a", "b"]}, "12"),
+    ("{% for loop in items %}{{ loop }}{% endfor %}", {"items": ["a"]},
+     (1, 24, "cannot render a dict value as text")),
+    ("{% for x in items %}{{ loop.x }}{{ loop.length }}{% endfor %}{{ loop }}",
+     {"items": [1], "loop": "outer"}, "1outer"),
+    ("{{ loop.index }}", {}, (1, 4, "unknown name 'loop'")),
+    ("{% for x in a %}{% for y in b %}{{ loop.index }}{% endfor %}{{ loop.index }}{% endfor %}",
+     {"a": [1, 2], "b": [1, 2, 3]}, "12311232"),
+    ("{{ '''' }}", {}, (1, 6, "unexpected \"''\"")),
+    ("{{ \"'''\" }}{{ '\"\"\"' }}", {}, "'''\"\"\""),
+    ("{{ '\\\\' }}{{ '\\n' }}{{ \"\\'\" }}", {}, "\\\\\\n\\'"),
+    ("{{ '\r\x00' }}", {}, "\r\x00"),
+    ("{{ '__import__(\"os\").system(\"x\")' }}", {}, "__import__(\"os\").system(\"x\")"),
+    ("{% if x == '\\'' %}same{% endif %}", {"x": "\\'"}, (1, 15, "unexpected character \"'\"")),
+    ("''' \"\"\" \\ \\n \r \x00 ');\nimport os; os._exit(1) #", {},
+     "''' \"\"\" \\ \\n \r \x00 ');\nimport os; os._exit(1) #"),
+    ("\\{{ x }}\\", {"x": "\\"}, "\\\\\\"),
+    ("{{ __import__('os') }}", {}, (1, 4, "unknown function '__import__'")),
+    ("{{ eval('1') }}{{ exec }}", {"exec": 1}, (1, 4, "unknown function 'eval'")),
+    ("{{ lower(class) }}{{ upper(None) }}", {"class": "C", "None": "n"}, "cN"),
+    ("{{ 007 }}{{ 10 == 010 }}", {}, "7true"),
+]
+
+
+@pytest.mark.parametrize("source, context, expected", HOSTILE)
+def test_hostile_names_and_literals(source, context, expected, newsboard_model):
+    entity = atl.ModelView(newsboard_model.entities[0], newsboard_model)
+    context = {k: entity if v == "ENTITY" else v for k, v in context.items()}
+    try:
+        assert render(parse_template(source, "t.atl"), context) == expected
+    except (TemplateSyntaxError, TemplateRuntimeError) as exc:
+        assert (exc.line, exc.column, exc.reason) == expected
+
+
+# -- render is total ----------------------------------------------------------
+
+_NAMES = ["x", "a", "e", "items", "loop", "class", "None", "env", "t1", "append"]
+_ATTRS = ["name", "fields", "length", "b", "index", "first", "last", "class", "__class__"]
+_PATHS = st.builds(lambda head, attrs: ".".join([head, *attrs]),
+                   st.sampled_from(_NAMES), st.lists(st.sampled_from(_ATTRS), max_size=2))
+_LITERALS = st.sampled_from(["0", "7", "true", "false", "''", "'a'", '"B"', "'\\\\'"])
+_EXPRS = st.recursive(st.one_of(_PATHS, _LITERALS), lambda inner: st.one_of(
+    inner.map("not {}".format),
+    st.builds("({} {} {})".format, inner,
+              st.sampled_from(["and", "or", "==", "!=", "<", "<=", ">", ">="]), inner),
+    st.builds(lambda func, args: f"{func}({', '.join(args)})",
+              st.sampled_from([*atl.BUILTINS, "frob"]), st.lists(inner, max_size=3)),
+), max_leaves=6)
+_TEXTS = st.lists(st.sampled_from(["a", " ", "\n", "'''", '"', "\\", "}", "%"]),
+                  max_size=4).map("".join)
+_TEMPLATES = st.recursive(
+    st.one_of(_TEXTS, st.builds(lambda trim, e, rtrim: f"{{{{{trim} {e} {rtrim}}}}}",
+                                st.sampled_from(["", "-"]), _EXPRS, st.sampled_from(["", "-"]))),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=2, max_size=4).map("".join),
+        st.builds("{{% for {} in {} %}}{}{{% endfor %}}".format,
+                  st.sampled_from(_NAMES), _EXPRS, inner),
+        st.builds(lambda cond, body, elifs, else_: f"{{% if {cond} %}}{body}"
+                  + "".join(f"{{% elif {c} %}}{b}" for c, b in elifs)
+                  + ("" if else_ is None else f"{{% else %}}{else_}") + "{% endif %}",
+                  _EXPRS, inner, st.lists(st.tuples(_EXPRS, inner), max_size=2),
+                  st.none() | inner),
+    ), max_leaves=8)
+
+
+def _values(views):
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+                        st.sampled_from(["", "a", "B"]), st.sampled_from(views))
+    return st.recursive(scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(_ATTRS), inner, max_size=3)), max_leaves=6)
+
+
+@given(source=st.one_of(_SOUP, _TEMPLATES), data=st.data())
+def test_render_is_total(newsboard_model, source, data):
+    try:
+        ast = parse_template(source, "t.atl")
+    except TemplateSyntaxError:
+        return
+    model = newsboard_model
+    entity = model.entities[0]
+    views = [atl.ModelView(model, model), *(atl.ModelView(e, model) for e in model.entities),
+             atl.ModelView(entity.fields[1], model, entity),
+             atl.ModelView(entity.constraints[0], model, entity)]
+    context = data.draw(st.dictionaries(st.sampled_from(_NAMES), _values(views), max_size=6))
+    try:
+        text = render(ast, context)
+    except TemplateRuntimeError:
+        return
+    assert type(text) is str
