@@ -13,6 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import secrets
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -134,13 +136,24 @@ def plan_writes(
 
 
 def _atomic_write(target: Path, content: bytes) -> None:
-    tmp = target.with_name(f".tmp-{target.name}")
+    """Write `content` to a temp file beside `target`, then rename it over `target`.
+
+    The temp file gets a name no file held when it was created (O_EXCL), so a
+    user's file is never overwritten, and mode 0o666 under the umask, as open() gives."""
+    tmp = None  # the temp file, once created
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_bytes(content)
+        while tmp is None:
+            name = target.with_name(f".tmp-{secrets.token_hex(8)}")
+            with suppress(FileExistsError):
+                fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                tmp = name
+        with open(fd, "wb") as file:
+            file.write(content)
         os.replace(tmp, target)
     except OSError as exc:
-        tmp.unlink(missing_ok=True)
+        if tmp is not None:
+            tmp.unlink(missing_ok=True)
         raise IoError(str(target), exc.strerror or str(exc)) from exc
 
 

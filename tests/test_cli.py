@@ -120,6 +120,19 @@ def test_no_change_regeneration_hashes_each_artifact_once(tmp_path, monkeypatch,
     assert len(calls) == 16
 
 
+def test_generate_keeps_a_user_file_named_like_a_temp_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    user_file = out / "web" / ".tmp-Vest_edit.html"
+    user_file.parent.mkdir(parents=True)
+    user_file.write_bytes(b"<p>mine</p>\n")
+    assert generate(out) == 0
+    assert (out / "web" / "Vest_edit.html").exists()
+    assert user_file.read_bytes() == b"<p>mine</p>\n"
+    capsys.readouterr()
+    assert main(["stats", "--out", str(out), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["manualFiles"] == 1
+
+
 def test_generate_dry_run_writes_nothing(tmp_path, capsys):
     out = tmp_path / "out"
     assert generate(out, "--dry-run") == 0

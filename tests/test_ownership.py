@@ -1,10 +1,14 @@
+import errno
 import json
+import os
 
 import pytest
 from hypothesis import given, strategies as st
 
+from sfgen import ownership
 from sfgen.ownership import (
     MANIFEST_FILENAME,
+    IoError,
     Manifest,
     ManifestEntry,
     ManifestError,
@@ -160,6 +164,41 @@ def test_apply_leaves_no_temp_files(tmp_path):
     arts = [A(f"dir{i}/f{i}.txt", str(i).encode()) for i in range(5)]
     apply_plan(plan_writes(arts, {}, None), arts, tmp_path)
     assert not [p for p in tmp_path.rglob("*") if p.name.startswith(".tmp-")]
+
+
+def test_apply_gives_files_the_mode_write_bytes_gives(tmp_path):
+    (tmp_path / "reference").write_bytes(b"x")
+    arts = [A("sql/a.sql", b"1"), A("b.js", b"2", Ownership.ONCE)]
+    save_manifest(apply_plan(plan_writes(arts, {}, None), arts, tmp_path), tmp_path)
+    mode = (tmp_path / "reference").stat().st_mode
+    for name in ("sql/a.sql", "b.js", MANIFEST_FILENAME):
+        assert (tmp_path / name).stat().st_mode == mode
+
+
+def test_apply_never_writes_over_a_file_holding_the_temp_name(tmp_path, monkeypatch):
+    names = iter(["taken", "taken", "free"])
+    monkeypatch.setattr(ownership.secrets, "token_hex", lambda n: next(names))
+    (tmp_path / ".tmp-taken").write_bytes(b"user file")
+    arts = [A("a.sql", b"generated")]
+    apply_plan(plan_writes(arts, {}, None), arts, tmp_path)
+    assert read_tree(tmp_path) == {".tmp-taken": b"user file", "a.sql": b"generated"}
+
+
+@pytest.mark.parametrize("failing_call", [1, 3])
+def test_failed_replace_leaves_no_temp_file(tmp_path, monkeypatch, failing_call):
+    real_replace, calls = os.replace, []
+
+    def replace(src, dst):
+        calls.append(dst)
+        if len(calls) == failing_call:
+            raise OSError(errno.EIO, "I/O error")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    arts = [A(f"f{i}.txt", str(i).encode()) for i in range(4)]
+    with pytest.raises(IoError, match=f"f{failing_call - 1}.txt: I/O error"):
+        apply_plan(plan_writes(arts, {}, None), arts, tmp_path)
+    assert read_tree(tmp_path) == {f"f{i}.txt": str(i).encode() for i in range(failing_call - 1)}
 
 
 def test_manifest_entries_sorted_by_path(tmp_path):
