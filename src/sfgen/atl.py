@@ -38,45 +38,18 @@ class TemplateRuntimeError(TemplateError):
 
 
 # ---------------------------------------------------------------------------
-# expression AST; compile(name) turns a node into a closure from the
-# environment to a value, raising errors located in template `name`
+# expression AST
 
 @dataclass(frozen=True)
 class Lit:
     value: Any
     pos: Pos
 
-    def compile(self, name: str) -> _Eval:
-        value = self.value
-        return lambda env: value
-
 
 @dataclass(frozen=True)
 class Path:
     names: tuple[str, ...]
     pos: Pos
-
-    def compile(self, name: str) -> _Eval:
-        head, attrs, pos = self.names[0], self.names[1:], self.pos
-
-        def path(env: dict) -> Value:
-            try:
-                value = env[head]
-            except KeyError:
-                raise TemplateRuntimeError(name, *pos, f"unknown name '{head}'") from None
-            for attr in attrs:
-                if type(value) is ModelView:
-                    value = value[attr]
-                elif value is None:
-                    return None  # Null propagates through the rest of the path
-                elif isinstance(value, dict):
-                    value = value.get(attr)
-                else:
-                    raise TemplateRuntimeError(name, *pos,
-                                 f"cannot access '.{attr}' on {type(value).__name__} value")
-            return value
-
-        return path
 
 
 @dataclass(frozen=True)
@@ -85,34 +58,12 @@ class Call:
     args: tuple["Expr", ...]
     pos: Pos
 
-    def compile(self, name: str) -> _Eval:
-        func_name, pos = self.func, self.pos
-        func = BUILTINS.get(func_name)
-        if func is None:
-            def unknown(env: dict) -> Value:
-                raise TemplateRuntimeError(name, *pos, f"unknown function '{func_name}'")
-            return unknown
-        args = tuple(arg.compile(name) for arg in self.args)
-
-        def call(env: dict) -> Value:
-            values = [arg(env) for arg in args]
-            try:
-                return func(*values)
-            except (TypeError, KeyError, AttributeError) as exc:
-                raise TemplateRuntimeError(name, *pos, f"{func_name}(): {exc}") from None
-
-        return call
-
 
 @dataclass(frozen=True)
 class Unary:
     op: str  # 'not'
     operand: "Expr"
     pos: Pos
-
-    def compile(self, name: str) -> _Eval:
-        operand = self.operand.compile(name)
-        return lambda env: not truthy(operand(env))
 
 
 @dataclass(frozen=True)
@@ -122,39 +73,12 @@ class Binary:
     right: "Expr"
     pos: Pos
 
-    def compile(self, name: str) -> _Eval:
-        left, right, op, pos = self.left.compile(name), self.right.compile(name), self.op, self.pos
-        if op == "and":
-            return lambda env: truthy(left(env)) and truthy(right(env))
-        if op == "or":
-            return lambda env: truthy(left(env)) or truthy(right(env))
-        if op == "==":
-            return lambda env: _values_equal(left(env), right(env))
-        if op == "!=":
-            return lambda env: not _values_equal(left(env), right(env))
-        compare = _ORDERINGS[op]
-
-        def ordering(env: dict) -> bool:
-            # ints with ints, text with text; Null never orders
-            a, b = left(env), right(env)
-            if a is None or b is None:
-                return False
-            if isinstance(a, bool) or isinstance(b, bool) \
-                    or not isinstance(a, (int, str)) or not isinstance(b, (int, str)) \
-                    or isinstance(a, int) != isinstance(b, int):
-                raise TemplateRuntimeError(name, *pos,
-                             f"cannot compare {type(a).__name__} with {type(b).__name__}")
-            return compare(a, b)
-
-        return ordering
-
 
 Expr = Union[Lit, Path, Call, Unary, Binary]
 
 
 # ---------------------------------------------------------------------------
-# template AST; compile(name) turns a node into a closure that appends the
-# node's text for an environment
+# template AST
 
 @dataclass(frozen=True)
 class TextNode:
@@ -167,15 +91,6 @@ class OutputNode:
     expr: Expr
     pos: Pos
 
-    def compile(self, name: str) -> _Body:
-        value_of, pos = self.expr.compile(name), self.pos
-
-        def output(env: dict, append: Callable[[str], None]) -> None:
-            value = value_of(env)
-            append(value if type(value) is str else _to_text(value, name, pos))
-
-        return output
-
 
 @dataclass(frozen=True)
 class ForNode:
@@ -184,45 +99,12 @@ class ForNode:
     body: tuple["TplNode", ...]
     pos: Pos
 
-    def compile(self, name: str) -> _Body:
-        sequence_of, body = self.expr.compile(name), _compile_body(self.body, name)
-        var, pos = self.var, self.pos
-
-        def for_(env: dict, append: Callable[[str], None]) -> None:
-            seq = sequence_of(env)
-            if not isinstance(seq, list):
-                raise TemplateRuntimeError(name, *pos, "for-loop expression is not a sequence")
-            length = len(seq)
-            inner = dict(env)  # the loop's own bindings; the enclosing ones hold after it
-            for index, item in enumerate(seq, start=1):
-                inner[var] = item
-                inner["loop"] = {"index": index, "first": index == 1,
-                                 "last": index == length, "length": length}
-                body(inner, append)
-
-        return for_
-
 
 @dataclass(frozen=True)
 class IfNode:
     branches: tuple[tuple[Expr, tuple["TplNode", ...]], ...]
     else_body: Optional[tuple["TplNode", ...]]
     pos: Pos
-
-    def compile(self, name: str) -> _Body:
-        branches = tuple((cond.compile(name), _compile_body(body, name))
-                         for cond, body in self.branches)
-        else_body = _compile_body(self.else_body, name) if self.else_body is not None else None
-
-        def if_(env: dict, append: Callable[[str], None]) -> None:
-            for test, body in branches:
-                if truthy(test(env)):
-                    body(env, append)
-                    return
-            if else_body is not None:
-                else_body(env, append)
-
-        return if_
 
 
 TplNode = Union[TextNode, OutputNode, ForNode, IfNode]
@@ -232,8 +114,10 @@ TplNode = Union[TextNode, OutputNode, ForNode, IfNode]
 class TemplateAst:
     name: str
     nodes: tuple[TplNode, ...]
-    # the nodes compiled to nested closures, once, by parse_template
-    compiled: _Body = dc_field(repr=False, compare=False)
+    # the nodes compiled to one Python function of (context, append), once, by
+    # parse_template, and the template positions its runtime errors refer to
+    compiled: Callable[[dict, Callable[[str], None]], None] = dc_field(repr=False, compare=False)
+    sites: tuple[Pos, ...] = dc_field(repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +374,9 @@ def parse_template(source: str, name: str) -> TemplateAst:
     """Parse ATL source into an immutable AST; literal text is preserved
     byte-exactly except where trim markers apply."""
     nodes, _ = _Parser(source, name).block(0)
-    return TemplateAst(name, nodes, _compile_body(nodes, name))
+    gen = _Codegen()
+    gen.define("ctx, append", lambda: gen.block(nodes, 1))
+    return TemplateAst(name, nodes, gen.finish(), tuple(gen.sites))
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +403,9 @@ class ModelView(dict):
         if compute is not None:
             value = compute(self)
         else:
-            value = self._convert(getattr(self.element, name, None))
+            value = getattr(self.element, name, None)
+            if type(value) not in _PLAIN_TYPES:
+                value = self._convert(value)
         self[name] = value
         return value
 
@@ -527,17 +415,21 @@ class ModelView(dict):
     __ne__ = object.__ne__  # the inverse of __eq__, not dict's comparison
 
     def _convert(self, value: Any) -> Any:
-        if value is None or type(value) in (str, int, bool):
-            return value
-        if isinstance(value, (m.FieldType, m.RelationshipOp, m.ConstraintKind, m.Caching)):
+        kind = type(value)
+        if kind in _TOKEN_TYPES:
             return value.value
-        if isinstance(value, tuple):
+        if kind is tuple:
             return [self._convert(v) for v in value]
-        if isinstance(value, (m.Entity, m.Field, m.Constraint, m.ColumnSpec,
-                              m.Settings, m.LocalizedText, m.ApplicationModel)):
-            owner = self.element if isinstance(self.element, m.Entity) else self.owner
+        if kind in _VIEWED_TYPES:
+            owner = self.element if type(self.element) is m.Entity else self.owner
             return ModelView(value, self.model, owner)
         return value
+
+
+_PLAIN_TYPES = frozenset({str, int, bool, type(None)})
+_TOKEN_TYPES = frozenset({m.FieldType, m.RelationshipOp, m.ConstraintKind, m.Caching})
+_VIEWED_TYPES = frozenset({m.Entity, m.Field, m.Constraint, m.ColumnSpec, m.Settings,
+                           m.LocalizedText, m.ApplicationModel})
 
 
 def _constraint_fields(view: ModelView) -> list[Optional[ModelView]]:
@@ -642,12 +534,44 @@ BUILTINS: dict[str, Callable[..., Value]] = {
 
 
 # ---------------------------------------------------------------------------
-# compilation helpers
+# code generation: a template becomes the Python source of one function, built
+# with compile() once. No template text is ever executed: identifiers reach the
+# source only as numbered locals or repr()'d keys, and every literal and text
+# chunk through repr(). A runtime error names an index into the template's
+# table of call-site positions.
 
-_Eval = Callable[[dict], Value]
-_Body = Callable[[dict, Callable[[str], None]], None]
-
+# Blocks, or expression levels, nested in one generated function before the
+# next level goes into a function of its own; within CPython's limits on
+# nested loops (20), indentation (100) and parentheses (200).
+_SPLIT = 12
+_INLINE_STEPS = 4  # path steps inlined; a longer path runs _steps
+_LOOP_ATTRS = {"index": ("i{}", int), "first": ("(i{} == 1)", bool),
+               "last": ("(i{0} == n{0})", bool), "length": ("n{}", int)}
 _ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_UNKNOWN = object()  # the value of a context name the context lacks
+
+
+class _Failure(Exception):
+    """(site, reason): a runtime error at call site `site`, located by the caller."""
+
+
+def _fail(site: int, reason: str) -> Value:
+    raise _Failure(site, reason)
+
+
+def _step(value: Value, attr: str, site: int) -> Value:
+    """One path step on a value that is not a ModelView."""
+    if value is None:
+        return None  # Null propagates through the rest of the path
+    if isinstance(value, dict):
+        return value.get(attr)
+    raise _Failure(site, f"cannot access '.{attr}' on {type(value).__name__} value")
+
+
+def _steps(value: Value, attrs: tuple[str, ...], site: int) -> Value:
+    for attr in attrs:
+        value = value[attr] if type(value) is ModelView else _step(value, attr, site)
+    return value
 
 
 def _values_equal(left: Value, right: Value) -> bool:
@@ -658,35 +582,195 @@ def _values_equal(left: Value, right: Value) -> bool:
     return left == right
 
 
-def _to_text(value: Value, name: str, pos: Pos) -> str:
+def _order(site: int, op: str, a: Value, b: Value) -> bool:
+    # ints with ints, text with text; Null never orders
+    if a is None or b is None:
+        return False
+    if isinstance(a, bool) or isinstance(b, bool) \
+            or not isinstance(a, (int, str)) or not isinstance(b, (int, str)) \
+            or isinstance(a, int) != isinstance(b, int):
+        raise _Failure(site, f"cannot compare {type(a).__name__} with {type(b).__name__}")
+    return _ORDERINGS[op](a, b)
+
+
+def _call(site: int, name: str, func: Callable[..., Value], *args: Value) -> Value:
+    try:
+        return func(*args)
+    except (TypeError, KeyError, AttributeError) as exc:
+        raise _Failure(site, f"{name}(): {exc}") from None
+
+
+def _to_text(value: Value, site: int) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, str)):
         return str(value)
-    raise TemplateRuntimeError(name, *pos, f"cannot render a {type(value).__name__} value as text")
+    raise _Failure(site, f"cannot render a {type(value).__name__} value as text")
 
 
-def _compile_body(nodes: Sequence[TplNode], name: str) -> _Body:
-    # literal text stays a str; every other node becomes a closure
-    steps = tuple(node.text if isinstance(node, TextNode) else node.compile(name)
-                  for node in nodes)
+_RUNTIME = {"_MV": ModelView, "_U": _UNKNOWN, "_fail": _fail, "_step": _step, "_steps": _steps,
+            "_eq": _values_equal, "_order": _order, "_call": _call, "_to_text": _to_text,
+            "_truthy": truthy}
 
-    def body(env: dict, append: Callable[[str], None]) -> None:
-        for step in steps:
-            if type(step) is str:
-                append(step)
-            else:
-                step(env, append)
 
-    return body
+@dataclass
+class _Loop:
+    """An enclosing for: its variable, and its number k in the locals it binds,
+    v<k>, i<k>, n<k> and, where its body reads `loop` as a value, the dict l<k>."""
+    var: str
+    k: int
+    meta: bool = False
+
+
+class _Codegen:
+    """The Python source of a template's function, r0, and of one more function
+    for each block or expression nested _SPLIT levels inside another function."""
+
+    def __init__(self) -> None:
+        self.sites: list[Pos] = []
+        self.defs: list[str] = []
+        self.namespace = dict(_RUNTIME)
+        self.loops = 0
+        self.scope: tuple[_Loop, ...] = ()
+        self.lines: list[str] = []  # the body of the function being generated
+        self.names: dict[str, str] = {}  # its context names -> the locals c<n> holding them
+
+    def site(self, pos: Pos) -> int:
+        self.sites.append(pos)
+        return len(self.sites) - 1
+
+    def define(self, params: str, build: Callable[[], Any]) -> tuple[str, Any]:
+        """Generate a function of `params` and the locals of the scope whose body
+        build() writes; returns the call of it and what build() returned."""
+        outer, slot = (self.lines, self.names), len(self.defs)
+        self.lines, self.names = [], {}
+        self.defs.append("")
+        built = build()
+        args = ", ".join([params, *(f"{kind}{loop.k}" for loop in self.scope
+                                    for kind in "vinl"[:3 + loop.meta])])
+        prologue = [f" {local} = ctx.get({name!r}, _U)" for name, local in self.names.items()]
+        self.defs[slot] = "\n".join([f"def r{slot}({args}):", *prologue, *self.lines])
+        self.lines, self.names = outer
+        return f"r{slot}({args})", built
+
+    def finish(self) -> Callable:
+        exec(compile("\n".join(self.defs), "<atl>", "exec"), self.namespace)
+        return self.namespace["r0"]
+
+    def block(self, nodes: Sequence[TplNode], indent: int) -> None:
+        pad, text, first = " " * indent, [], len(self.lines)
+        for node in (*nodes, None):
+            if type(node) is TextNode or type(node) is OutputNode and type(node.expr) is Lit:
+                text.append(node.text if type(node) is TextNode else _to_text(node.expr.value, 0))
+                continue
+            if text:
+                self.lines.append(f"{pad}append({''.join(text)!r})")
+                text = []
+            if type(node) is OutputNode:
+                value, kind = self.expr(node.expr, 0)
+                self.lines.append(pad + (
+                    f"append('true' if {value} else 'false')" if kind is bool else
+                    f"append(str({value}))" if kind is int else f"append(t if type(t := {value}) "
+                    f"is str else _to_text(t, {self.site(node.pos)}))"))
+            elif node is not None and indent > _SPLIT:
+                call, _ = self.define("ctx, append", lambda: self.block((node,), 1))
+                self.lines.append(pad + call)
+            elif type(node) is ForNode:
+                self.loops += 1
+                k, loop, outer = self.loops, _Loop(node.var, self.loops), self.scope
+                site = self.site(node.pos)
+                self.lines += [f"{pad}t = {self.expr(node.expr, 0)[0]}",
+                               f"{pad}if not isinstance(t, list): "
+                               f"_fail({site}, 'for-loop expression is not a sequence')",
+                               f"{pad}n{k} = len(t)", f"{pad}for i{k}, v{k} in enumerate(t, 1):"]
+                start, self.scope = len(self.lines), (*outer, loop)
+                self.block(node.body, indent + 1)
+                self.scope = outer
+                if loop.meta:
+                    self.lines.insert(start, f"{pad} l{k} = {{'index': i{k}, 'first': i{k} == 1, "
+                                             f"'last': i{k} == n{k}, 'length': n{k}}}")
+            elif type(node) is IfNode:
+                for i, (cond, branch) in enumerate(node.branches):
+                    self.lines.append(f"{pad}{'elif' if i else 'if'} {self.truth(cond, 0)}:")
+                    self.block(branch, indent + 1)
+                if node.else_body is not None:
+                    self.lines.append(f"{pad}else:")
+                    self.block(node.else_body, indent + 1)
+        if len(self.lines) == first:
+            self.lines.append(f"{pad}pass")
+
+    def truth(self, node: Expr, depth: int) -> str:
+        value, kind = self.expr(node, depth)
+        if kind is bool:
+            return value
+        if kind is int:
+            return f"bool({value})"
+        return f"(t if type(t := {value}) is bool else _truthy(t))"
+
+    def expr(self, node: Expr, depth: int) -> tuple[str, Optional[type]]:
+        """The source of an expression, and the type of its value where that is known."""
+        if depth == _SPLIT:
+            return self.define("ctx", lambda: self.returns(node))
+        if type(node) is Lit:
+            return repr(node.value), type(node.value)
+        if type(node) is Path:
+            return self.path(node)
+        if type(node) is Call:
+            func, site = BUILTINS.get(node.func), self.site(node.pos)
+            if func is None:
+                return f"_fail({site}, {f'unknown function {node.func!r}'!r})", None
+            self.namespace[f"f_{node.func}"] = func
+            args = "".join(", " + self.expr(arg, depth + 1)[0] for arg in node.args)
+            return f"_call({site}, {node.func!r}, f_{node.func}{args})", None
+        if type(node) is Unary:
+            return f"(not {self.truth(node.operand, depth + 1)})", bool
+        if node.op in ("and", "or"):
+            left, right = self.truth(node.left, depth + 1), self.truth(node.right, depth + 1)
+            return f"({left} {node.op} {right})", bool
+        left, right = self.expr(node.left, depth + 1)[0], self.expr(node.right, depth + 1)[0]
+        if node.op in ("==", "!="):
+            return f"({'' if node.op == '==' else 'not '}_eq({left}, {right}))", bool
+        return f"_order({self.site(node.pos)}, {node.op!r}, {left}, {right})", bool
+
+    def returns(self, node: Expr) -> Optional[type]:
+        value, kind = self.expr(node, 0)
+        self.lines.append(f" return {value}")
+        return kind
+
+    def path(self, node: Path) -> tuple[str, Optional[type]]:
+        head, attrs, site, kind = node.names[0], node.names[1:], self.site(node.pos), None
+        # a name is the innermost for's variable, `loop` its loop, else a context name
+        loop = self.scope[-1] if head == "loop" and self.scope else \
+            next((loop for loop in reversed(self.scope) if loop.var == head), None)
+        if loop is None:
+            local = self.names.setdefault(head, f"c{len(self.names)}")
+            reason = f"unknown name {head!r}"
+            value = f"({local} if {local} is not _U else _fail({site}, {reason!r}))"
+        elif head != "loop":
+            value = f"v{loop.k}"
+        elif attrs and attrs[0] in _LOOP_ATTRS:
+            (value, kind), attrs = _LOOP_ATTRS[attrs[0]], attrs[1:]
+            value = value.format(loop.k)
+        else:
+            loop.meta, value = True, f"l{loop.k}"
+        if len(attrs) > _INLINE_STEPS:
+            return f"_steps({value}, {attrs!r}, {site})", None
+        for attr in attrs:
+            value, kind = (f"(t[{attr!r}] if type(t := {value}) is _MV "
+                           f"else _step(t, {attr!r}, {site}))"), None
+        return value, kind
 
 
 def render(ast: TemplateAst, context: Mapping[str, Value]) -> str:
     """Evaluate a template over a context; deterministic and side-effect free."""
     out: list[str] = []
-    ast.compiled(dict(context), out.append)
+    try:
+        ast.compiled(dict(context), out.append)
+    except _Failure as exc:
+        site, reason = exc.args
+        raise TemplateRuntimeError(ast.name, *ast.sites[site], reason) from None
     return "".join(out)
 
 
@@ -694,4 +778,10 @@ def eval_expr(expr: Union[Expr, str], env: Mapping[str, Value], name: str = "<ex
     """Evaluate a single expression (parsed on the fly when given as text)."""
     if isinstance(expr, str):
         expr = parse_expr(expr, name)
-    return expr.compile(name)(dict(env))
+    gen = _Codegen()
+    gen.expr(expr, _SPLIT)  # r0(ctx) returns the value
+    try:
+        return gen.finish()(dict(env))
+    except _Failure as exc:
+        site, reason = exc.args
+        raise TemplateRuntimeError(name, *gen.sites[site], reason) from None
