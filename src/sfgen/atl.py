@@ -662,6 +662,7 @@ class _Codegen:
     def block(self, nodes: Sequence[TplNode], indent: int) -> None:
         pad, text, first = " " * indent, [], len(self.lines)
         for node in (*nodes, None):
+            # adjacent text, and the text of literal outputs, become one constant
             if type(node) is TextNode or type(node) is OutputNode and type(node.expr) is Lit:
                 text.append(node.text if type(node) is TextNode else _to_text(node.expr.value, 0))
                 continue

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import secrets
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
@@ -144,7 +143,7 @@ def _atomic_write(target: Path, content: bytes) -> None:
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
         while tmp is None:
-            name = target.with_name(f".tmp-{secrets.token_hex(8)}")
+            name = target.with_name(f".tmp-{os.urandom(8).hex()}")
             with suppress(FileExistsError):
                 fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
                 tmp = name

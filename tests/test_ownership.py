@@ -5,7 +5,6 @@ import os
 import pytest
 from hypothesis import given, strategies as st
 
-from sfgen import ownership
 from sfgen.ownership import (
     MANIFEST_FILENAME,
     IoError,
@@ -176,12 +175,12 @@ def test_apply_gives_files_the_mode_write_bytes_gives(tmp_path):
 
 
 def test_apply_never_writes_over_a_file_holding_the_temp_name(tmp_path, monkeypatch):
-    names = iter(["taken", "taken", "free"])
-    monkeypatch.setattr(ownership.secrets, "token_hex", lambda n: next(names))
-    (tmp_path / ".tmp-taken").write_bytes(b"user file")
+    names = iter([b"\xaa" * 8, b"\xaa" * 8, b"\xbb" * 8])
+    monkeypatch.setattr(os, "urandom", lambda n: next(names))
+    (tmp_path / ".tmp-aaaaaaaaaaaaaaaa").write_bytes(b"user file")
     arts = [A("a.sql", b"generated")]
     apply_plan(plan_writes(arts, {}, None), arts, tmp_path)
-    assert read_tree(tmp_path) == {".tmp-taken": b"user file", "a.sql": b"generated"}
+    assert read_tree(tmp_path) == {".tmp-aaaaaaaaaaaaaaaa": b"user file", "a.sql": b"generated"}
 
 
 @pytest.mark.parametrize("failing_call", [1, 3])
