@@ -119,3 +119,113 @@ def random_model(rng: random.Random, max_entities: int = 20, max_fields: int = 3
         entities=tuple(entities),
         languages=tuple(langs),
     )
+
+
+# ---------------------------------------------------------------------------
+# models as XML documents
+
+# An element of a document before it is written out: [tag, [(name, value), ...],
+# [children], text]. Lists, so that tests can mutate a document's shape.
+Element = list
+
+
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _language_blocks(texts: dict[str, LocalizedText]) -> list[Element]:
+    """One Language block per language, with that language's text of each tag."""
+    blocks: dict[str, Element] = {}
+    for tag, localized in texts.items():
+        for lang, text in localized.entries:
+            block = blocks.setdefault(lang, ["Language", [("name", lang)], [], ""])
+            block[2].append([tag, [], [], text])
+    return list(blocks.values())
+
+
+def _merge(rng: random.Random, *groups: list) -> list:
+    """The items of every group, interleaved at random; each group keeps its order."""
+    out: list = []
+    queues = [list(g) for g in groups if g]
+    while queues:
+        queue = rng.choice(queues)
+        out.append(queue.pop(0))
+        if not queue:
+            queues.remove(queue)
+    return out
+
+
+def _shuffled(rng: random.Random, attributes: list[tuple[str, str]]) -> list[tuple[str, str]]:
+    rng.shuffle(attributes)
+    return attributes
+
+
+def _field_element(rng: random.Random, field: Field) -> Element:
+    attributes = [("name", field.name), ("type", field.type_token),
+                  ("nullable", _flag(field.nullable))]
+    if field.length is not None:
+        attributes.append(("length", str(field.length)))
+    for name in ("isPK", "isIdentity"):
+        if getattr(field, name):
+            attributes.append((name, "true"))
+    for name in ("isShownInList", "isShownInEdit"):
+        if not getattr(field, name):
+            attributes.append((name, "false"))
+    if field.numberOfRows is not None:
+        attributes.append(("numberOfRows", str(field.numberOfRows)))
+    return ["Field", _shuffled(rng, attributes),
+            _language_blocks({"DisplayName": field.displayNames}), ""]
+
+
+def _constraint_element(rng: random.Random, constraint: Constraint) -> Element:
+    attributes = [("type", constraint.kind_token)]
+    if constraint.rel_token is not None:
+        attributes.append(("relationship", constraint.rel_token))
+    cfields = [["CField", [("name", name)], [], ""] for name in constraint.cfields]
+    blocks = _language_blocks({"ErrorMessage": constraint.errorMessages})
+    return ["Constraint", _shuffled(rng, attributes), _merge(rng, cfields, blocks), ""]
+
+
+def model_element(rng: random.Random, model: ApplicationModel) -> Element:
+    """`model` as the root element of a document, with attributes in random
+    order and each element's Language blocks at random places among its children."""
+    settings = [("appName", model.settings.appName)]
+    if model.settings.defaultLanguage is not None:
+        settings.append(("defaultLanguage", model.settings.defaultLanguage))
+    entities = []
+    for entity in model.entities:
+        attributes = [("name", entity.name), ("tableName", entity.tableName),
+                      ("isLogged", _flag(entity.isLogged)), ("isActive", _flag(entity.isActive))]
+        blocks = _language_blocks({"DisplayName": entity.displayNames,
+                                   "PluralName": entity.pluralNames})
+        children = _merge(rng, blocks, [_field_element(rng, f) for f in entity.fields],
+                          [_constraint_element(rng, c) for c in entity.constraints])
+        entities.append(["Entity", _shuffled(rng, attributes), children, ""])
+    return ["xsource", [], [["Settings", _shuffled(rng, settings), [], ""],
+                            ["EntityConfig", [], entities, ""]], ""]
+
+
+def _escaped(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
+
+
+def to_xml(root: Element) -> str:
+    """The document text of `root`, one start tag per line, indented by depth."""
+    out = ['<?xml version="1.0" encoding="utf-8"?>']
+
+    def write(element: Element, depth: int) -> None:
+        tag, attributes, children, text = element
+        out.append("\n" + "  " * depth + "<" + tag)
+        out.extend(f' {name}="{_escaped(value)}"' for name, value in attributes)
+        if not children and not text:
+            out.append("/>")
+            return
+        out.append(">" + _escaped(text))
+        for child in children:
+            write(child, depth + 1)
+        if children:
+            out.append("\n" + "  " * depth)
+        out.append(f"</{tag}>")
+
+    write(root, 0)
+    return "".join(out) + "\n"
