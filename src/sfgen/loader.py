@@ -11,11 +11,9 @@ captured on each element.
 from __future__ import annotations
 
 import gc
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 from .model import (
     ApplicationModel,
@@ -34,7 +32,8 @@ from .model import (
     comparison_family,
     find_entity,
 )
-from .xmlsubset import XmlNode, parse_document
+from .xmlsubset import Document, XmlNode
+from .xmlsubset import parse_document  # re-exported: the tree that bind_model binds
 
 
 class Severity(Enum):
@@ -102,28 +101,36 @@ def _positive_int(raw: str) -> int:
     raise ValueError(E_BAD_INT, "a positive integer")
 
 
-def _member(enum: type[Enum], token: str) -> Optional[Enum]:
-    try:
-        return enum(token)
-    except ValueError:
-        return None
+def _members(enum: type[Enum]) -> Callable[[str], Optional[Enum]]:
+    """A reader of `enum`'s member with a token as its value, None for any
+    other token; a dict lookup, ten times as fast as calling `enum`."""
+    return {member.value: member for member in enum}.get
+
+
+_caching_member = _members(Caching)
 
 
 def _caching(raw: str) -> Caching:
-    if (caching := _member(Caching, raw)) is None:
+    if (caching := _caching_member(raw)) is None:
         raise ValueError(E_BAD_ENUM, "'enabled' or 'disabled'")
     return caching
 
 
-# One table per element. A row names an XML attribute, its reader and, when it
-# differs from the attribute, the model keyword it binds. Rows are read in
-# order; a reader raises ValueError(code, expected) for a value it cannot read.
-_Table = tuple[tuple[tuple[str, str, Callable[[str], Any]], ...], frozenset[str]]
+# One table per element: each XML attribute it binds, with the attribute's rank
+# in the table and its rows. A row names a reader and, when it differs from the
+# attribute, the model keyword it binds. An element's attributes are read in
+# table order, each through its rows in order; a reader raises
+# ValueError(code, expected) for a value it cannot read.
+_Reads = tuple[tuple[str, Callable[[str], Any]], ...]
+_Table = dict[str, tuple[int, str, _Reads]]
 
 
 def _table(*rows: tuple) -> _Table:
-    bound = tuple((attr, keyword[0] if keyword else attr, read) for attr, read, *keyword in rows)
-    return bound, frozenset(attr for attr, _, _ in bound)
+    reads: dict[str, list[tuple[str, Callable[[str], Any]]]] = {}
+    for attr, read, *keyword in rows:
+        reads.setdefault(attr, []).append((keyword[0] if keyword else attr, read))
+    return {attr: (rank, attr, tuple(attr_reads))
+            for rank, (attr, attr_reads) in enumerate(reads.items())}
 
 
 _SETTINGS = _table(("appName", str), ("defaultLanguage", str), ("connectionStringName", str))
@@ -132,7 +139,7 @@ _ENTITY = _table(
     ("isAudited", _bool), ("isLogged", _bool), ("isActive", _bool),
 )
 _FIELD = _table(
-    ("name", str), ("type", str, "type_token"), ("type", partial(_member, FieldType)),
+    ("name", str), ("type", str, "type_token"), ("type", _members(FieldType)),
     ("length", _positive_int), ("nullable", _bool), ("isPK", _bool), ("isIdentity", _bool),
     ("isFK", _bool), ("fkEntityName", str),
     # 'nameName' is an alias of 'fkName', read first so that 'fkName' wins
@@ -144,162 +151,368 @@ _FIELD = _table(
     ("displayName", str, "displayNameAttr"),
 )
 _CONSTRAINT = _table(
-    ("type", str, "kind_token"), ("type", partial(_member, ConstraintKind), "kind"),
-    ("relationship", str, "rel_token"), ("relationship", partial(_member, RelationshipOp)),
+    ("type", str, "kind_token"), ("type", _members(ConstraintKind), "kind"),
+    ("relationship", str, "rel_token"), ("relationship", _members(RelationshipOp)),
 )
 _NAME = _table(("name", str))  # Language and CField
 
 
 class _Binder:
+    """What binding a document produces, and the reading and reporting that
+    the frames of its elements share.
+
+    The frames consume the document's parse events. The innermost open
+    element's frame decides what each new element binds to; a frame holds
+    only what binding its element still needs, and is dropped when the
+    element closes. No frame is kept here, so nothing refers back to a frame.
+    """
+
+    def __init__(self, document: Optional[Document]) -> None:
+        self.document = document  # for locations; None for a hand-built tree
+        self.diagnostics: list[Diagnostic] = []
+        self.languages: list[str] = []
+        self.settings = Settings()
+        self.entities: list[Entity] = []
+
+    def model(self) -> tuple[ApplicationModel, list[Diagnostic]]:
+        model = ApplicationModel(settings=self.settings, entities=tuple(self.entities),
+                                 languages=tuple(self.languages))
+        return model, self.diagnostics
+
+    def locate(self, offset: int, attr: Optional[str] = None) -> tuple[int, int]:
+        """The location of the element at offset, or of its attribute `attr`."""
+        if self.document is None:
+            return 1, 1
+        if attr is not None:
+            location = self.document.attribute_locations(offset).get(attr)
+            if location is not None:
+                return location
+        return self.document.location(offset)
+
+    def diag(self, out: list[Diagnostic], code: str, severity: Severity, message: str,
+             offset: int, subject: str, attr: Optional[str] = None) -> None:
+        out.append(Diagnostic(code, severity, message, self.locate(offset, attr), subject))
+
+    def ignore(self, out: list[Diagnostic], tag: str, offset: int, subject: str,
+               message: str = "") -> _Frame:
+        """Warn about an element that binds nothing; returns the frame that ignores it."""
+        self.diag(out, W_UNKNOWN_ELEM, Severity.WARNING,
+                  message or f"unknown element '{tag}' ignored", offset, subject)
+        return _IGNORED
+
+    def attributes(self, out: list[Diagnostic], attributes: dict[str, str], offset: int,
+                   table: _Table, subject: str) -> dict[str, Any]:
+        """Model keyword arguments read from an element's attributes through `table`.
+
+        Unknown attributes are warned about first, in document order; the
+        others are read in table order. An attribute that is absent or cannot
+        be read is left out, so the model type's default applies.
+        """
+        rows = []
+        for attr in attributes:
+            row = table.get(attr)
+            if row is None:
+                self.diag(out, W_UNKNOWN_ATTR, Severity.WARNING,
+                          f"unknown attribute '{attr}' ignored", offset, subject, attr)
+            else:
+                rows.append(row)
+        rows.sort()  # by rank, which no two rows share
+        kwargs: dict[str, Any] = {}
+        for _, attr, reads in rows:
+            raw = attributes[attr]
+            for keyword, read in reads:
+                try:
+                    kwargs[keyword] = read(raw)
+                except ValueError as exc:
+                    code, expected = exc.args
+                    self.diag(out, code, Severity.ERROR,
+                              f"attribute '{attr}' must be {expected}, got '{raw}'",
+                              offset, subject, attr)
+        return kwargs
+
+
+class _Frame:
+    """An open element: what its children bind to, and what its end binds.
+
+    This base frame ignores the element and everything in it.
+    """
+
+    __slots__ = ()
+
+    def child(self, tag: str, attributes: dict[str, str], offset: int) -> _Frame:
+        return _IGNORED
+
+    def close(self, text: str) -> None:
+        pass
+
+
+_IGNORED = _Frame()
+
+
+class _Start(_Frame):
+    """The document, whose one child is the root element."""
+
+    __slots__ = ("binder",)
+
+    def __init__(self, binder: _Binder):
+        self.binder = binder
+
+    def child(self, tag: str, attributes: dict[str, str], offset: int) -> _Frame:
+        if tag == "xsource":
+            return _Root(self.binder, offset)
+        self.binder.diag(self.binder.diagnostics, E_DOC_SHAPE, Severity.ERROR,
+                         f"root element must be 'xsource', got '{tag}'", offset, "")
+        return _IGNORED
+
+
+class _Root(_Frame):
+    """The xsource element. The first Settings and EntityConfig bind; the
+    diagnostics of the EntityConfig's content come after all of the root's."""
+
+    __slots__ = ("binder", "offset", "seen", "entity_diagnostics")
+
+    def __init__(self, binder: _Binder, offset: int):
+        self.binder = binder
+        self.offset = offset
+        self.seen: set[str] = set()
+        self.entity_diagnostics: list[Diagnostic] = []
+
+    def child(self, tag: str, attributes: dict[str, str], offset: int) -> _Frame:
+        binder = self.binder
+        if tag not in ("Settings", "EntityConfig"):
+            return binder.ignore(binder.diagnostics, tag, offset, "")
+        if tag in self.seen:
+            return binder.ignore(binder.diagnostics, tag, offset, "",
+                                 f"extra {tag} element ignored")
+        self.seen.add(tag)
+        if tag == "EntityConfig":
+            return _EntityConfig(binder, self.entity_diagnostics)
+        binder.settings = Settings(**binder.attributes(
+            binder.diagnostics, attributes, offset, _SETTINGS, "Settings"))
+        return _Settings(binder)
+
+    def close(self, text: str) -> None:
+        binder = self.binder
+        if "EntityConfig" not in self.seen:
+            binder.diag(binder.diagnostics, E_DOC_SHAPE, Severity.ERROR,
+                        "document has no EntityConfig element", self.offset, "")
+        binder.diagnostics += self.entity_diagnostics
+
+
+class _Settings(_Frame):
+    """Settings binds its attributes only; any child is warned about."""
+
+    __slots__ = ("binder",)
+
+    def __init__(self, binder: _Binder):
+        self.binder = binder
+
+    def child(self, tag: str, attributes: dict[str, str], offset: int) -> _Frame:
+        return self.binder.ignore(self.binder.diagnostics, tag, offset, "Settings")
+
+
+class _EntityConfig(_Frame):
+    __slots__ = ("binder", "out")
+
+    def __init__(self, binder: _Binder, out: list[Diagnostic]):
+        self.binder = binder
+        self.out = out
+
+    def child(self, tag: str, attributes: dict[str, str], offset: int) -> _Frame:
+        if tag == "Entity":
+            return _Entity(self.binder, self.out, attributes, offset)
+        return self.binder.ignore(self.out, tag, offset, "EntityConfig")
+
+
+class _Pending:
+    """Diagnostics and language names from binding part of an entity, held
+    until the entity closes, so that they are reported in binding order."""
+
+    __slots__ = ("diagnostics", "languages")
+
     def __init__(self) -> None:
         self.diagnostics: list[Diagnostic] = []
         self.languages: list[str] = []
 
-    def diag(self, code: str, severity: Severity, message: str,
-             node: XmlNode, subject: str, attr: Optional[str] = None) -> None:
-        location = node.attribute_locations.get(attr, node.location) if attr else node.location
-        self.diagnostics.append(Diagnostic(code, severity, message, location, subject))
 
-    def warn_element(self, node: XmlNode, subject: str, message: str = "") -> None:
-        self.diag(W_UNKNOWN_ELEM, Severity.WARNING,
-                  message or f"unknown element '{node.tag}' ignored", node, subject)
+class _Element(_Frame):
+    """An Entity, Field or Constraint. Its attributes are read when it opens,
+    its texts come from its Language blocks, and it is built when it closes."""
 
-    def attributes(self, node: XmlNode, table: _Table, subject: str) -> dict[str, Any]:
-        """Model keyword arguments read from `node`'s attributes through `table`.
+    __slots__ = ("binder", "pending", "subject", "kwargs", "texts")
+    table: _Table
+    text_tags: tuple[str, ...]
 
-        An attribute that is absent or cannot be read is left out, so the
-        model type's default applies.
-        """
-        rows, known = table
-        attrs = node.attributes
-        if not known.issuperset(attrs):
-            for attr in attrs:
-                if attr not in known:
-                    self.diag(W_UNKNOWN_ATTR, Severity.WARNING,
-                              f"unknown attribute '{attr}' ignored", node, subject, attr)
-        kwargs: dict[str, Any] = {}
-        for attr, keyword, read in rows:
-            raw = attrs.get(attr)
-            if raw is None:
-                continue
-            try:
-                kwargs[keyword] = read(raw)
-            except ValueError as exc:
-                code, expected = exc.args
-                self.diag(code, Severity.ERROR,
-                          f"attribute '{attr}' must be {expected}, got '{raw}'",
-                          node, subject, attr)
-        return kwargs
+    def __init__(self, binder: _Binder, pending: _Pending, subject: str,
+                 attributes: dict[str, str], offset: int):
+        self.binder = binder
+        self.pending = pending
+        self.subject = subject
+        self.kwargs = binder.attributes(pending.diagnostics, attributes, offset,
+                                        self.table, subject)
+        self.kwargs["location"] = binder.locate(offset)
+        # per text tag, language -> text; within one block the first text of a
+        # tag counts, and a later block of the same language replaces it
+        self.texts: dict[str, dict[str, str]] = {tag: {} for tag in self.text_tags}
 
-    def children(self, node: XmlNode, allowed: tuple[str, ...], text_tags: tuple[str, ...],
-                 subject: str) -> tuple[dict[str, list[XmlNode]], list[LocalizedText]]:
-        """`node`'s children with an allowed tag, by tag, and one LocalizedText
-        per tag in `text_tags`, read from its `Language` blocks.
+    def child(self, tag: str, attributes: dict[str, str], offset: int) -> _Frame:
+        if tag == "Language":
+            return _Language(self, attributes, offset)
+        return self.binder.ignore(self.pending.diagnostics, tag, offset, self.subject)
 
-        Other children, and other children of a `Language` block, are warned
-        about. Within one block the first text of a tag counts; a later block
-        of the same language replaces it.
-        """
-        found: dict[str, list[XmlNode]] = {tag: [] for tag in allowed}
-        texts: dict[str, dict[str, str]] = {tag: {} for tag in text_tags}
-        for child in node.children:
-            if child.tag in found:
-                found[child.tag].append(child)
-            elif child.tag == "Language" and text_tags:
-                self.language(child, texts, subject)
-            else:
-                self.warn_element(child, subject)
-        return found, [build(LocalizedText, entries=tuple(texts[tag].items()))
-                       for tag in text_tags]
+    def localized(self, tag: str) -> LocalizedText:
+        return build(LocalizedText, entries=tuple(self.texts[tag].items()))
 
-    def language(self, block: XmlNode, texts: dict[str, dict[str, str]], subject: str) -> None:
-        name = self.attributes(block, _NAME, subject).get("name", "")
-        if name and name not in self.languages:
-            self.languages.append(name)
-        taken: set[str] = set()
-        for child in block.children:
-            entries = texts.get(child.tag)
-            if entries is None:
-                self.warn_element(child, subject)
-            elif child.tag not in taken:
-                taken.add(child.tag)
-                if name in entries:
-                    self.diag(W_DUP_LANG, Severity.WARNING,
-                              f"duplicate {child.tag} for language '{name}'; last one wins",
-                              block, subject)
-                    del entries[name]
-                entries[name] = child.text.strip()
 
-    def bind_field(self, node: XmlNode, entity_subject: str) -> Field:
-        subject = f"{entity_subject}/Field[{node.attributes.get('name', '')}]"
-        kwargs = self.attributes(node, _FIELD, subject)
-        _, (display_names,) = self.children(node, (), ("DisplayName",), subject)
-        return build(Field, **kwargs, displayNames=display_names, location=node.location)
+class _Language(_Frame):
+    __slots__ = ("owner", "name", "offset", "taken")
 
-    def bind_constraint(self, node: XmlNode, index: int, entity_subject: str) -> Constraint:
-        subject = f"{entity_subject}/Constraint[{index}]"
-        kwargs = self.attributes(node, _CONSTRAINT, subject)
-        found, (error_messages,) = self.children(node, ("CField",), ("ErrorMessage",), subject)
-        return build(Constraint, **kwargs, errorMessages=error_messages, location=node.location,
-                     cfields=tuple(self.attributes(c, _NAME, subject).get("name", "")
-                                   for c in found["CField"]))
+    def __init__(self, owner: _Element, attributes: dict[str, str], offset: int):
+        self.owner = owner
+        if len(attributes) == 1 and "name" in attributes:  # all there is to read
+            self.name = attributes["name"]
+        else:
+            self.name = owner.binder.attributes(owner.pending.diagnostics, attributes, offset,
+                                                _NAME, owner.subject).get("name", "")
+        if self.name:
+            owner.pending.languages.append(self.name)
+        self.offset = offset
+        self.taken: set[str] = set()
 
-    def bind_entity(self, node: XmlNode) -> Entity:
-        subject = f"Entity[{node.attributes.get('name', '')}]"
-        kwargs = self.attributes(node, _ENTITY, subject)
-        found, (display_names, plural_names) = self.children(
-            node, ("Field", "Constraint"), ("DisplayName", "PluralName"), subject)
-        return build(
-            Entity, **kwargs, displayNames=display_names, pluralNames=plural_names,
-            fields=tuple(self.bind_field(f, subject) for f in found["Field"]),
-            constraints=tuple(self.bind_constraint(c, i, subject)
-                              for i, c in enumerate(found["Constraint"], start=1)),
-            location=node.location,
-        )
+    def child(self, tag: str, attributes: dict[str, str], offset: int) -> _Frame:
+        owner = self.owner
+        if tag not in owner.texts:
+            return owner.binder.ignore(owner.pending.diagnostics, tag, offset, owner.subject)
+        if tag in self.taken:
+            return _IGNORED
+        self.taken.add(tag)
+        return _Text(self, tag)
+
+
+class _Text(_Frame):
+    """A DisplayName, PluralName or ErrorMessage in a Language block."""
+
+    __slots__ = ("block", "tag")
+
+    def __init__(self, block: _Language, tag: str):
+        self.block = block
+        self.tag = tag
+
+    def close(self, text: str) -> None:
+        block, owner = self.block, self.block.owner
+        entries = owner.texts[self.tag]
+        if block.name in entries:
+            owner.binder.diag(owner.pending.diagnostics, W_DUP_LANG, Severity.WARNING,
+                              f"duplicate {self.tag} for language '{block.name}'; last one wins",
+                              block.offset, owner.subject)
+            del entries[block.name]
+        entries[block.name] = text.strip()
+
+
+class _Entity(_Element):
+    """An entity's diagnostics and languages come in this order: its own (its
+    attributes, Language blocks and unknown children), its fields', then its
+    constraints'."""
+
+    __slots__ = ("out", "for_fields", "for_constraints", "fields", "constraints")
+    table = _ENTITY
+    text_tags = ("DisplayName", "PluralName")
+
+    def __init__(self, binder: _Binder, out: list[Diagnostic], attributes: dict[str, str],
+                 offset: int):
+        super().__init__(binder, _Pending(), f"Entity[{attributes.get('name', '')}]",
+                         attributes, offset)
+        self.out = out
+        self.for_fields = _Pending()
+        self.for_constraints = _Pending()
+        self.fields: list[Field] = []
+        self.constraints: list[Constraint] = []
+
+    def child(self, tag: str, attributes: dict[str, str], offset: int) -> _Frame:
+        if tag == "Field":
+            return _Field(self, attributes, offset)
+        if tag == "Constraint":
+            return _Constraint(self, attributes, offset)
+        return super().child(tag, attributes, offset)
+
+    def close(self, text: str) -> None:
+        binder = self.binder
+        binder.entities.append(build(
+            Entity, **self.kwargs, displayNames=self.localized("DisplayName"),
+            pluralNames=self.localized("PluralName"), fields=tuple(self.fields),
+            constraints=tuple(self.constraints)))
+        for pending in (self.pending, self.for_fields, self.for_constraints):
+            self.out += pending.diagnostics
+            for name in pending.languages:
+                if name not in binder.languages:
+                    binder.languages.append(name)
+
+
+class _Field(_Element):
+    __slots__ = ("entity",)
+    table = _FIELD
+    text_tags = ("DisplayName",)
+
+    def __init__(self, entity: _Entity, attributes: dict[str, str], offset: int):
+        super().__init__(entity.binder, entity.for_fields,
+                         f"{entity.subject}/Field[{attributes.get('name', '')}]",
+                         attributes, offset)
+        self.entity = entity
+
+    def close(self, text: str) -> None:
+        self.entity.fields.append(build(Field, **self.kwargs,
+                                        displayNames=self.localized("DisplayName")))
+
+
+class _Constraint(_Element):
+    """A constraint's CFields are read after its other children."""
+
+    __slots__ = ("entity", "cfields")
+    table = _CONSTRAINT
+    text_tags = ("ErrorMessage",)
+
+    def __init__(self, entity: _Entity, attributes: dict[str, str], offset: int):
+        index = len(entity.constraints) + 1  # the constraints before it have closed
+        super().__init__(entity.binder, entity.for_constraints,
+                         f"{entity.subject}/Constraint[{index}]", attributes, offset)
+        self.entity = entity
+        self.cfields: list[tuple[dict[str, str], int]] = []
+
+    def child(self, tag: str, attributes: dict[str, str], offset: int) -> _Frame:
+        if tag == "CField":
+            self.cfields.append((attributes, offset))
+            return _IGNORED
+        return super().child(tag, attributes, offset)
+
+    def close(self, text: str) -> None:
+        cfields = tuple(self.binder.attributes(self.pending.diagnostics, attributes, offset,
+                                               _NAME, self.subject).get("name", "")
+                        for attributes, offset in self.cfields)
+        self.entity.constraints.append(build(
+            Constraint, **self.kwargs, errorMessages=self.localized("ErrorMessage"),
+            cfields=cfields))
 
 
 def bind_model(root: XmlNode) -> tuple[ApplicationModel, list[Diagnostic]]:
     """Map a parsed document to an ApplicationModel, best-effort.
 
-    Returns the model together with every lexical diagnostic; the model is
-    usable (for further validation and reporting) even when errors are present.
+    Replays the tree's elements into the binder that `load_model` parses
+    into. Returns the model together with every lexical diagnostic; the model
+    is usable (for further validation and reporting) even when errors are
+    present.
     """
-    binder = _Binder()
-    settings = Settings()
-    entities: list[Entity] = []
-
-    if root.tag != "xsource":
-        binder.diag(E_DOC_SHAPE, Severity.ERROR,
-                    f"root element must be 'xsource', got '{root.tag}'", root, "")
-    else:
-        first: dict[str, XmlNode] = {}
-        for child in root.children:
-            if child.tag not in ("Settings", "EntityConfig"):
-                binder.warn_element(child, "")
-            elif child.tag in first:
-                binder.warn_element(child, "", f"extra {child.tag} element ignored")
-            else:
-                first[child.tag] = child
-                if child.tag == "Settings":
-                    settings = Settings(**binder.attributes(child, _SETTINGS, "Settings"))
-                    binder.children(child, (), (), "Settings")
-        entity_config = first.get("EntityConfig")
-        if entity_config is None:
-            binder.diag(E_DOC_SHAPE, Severity.ERROR,
-                        "document has no EntityConfig element", root, "")
+    binder = _Binder(root.source)
+    # (node, the frame of its parent, its own frame once it is open)
+    stack: list[tuple[XmlNode, _Frame, Optional[_Frame]]] = [(root, _Start(binder), None)]
+    while stack:
+        node, parent, frame = stack.pop()
+        if frame is not None:
+            frame.close(node.text)
         else:
-            for child in entity_config.children:
-                if child.tag == "Entity":
-                    entities.append(binder.bind_entity(child))
-                else:
-                    binder.warn_element(child, "EntityConfig")
-
-    model = ApplicationModel(
-        settings=settings,
-        entities=tuple(entities),
-        languages=tuple(binder.languages),
-    )
-    return model, binder.diagnostics
+            frame = parent.child(node.tag, node.attributes, node.offset)
+            stack.append((node, parent, frame))
+            stack.extend((child, frame, None) for child in reversed(node.children))
+    return binder.model()
 
 
 def _err(code: str, message: str, location, subject: str) -> Diagnostic:
@@ -438,27 +651,34 @@ def validate_model(model: ApplicationModel) -> list[Diagnostic]:
     return out
 
 
-@contextmanager
-def paused_gc() -> Iterator[None]:
-    """Pause the cyclic garbage collector for a block that builds only acyclic
-    objects, and restore the caller's setting after it. Passes over such
-    objects free nothing; reference counting frees them."""
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if gc_was_enabled:
+class paused_gc:
+    """Pause the cyclic garbage collector for a block that builds mostly
+    acyclic objects, and restore the caller's setting after it. Passes over
+    such objects free nothing; reference counting frees them. Cyclic garbage
+    made in the block waits for the first collection after it, which the
+    block's own exit does not start: re-enabling is the last thing it does."""
+
+    def __enter__(self) -> None:
+        self.gc_was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self.gc_was_enabled:
             gc.enable()
 
 
 def load_model(data: bytes) -> tuple[ApplicationModel, list[Diagnostic]]:
     """Parse, bind and validate in one step. Raises ParseError on malformed XML.
 
-    The XML tree and the model are acyclic, so the collector is paused: on large
-    models its passes over the growing trees took close to half the time.
+    The model is bound while the document is parsed, so no element outlives
+    its closing tag: memory is the model plus the document text. The model is
+    acyclic, so the collector is paused: on large models its passes over the
+    growing model took close to half the time.
     """
     with paused_gc():
-        model, diagnostics = bind_model(parse_document(data))
+        document = Document(data)
+        binder = _Binder(document)
+        document.parse(_Start(binder))
+        model, diagnostics = binder.model()
         diagnostics.extend(validate_model(model))
     return model, diagnostics

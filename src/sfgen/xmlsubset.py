@@ -10,10 +10,8 @@ with a located error.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Optional
+from typing import Optional, Protocol
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_.\-]*"
 # Ends a name only where no name character or ':' follows, so a failed match
@@ -25,7 +23,6 @@ NAME_RE = re.compile(_NAME)
 ENTITY_RE = re.compile(r"&([A-Za-z]+);")
 PREDEFINED_ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 WHITESPACE_RE = re.compile(_WS)
-NEWLINE_RE = re.compile("\n")
 
 ATTRIBUTE_RE = re.compile(
     _WS + "(" + _NAME + ")" + _NAME_END + _WS + "=" + _WS + "(?:\"([^\"<]*)\"|'([^'<]*)')")
@@ -33,7 +30,7 @@ TAG_END_RE = re.compile(_WS + "(/?)>")
 # The text before the next markup, then a whole start tag with no '&' in its
 # attribute values (groups 2-4: name, attributes, '/' if it closes itself) or an
 # end tag (group 5: name). Where it does not match, repeats an attribute name or
-# closes another element, the step-by-step readers of `_Parser` run instead.
+# closes another element, the step-by-step readers of `Document` run instead.
 MARKUP_RE = re.compile(
     "([^<]*)<(?:(" + _NAME + ")" + _NAME_END
     + "((?:" + _WS + _NAME + _NAME_END + _WS + "=" + _WS + "(?:\"[^\"<&]*\"|'[^'<&]*'))*)"
@@ -55,7 +52,7 @@ class XmlNode:
     children: list["XmlNode"] = field(default_factory=list)
     text: str = ""
     offset: int = 0  # of the start tag's '<' in the source
-    source: Optional[_Parser] = field(default=None, repr=False, compare=False)
+    source: Optional[Document] = field(default=None, repr=False, compare=False)
 
     @property
     def location(self) -> tuple[int, int]:
@@ -65,34 +62,70 @@ class XmlNode:
     @property
     def attribute_locations(self) -> dict[str, tuple[int, int]]:
         """1-based (line, column) of each attribute name, read again from the start tag."""
-        if self.source is None:
-            return {}
-        locations = {}
-        pos = self.offset + 1 + len(self.tag)
-        while (m := ATTRIBUTE_RE.match(self.source.text, pos)) is not None:
-            locations[m.group(1)] = self.source.location(m.start(1))
-            pos = m.end()
-        return locations
+        return {} if self.source is None else self.source.attribute_locations(self.offset)
+
+    # as a Consumer, a node builds the tree under it
+    def child(self, tag: str, attributes: dict[str, str], offset: int) -> XmlNode:
+        node = XmlNode(tag, attributes, [], "", offset, self.source)
+        self.children.append(node)
+        return node
+
+    def close(self, text: str) -> None:
+        self.text = text
 
 
-class _Parser:
+class Consumer(Protocol):
+    """What `Document.parse` reports an element's content to."""
+
+    def child(self, tag: str, attributes: dict[str, str], offset: int) -> Consumer:
+        """A child element starts: its name, its attributes and the offset of
+        its '<'. Returns the consumer of the child's content."""
+
+    def close(self, text: str) -> None:
+        """The element ends: its character data, without its children's."""
+
+
+class Document:
     """One document's text, with the readers that work on it.
 
     Readers take a position and return the position after what they read.
     """
 
-    def __init__(self, text: str):
-        self.text = text
-
-    @cached_property
-    def line_starts(self) -> list[int]:
-        """Offsets of line starts, for O(log n) location lookup; built when first read."""
-        return [0, *(m.end() for m in NEWLINE_RE.finditer(self.text))]
+    def __init__(self, data: bytes):
+        """Decode a UTF-8 document; raises ParseError if it is not UTF-8."""
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(1, 1, f"input is not valid UTF-8: {exc.reason}") from None
+        self.text = text[1:] if text.startswith("\ufeff") else text
+        self.located = (0, 1, 0)  # the position located last, its line and the line's start
 
     def location(self, pos: int) -> tuple[int, int]:
-        line_starts = self.line_starts
-        line = bisect_right(line_starts, pos)
-        return line, pos - line_starts[line - 1] + 1
+        """1-based (line, column) of pos.
+
+        Reads the text between pos and the position located last, so locating
+        positions in document order reads the text once, with no line index.
+        """
+        text = self.text
+        last, line, start = self.located
+        if pos >= last:
+            if newlines := text.count("\n", last, pos):
+                line += newlines
+                start = text.rfind("\n", last, pos) + 1
+        elif newlines := text.count("\n", pos, last):
+            line -= newlines
+            start = text.rfind("\n", 0, pos) + 1
+        self.located = pos, line, start
+        return line, pos - start + 1
+
+    def attribute_locations(self, pos: int) -> dict[str, tuple[int, int]]:
+        """1-based (line, column) of each attribute name of the start tag at pos."""
+        locations = {}
+        pos = NAME_RE.match(self.text, pos + 1).end()
+        while (m := ATTRIBUTE_RE.match(self.text, pos)) is not None:
+            locations[m.group(1)] = self.location(m.start(1))
+            pos = m.end()
+        return locations
 
     def fail(self, reason: str, pos: int) -> ParseError:
         line, column = self.location(pos)
@@ -191,20 +224,48 @@ class _Parser:
             raise self.fail("expected '>' after closing tag", pos)
         return pos + 1
 
-    def parse_element(self, pos: int) -> tuple[XmlNode, int]:
-        """Parse the element whose start tag is at pos; returns it and its end.
+    def parse(self, consumer: Consumer) -> None:
+        """Parse the whole document, reporting its root element to `consumer`
+        and every other element to the consumer of its parent's content.
+
+        Raises ParseError with a 1-based (line, column) on any input outside
+        the accepted subset, which may come after some elements were reported.
+        """
+        text = self.text
+        pos = 0
+        if text.startswith("<?xml"):
+            end = text.find("?>")
+            if end < 0:
+                raise self.fail("unterminated XML declaration", 0)
+            pos = end + 2
+        pos = self.skip_misc(pos)
+        if pos >= len(text):
+            raise self.fail("document has no root element", pos)
+        if text.startswith("<!", pos):
+            raise self.fail("DOCTYPE and markup declarations are not allowed", pos)
+        if text.startswith("<?", pos):
+            raise self.fail("processing instructions are not allowed", pos)
+        if not text.startswith("<", pos):
+            raise self.fail("content before the root element", pos)
+        pos = self.skip_misc(self.parse_element(pos, consumer))
+        if pos < len(text):
+            raise self.fail("content after the root element", pos)
+
+    def parse_element(self, pos: int, consumer: Consumer) -> int:
+        """Parse the element whose start tag is at pos; returns its end.
 
         One loop with an explicit stack of the open elements, each with its
-        text parts, so nesting depth is bounded by memory rather than by the
-        interpreter's recursion limit. Each turn reads the text before the next
-        markup and that markup, with one MARKUP_RE match where it can.
+        tag, offset, text parts and consumer, so nesting depth is bounded by memory
+        rather than by the interpreter's recursion limit. Each turn reads the
+        text before the next markup and that markup, with one MARKUP_RE match
+        where it can.
         """
         text = self.text
         find = text.find
         startswith = text.startswith
         match_markup = MARKUP_RE.match
         find_attributes = ATTRIBUTE_RE.findall
-        stack: list[tuple[XmlNode, list[str]]] = []
+        stack: list[tuple[str, int, list[str], Consumer]] = []
         parts: list[str] = []  # the text of the innermost open element
         while True:
             m = match_markup(text, pos)
@@ -214,8 +275,8 @@ class _Parser:
             else:
                 lt = find("<", pos)
                 if lt < 0:
-                    node = stack[-1][0]
-                    raise self.fail(f"unclosed element '{node.tag}'", node.offset)
+                    tag, offset, _, _ = stack[-1]
+                    raise self.fail(f"unclosed element '{tag}'", offset)
                 raw = text[pos:lt]
             if raw:
                 parts.append(self.decode_text(raw, pos) if "&" in raw else raw)
@@ -230,10 +291,10 @@ class _Parser:
                         tag, attributes, empty, end = self.read_start_tag(pos)
                 elif not stack:
                     tag, attributes, empty, end = self.read_start_tag(pos)
-                elif close != stack[-1][0].tag:
-                    end = self.read_end_tag(pos, stack[-1][0].tag)
+                elif close != stack[-1][0]:
+                    end = self.read_end_tag(pos, stack[-1][0])
             elif stack and startswith("</", pos):
-                tag, end = None, self.read_end_tag(pos, stack[-1][0].tag)
+                tag, end = None, self.read_end_tag(pos, stack[-1][0])
             elif startswith("<!--", pos):
                 pos = self.read_comment(pos)
                 continue
@@ -247,20 +308,19 @@ class _Parser:
                 tag, attributes, empty, end = self.read_start_tag(pos)
 
             if tag is None:  # an end tag
-                node = stack.pop()[0]
-                node.text = "".join(parts)
+                stack.pop()[3].close("".join(parts))
                 if not stack:
-                    return node, end
-                parts = stack[-1][1]
+                    return end
+                parts = stack[-1][2]
             else:
-                node = XmlNode(tag, attributes, [], "", pos, self)
-                if stack:
-                    stack[-1][0].children.append(node)
+                child = (stack[-1][3] if stack else consumer).child(tag, attributes, pos)
                 if not empty:
                     parts = []
-                    stack.append((node, parts))
-                elif not stack:
-                    return node, end
+                    stack.append((tag, pos, parts, child))
+                else:
+                    child.close("")
+                    if not stack:
+                        return end
             pos = end
 
 
@@ -270,31 +330,7 @@ def parse_document(data: bytes) -> XmlNode:
     Raises ParseError with a 1-based (line, column) on any input outside the
     accepted subset.
     """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(1, 1, f"input is not valid UTF-8: {exc.reason}") from None
-    if text.startswith("\ufeff"):
-        text = text[1:]
-
-    parser = _Parser(text)
-    pos = 0
-    if text.startswith("<?xml"):
-        end = text.find("?>")
-        if end < 0:
-            raise parser.fail("unterminated XML declaration", 0)
-        pos = end + 2
-    pos = parser.skip_misc(pos)
-    if pos >= len(text):
-        raise parser.fail("document has no root element", pos)
-    if text.startswith("<!", pos):
-        raise parser.fail("DOCTYPE and markup declarations are not allowed", pos)
-    if text.startswith("<?", pos):
-        raise parser.fail("processing instructions are not allowed", pos)
-    if not text.startswith("<", pos):
-        raise parser.fail("content before the root element", pos)
-    root, pos = parser.parse_element(pos)
-    pos = parser.skip_misc(pos)
-    if pos < len(text):
-        raise parser.fail("content after the root element", pos)
-    return root
+    document = Document(data)
+    top = XmlNode("", source=document)  # holds the root as its child
+    document.parse(top)
+    return top.children[0]

@@ -1,5 +1,7 @@
 import contextlib
 import gc
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +20,7 @@ from sfgen.model import (
 )
 from sfgen.xmlsubset import ParseError, XmlNode, parse_document
 
+import randmodels
 from conftest import FIXTURES
 
 
@@ -202,6 +205,25 @@ def test_load_model_restores_gc_state(data, gc_enabled, outcome):
         assert gc.isenabled() is gc_enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+def test_load_model_keeps_no_document_tree():
+    # a 200x20x3 model, 1.7 MB of XML; load_model's peak above the level it
+    # started from is the model it returns, the document text and little else
+    rng = random.Random(5)  # a seed that draws all three languages
+    model = randmodels.random_model(rng, force_size=(200, 20))
+    assert len(model.languages) == 3
+    data = randmodels.to_xml(randmodels.model_element(rng, model)).encode()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loaded = load_model(data)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert errors_of(loaded[1]) == []
+    assert peak - start <= 1.75 * (size - start)
 
 
 def _texts(*entries):
