@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from . import model as m
@@ -402,10 +402,12 @@ class ModelView(dict):
         compute = _COMPUTED.get((type(self.element), name))
         if compute is not None:
             value = compute(self)
-        else:
-            value = getattr(self.element, name, None)
+        elif name in _FIELDS.get(type(self.element), ()):
+            value = getattr(self.element, name)
             if type(value) not in _PLAIN_TYPES:
                 value = self._convert(value)
+        else:
+            value = None  # not a field: a dunder, a method or a misspelling
         self[name] = value
         return value
 
@@ -430,6 +432,8 @@ _PLAIN_TYPES = frozenset({str, int, bool, type(None)})
 _TOKEN_TYPES = frozenset({m.FieldType, m.RelationshipOp, m.ConstraintKind, m.Caching})
 _VIEWED_TYPES = frozenset({m.Entity, m.Field, m.Constraint, m.ColumnSpec, m.Settings,
                            m.LocalizedText, m.ApplicationModel})
+# the attributes a view reads from its element, besides those in _COMPUTED
+_FIELDS = {cls: frozenset(f.name for f in fields(cls)) for cls in _VIEWED_TYPES}
 
 
 def _constraint_fields(view: ModelView) -> list[Optional[ModelView]]:
@@ -526,8 +530,8 @@ BUILTINS: dict[str, Callable[..., Value]] = {
     "compare_kind": compare_kind,
     "sql_type": sql_type,
     "count": _builtin_count,
-    "lower": lambda t: str(t).lower(),
-    "upper": lambda t: str(t).upper(),
+    "lower": lambda t: _as_text(t).lower(),
+    "upper": lambda t: _as_text(t).upper(),
     "coalesce": _builtin_coalesce,
     "localized": _builtin_localized,
 }
@@ -600,14 +604,22 @@ def _call(site: int, name: str, func: Callable[..., Value], *args: Value) -> Val
         raise _Failure(site, f"{name}(): {exc}") from None
 
 
-def _to_text(value: Value, site: int) -> str:
+def _as_text(value: Value) -> str:
+    """A value as output renders it; TypeError for a view, a list or a dict."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, str)):
         return str(value)
-    raise _Failure(site, f"cannot render a {type(value).__name__} value as text")
+    raise TypeError(f"cannot render a {type(value).__name__} value as text")
+
+
+def _to_text(value: Value, site: int) -> str:
+    try:
+        return _as_text(value)
+    except TypeError as exc:
+        raise _Failure(site, str(exc)) from None
 
 
 _RUNTIME = {"_MV": ModelView, "_U": _UNKNOWN, "_fail": _fail, "_step": _step, "_steps": _steps,

@@ -444,9 +444,12 @@ HOSTILE = [
     ("{{ env.x }}", {"x": 1}, (1, 4, "unknown name 'env'")),
     ("{{ d.class }}|{{ d.None }}|{{ d.__class__ }}|{{ d.keys }}",
      {"d": {"class": "k", "None": 0}}, "k|0||"),
-    ("{{ e.__class__ }}", {"e": "ENTITY"}, (1, 1, "cannot render a type value as text")),
-    ("{{ e.__class__.__name__ }}", {"e": "ENTITY"},
-     (1, 4, "cannot access '.__name__' on type value")),
+    # a view reads its element's fields and computed names; anything else is Null
+    ("{{ e.__class__ }}", {"e": "ENTITY"}, ""),
+    ("{{ e.__class__.__name__ }}", {"e": "ENTITY"}, ""),
+    ("{{ e.__module__ }}|{{ e.__dict__ }}|{{ e.displayNames.first }}|{{ e.pk.name }}",
+     {"e": "ENTITY"}, "|||ID"),
+    ("{{ count(e.__dict__) }}", {"e": "ENTITY"}, (1, 4, "count(): count() expects a sequence")),
     ("{{ e.name }}{{ e.class }}{{ e.None }}", {"e": "ENTITY"}, "Fakultet"),
     ("{% for class in items %}{{ class }}{% endfor %}", {"items": [1, 2]}, "12"),
     ("{% for None in items %}{{ None }}{% endfor %}", {"items": ["a"]}, "a"),
@@ -477,6 +480,13 @@ HOSTILE = [
     ("{{ __import__('os') }}", {}, (1, 4, "unknown function '__import__'")),
     ("{{ eval('1') }}{{ exec }}", {"exec": 1}, (1, 4, "unknown function 'eval'")),
     ("{{ lower(class) }}{{ upper(None) }}", {"class": "C", "None": "n"}, "cN"),
+    # lower and upper convert as output does, and take no view, list or dict
+    ("{{ lower(x) }}|{{ upper(t) }}|{{ lower(7) }}|{{ upper(f) }}",
+     {"x": None, "t": True, "f": False}, "|TRUE|7|FALSE"),
+    ("{{ e.name }}{{ lower(e) }}", {"e": "ENTITY"},
+     (1, 16, "lower(): cannot render a ModelView value as text")),
+    ("{{ upper(items) }}", {"items": [1]}, (1, 4, "upper(): cannot render a list value as text")),
+    ("{{ lower(d) }}", {"d": {}}, (1, 4, "lower(): cannot render a dict value as text")),
     ("{{ 007 }}{{ 10 == 010 }}", {}, "7true"),
 ]
 
