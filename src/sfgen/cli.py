@@ -228,7 +228,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "stats": _cmd_stats,
         "lint": _cmd_lint,
     }
-    return handlers[args.command](args)
+    # the command builds the model and what it makes of it once, and drops it
+    # when it returns: collections would only walk it
+    with loader.paused_gc():
+        return handlers[args.command](args)
 
 
 def entry() -> None:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -323,3 +324,26 @@ def test_generate_lang_selection(tmp_path, lang):
         assert "Факултет" in docs
     else:  # explicit English or fallback to the default language
         assert "Faculty" in docs
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+@pytest.mark.parametrize("command", ["lint", "generate"])
+def test_a_command_runs_with_the_collector_paused(command, enabled, tmp_path):
+    argv = (["lint", "--model", NEWSBOARD] if command == "lint" else
+            ["generate", "--model", NEWSBOARD, "--pack", PACK, "--out", str(tmp_path)])
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    gc.callbacks.append(record)
+    try:
+        assert main(argv) == 0
+        assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(record)
+        (gc.enable if was_enabled else gc.disable)()
+    assert collections == []
