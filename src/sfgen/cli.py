@@ -216,21 +216,21 @@ def _cmd_lint(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    handlers = {
-        "validate": _cmd_validate,
-        "generate": _cmd_generate,
-        "stats": _cmd_stats,
-        "lint": _cmd_lint,
-    }
-    # the command builds the model and what it makes of it once, and drops it
-    # when it returns: collections would only walk it
+    # a command builds the model, and what it makes of it, once and drops them
+    # when it returns: collections would only walk them
     with loader.paused_gc():
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except _UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        handlers = {
+            "validate": _cmd_validate,
+            "generate": _cmd_generate,
+            "stats": _cmd_stats,
+            "lint": _cmd_lint,
+        }
         return handlers[args.command](args)
 
 

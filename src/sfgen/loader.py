@@ -365,15 +365,15 @@ class _Element(_Frame):
 
 
 class _Language(_Frame):
+    """A Language block of an Entity, Field or Constraint: the texts of its
+    owner's text tags in the block's language."""
+
     __slots__ = ("owner", "name", "offset", "taken")
 
     def __init__(self, owner: _Element, attributes: dict[str, str], offset: int):
         self.owner = owner
-        if len(attributes) == 1 and "name" in attributes:  # all there is to read
-            self.name = attributes["name"]
-        else:
-            self.name = owner.binder.attributes(owner.pending.diagnostics, attributes, offset,
-                                                _NAME, owner.subject).get("name", "")
+        self.name = owner.binder.attributes(owner.pending.diagnostics, attributes, offset,
+                                            _NAME, owner.subject).get("name", "")
         if self.name:
             owner.pending.languages.append(self.name)
         self.offset = offset
