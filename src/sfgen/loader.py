@@ -164,7 +164,9 @@ class _Binder:
     The frames consume the document's parse events. The innermost open
     element's frame decides what each new element binds to; a frame holds
     only what binding its element still needs, and is dropped when the
-    element closes. No frame is kept here, so nothing refers back to a frame.
+    element closes. Frames refer to the binder and it to none of them, so
+    they form no cycle: reference counting frees them with the collector
+    paused.
     """
 
     def __init__(self, document: Optional[Document]) -> None:
