@@ -159,14 +159,13 @@ _NAME = _table(("name", str))  # Language and CField
 
 class _Binder:
     """What binding a document produces, and the reading and reporting that
-    the frames of its elements share.
+    the frames of its elements share; the consumer of the document itself.
 
-    The frames consume the document's parse events. The innermost open
-    element's frame decides what each new element binds to; a frame holds
-    only what binding its element still needs, and is dropped when the
-    element closes. Frames refer to the binder and it to none of them, so
-    they form no cycle: reference counting frees them with the collector
-    paused.
+    Each open element has a frame that consumes its content: it decides what
+    each child binds to, holds only what binding its element still needs, and
+    is dropped when the element closes. Frames refer to the binder and it to
+    none of them, so they form no cycle: reference counting frees them with
+    the collector paused.
     """
 
     def __init__(self, document: Optional[Document]) -> None:
@@ -180,6 +179,14 @@ class _Binder:
         model = ApplicationModel(settings=self.settings, entities=tuple(self.entities),
                                  languages=tuple(self.languages))
         return model, self.diagnostics
+
+    def child(self, tag: str, attributes: dict[str, str], offset: int) -> _Frame:
+        """The document's one child: the root element."""
+        if tag == "xsource":
+            return _Root(self, offset)
+        self.diag(self.diagnostics, E_DOC_SHAPE, Severity.ERROR,
+                  f"root element must be 'xsource', got '{tag}'", offset, "")
+        return _IGNORED
 
     def locate(self, offset: int, attr: Optional[str] = None) -> tuple[int, int]:
         """The location of the element at offset, or of its attribute `attr`."""
@@ -249,22 +256,6 @@ class _Frame:
 
 
 _IGNORED = _Frame()
-
-
-class _Start(_Frame):
-    """The document, whose one child is the root element."""
-
-    __slots__ = ("binder",)
-
-    def __init__(self, binder: _Binder):
-        self.binder = binder
-
-    def child(self, tag: str, attributes: dict[str, str], offset: int) -> _Frame:
-        if tag == "xsource":
-            return _Root(self.binder, offset)
-        self.binder.diag(self.binder.diagnostics, E_DOC_SHAPE, Severity.ERROR,
-                         f"root element must be 'xsource', got '{tag}'", offset, "")
-        return _IGNORED
 
 
 class _Root(_Frame):
@@ -505,7 +496,7 @@ def bind_model(root: XmlNode) -> tuple[ApplicationModel, list[Diagnostic]]:
     """
     binder = _Binder(root.source)
     # (node, the frame of its parent, its own frame once it is open)
-    stack: list[tuple[XmlNode, _Frame, Optional[_Frame]]] = [(root, _Start(binder), None)]
+    stack: list[tuple[XmlNode, _Binder | _Frame, Optional[_Frame]]] = [(root, binder, None)]
     while stack:
         node, parent, frame = stack.pop()
         if frame is not None:
@@ -680,7 +671,7 @@ def load_model(data: bytes) -> tuple[ApplicationModel, list[Diagnostic]]:
     with paused_gc():
         document = Document(data)
         binder = _Binder(document)
-        document.parse(_Start(binder))
+        document.parse(binder)
         model, diagnostics = binder.model()
         diagnostics.extend(validate_model(model))
     return model, diagnostics
