@@ -447,9 +447,6 @@ HOSTILE = [
     # a view reads its element's fields and computed names; anything else is Null
     ("{{ e.__class__ }}", {"e": "ENTITY"}, ""),
     ("{{ e.__class__.__name__ }}", {"e": "ENTITY"}, ""),
-    ("{{ e.__module__ }}|{{ e.__dict__ }}|{{ e.displayNames.first }}|{{ e.pk.name }}",
-     {"e": "ENTITY"}, "|||ID"),
-    ("{{ count(e.__dict__) }}", {"e": "ENTITY"}, (1, 4, "count(): count() expects a sequence")),
     ("{{ e.name }}{{ e.class }}{{ e.None }}", {"e": "ENTITY"}, "Fakultet"),
     ("{% for class in items %}{{ class }}{% endfor %}", {"items": [1, 2]}, "12"),
     ("{% for None in items %}{{ None }}{% endfor %}", {"items": ["a"]}, "a"),
@@ -480,6 +477,11 @@ HOSTILE = [
     ("{{ __import__('os') }}", {}, (1, 4, "unknown function '__import__'")),
     ("{{ eval('1') }}{{ exec }}", {"exec": 1}, (1, 4, "unknown function 'eval'")),
     ("{{ lower(class) }}{{ upper(None) }}", {"class": "C", "None": "n"}, "cN"),
+    ("{{ 007 }}{{ 10 == 010 }}", {}, "7true"),
+    # a view reads nothing but its element's fields and computed names
+    ("{{ e.__module__ }}|{{ e.__dict__ }}|{{ e.displayNames.first }}|{{ e.pk.name }}",
+     {"e": "ENTITY"}, "|||ID"),
+    ("{{ count(e.__dict__) }}", {"e": "ENTITY"}, (1, 4, "count(): count() expects a sequence")),
     # lower and upper convert as output does, and take no view, list or dict
     ("{{ lower(x) }}|{{ upper(t) }}|{{ lower(7) }}|{{ upper(f) }}",
      {"x": None, "t": True, "f": False}, "|TRUE|7|FALSE"),
@@ -487,7 +489,6 @@ HOSTILE = [
      (1, 16, "lower(): cannot render a ModelView value as text")),
     ("{{ upper(items) }}", {"items": [1]}, (1, 4, "upper(): cannot render a list value as text")),
     ("{{ lower(d) }}", {"d": {}}, (1, 4, "lower(): cannot render a dict value as text")),
-    ("{{ 007 }}{{ 10 == 010 }}", {}, "7true"),
 ]
 
 
