@@ -231,6 +231,9 @@ class _Parser:
         header = _FOR_RE.fullmatch(self.source, rest, end)
         if header is None:
             raise self.error("malformed for directive; expected 'for NAME in EXPR'", start)
+        if header.group(1) == "loop":  # its body would read the loop's own `loop`
+            raise self.error("a for variable named 'loop' hides the loop's own 'loop'",
+                             header.start(1))
         expr = self.expr(*header.span(2))
         body, _ = self.block(depth, ("endfor",), start)
         return ForNode(header.group(1), expr, body, _line_col(self.source, start))

@@ -457,9 +457,10 @@ HOSTILE = [
     ("{% for __import__ in items %}{{ __import__ }}{% endfor %}", {"items": [3]}, "3"),
     ("{% for x in items %}{{ x }}{% endfor %}{{ x }}", {"x": "ctx", "items": [1, 2]}, "12ctx"),
     ("{% for x in x %}{{ x }}{% endfor %}{{ count(x) }}", {"x": ["a", "b"]}, "ab2"),
-    ("{% for loop in items %}{{ loop.index }}{% endfor %}", {"items": ["a", "b"]}, "12"),
+    ("{% for loop in items %}{{ loop.index }}{% endfor %}", {"items": ["a", "b"]},
+     (1, 8, "a for variable named 'loop' hides the loop's own 'loop'")),
     ("{% for loop in items %}{{ loop }}{% endfor %}", {"items": ["a"]},
-     (1, 24, "cannot render a dict value as text")),
+     (1, 8, "a for variable named 'loop' hides the loop's own 'loop'")),
     ("{% for x in items %}{{ loop.x }}{{ loop.length }}{% endfor %}{{ loop }}",
      {"items": [1], "loop": "outer"}, "1outer"),
     ("{{ loop.index }}", {}, (1, 4, "unknown name 'loop'")),
