@@ -62,14 +62,17 @@ def _build_parser() -> _Parser:
 
 
 def _load_model(path: str):
-    """Returns (model, diagnostics, exit_code); model is None on hard failure."""
+    """Returns (model, diagnostics, exit_code); model is None on hard failure.
+
+    The file's bytes go to load_model with no name bound to them here, so they
+    are freed once decoded, before binding. Only reading the file raises
+    OSError: load_model does no I/O.
+    """
     try:
-        data = Path(path).read_bytes()
+        model, diagnostics = loader.load_model(Path(path).read_bytes())
     except OSError as exc:
         print(f"error E_IO: cannot read {path}: {exc.strerror}", file=sys.stderr)
         return None, [], EXIT_IO
-    try:
-        model, diagnostics = loader.load_model(data)
     except ParseError as exc:
         print(f"error E_PARSE at {exc.line}:{exc.column}: {exc.reason}", file=sys.stderr)
         return None, [], EXIT_VALIDATION

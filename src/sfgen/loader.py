@@ -42,7 +42,7 @@ class Severity(Enum):
     ADVICE = "advice"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     code: str
     severity: Severity
@@ -170,6 +170,10 @@ class _Binder:
 
     def __init__(self, document: Optional[Document]) -> None:
         self.document = document  # for locations; None for a hand-built tree
+        # the first string read for each attribute value, which every later
+        # read of that value is replaced by: each name, type token and
+        # language name exists once per load, however many elements carry it
+        self.strings: dict[str, str] = {}
         self.diagnostics: list[Diagnostic] = []
         self.languages: list[str] = []
         self.settings = Settings()
@@ -227,8 +231,10 @@ class _Binder:
                 rows.append(row)
         rows.sort()  # by rank, which no two rows share
         kwargs: dict[str, Any] = {}
+        strings = self.strings
         for _, attr, reads in rows:
             raw = attributes[attr]
+            raw = strings.setdefault(raw, raw)
             for keyword, read in reads:
                 try:
                     kwargs[keyword] = read(raw)
@@ -664,12 +670,15 @@ def load_model(data: bytes) -> tuple[ApplicationModel, list[Diagnostic]]:
     """Parse, bind and validate in one step. Raises ParseError on malformed XML.
 
     The model is bound while the document is parsed, so no element outlives
-    its closing tag: memory is the model plus the document text. The model is
-    acyclic, so the collector is paused: on large models its passes over the
-    growing model took close to half the time.
+    its closing tag: memory is the model plus the document text. The bytes
+    are dropped once decoded, so a caller that passes them on and keeps no
+    reference of its own frees them before binding. The model is acyclic, so
+    the collector is paused: on large models its passes over the growing
+    model took close to half the time.
     """
     with paused_gc():
         document = Document(data)
+        del data
         binder = _Binder(document)
         document.parse(binder)
         model, diagnostics = binder.model()

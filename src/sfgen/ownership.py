@@ -51,7 +51,7 @@ class ManifestError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ManifestEntry:
     path: str
     ownership: Ownership
@@ -71,7 +71,7 @@ class Manifest:
         return self._by_path.get(path)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanEntry:
     path: str
     action: WriteAction

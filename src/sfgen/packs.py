@@ -49,7 +49,7 @@ class TemplatePack:
     templates: Mapping[str, atl.TemplateAst]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Artifact:
     path: str
     content: bytes

@@ -2,17 +2,20 @@ import gc
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import sfgen
-from sfgen import ownership, packs
+from sfgen import loader, ownership, packs
 from sfgen.cli import main
 
+import randmodels
 from conftest import FIXTURES
 
 
@@ -233,6 +236,15 @@ def test_generate_pack_with_too_deep_expression(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_generate_pack_with_a_for_variable_named_loop(tmp_path):
+    result = _generate_with_pack_file(tmp_path, "docs.md.atl",
+                                      "{% for loop in model.entities %}{% endfor %}")
+    assert result.returncode == 4
+    assert ("error E_PACK: docs.md.atl:1:8: a for variable named 'loop' hides the loop's own "
+            "'loop'") in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_generate_pack_json_not_an_object(tmp_path):
     result = _generate_with_pack_file(tmp_path, "pack.json", "[]")
     assert result.returncode == 4
@@ -312,6 +324,37 @@ def test_lint(capsys):
     out = capsys.readouterr().out
     assert "ADV_RULE_OF_THREE" in out
     assert "2 advisories" in out
+
+
+def test_the_model_bytes_are_freed_before_binding(tmp_path, monkeypatch, capsys):
+    # once a model file is decoded, a command holds its text but not its bytes:
+    # validation, which comes after binding, sees the model and the text only
+    rng = random.Random(5)
+    path = tmp_path / "model.xml"
+    path.write_bytes(randmodels.to_xml(randmodels.model_element(
+        rng, randmodels.random_model(rng, force_size=(200, 20)))).encode())
+    file_size = path.stat().st_size
+    validate, held = loader.validate_model, []
+
+    def spy(model):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return validate(model)
+
+    monkeypatch.setattr(loader, "validate_model", spy)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(["validate", str(path)]) == 0
+        before = tracemalloc.get_traced_memory()[0]
+        model = loader.load_model(path.read_bytes())
+        model_size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the text takes a byte per character of the ASCII file, the binder's string
+    # table and first-use caches about a quarter of that; the bytes would take another
+    assert held[0] - start < model_size + 1.6 * file_size
+    assert "0 errors, 0 warnings" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("lang", ["English", "Macedonian", ""])

@@ -209,7 +209,8 @@ def test_load_model_restores_gc_state(data, gc_enabled, outcome):
 
 def test_load_model_keeps_no_document_tree():
     # a 200x20x3 model, 1.7 MB of XML; load_model's peak above the level it
-    # started from is the model it returns, the document text and little else
+    # started from is the model it returns, the document text and little else,
+    # and the model holds a slot per attribute and each repeated string once
     rng = random.Random(5)  # a seed that draws all three languages
     model = randmodels.random_model(rng, force_size=(200, 20))
     assert len(model.languages) == 3
@@ -224,6 +225,7 @@ def test_load_model_keeps_no_document_tree():
         tracemalloc.stop()
     assert errors_of(loaded[1]) == []
     assert peak - start <= 1.75 * (size - start)
+    assert size - start <= 1000 * sum(len(entity.fields) for entity in loaded[0].entities)
 
 
 def _texts(*entries):

@@ -4,6 +4,7 @@ import typing
 import pytest
 from hypothesis import given, strategies as st
 
+from sfgen.loader import Diagnostic
 from sfgen.model import (
     ApplicationModel,
     ColumnSpec,
@@ -13,11 +14,14 @@ from sfgen.model import (
     Field,
     FieldType,
     LocalizedText,
+    Settings,
     build,
     display_name,
     effective_columns,
     find_entity,
 )
+from sfgen.ownership import ManifestEntry, PlanEntry
+from sfgen.packs import Artifact
 
 
 def _fakultet(is_logged=True):
@@ -122,27 +126,55 @@ def test_structural_equality():
 _OVERRIDES = {  # keep nested model elements small
     "fields": st.lists(st.builds(Field, name=st.text(max_size=3)), max_size=2).map(tuple),
     "constraints": st.lists(st.builds(Constraint, cfields=st.just(("a",))), max_size=2).map(tuple),
+    "entities": st.lists(st.builds(Entity, name=st.text(max_size=3)), max_size=2).map(tuple),
 }
 
 
 def _keywords(cls):
-    """Any subset of `cls`'s fields, each with a value of its annotated type."""
+    """Its required fields and any subset of the others of `cls`, each with a
+    value of its annotated type."""
     hints = typing.get_type_hints(cls)
-    return st.fixed_dictionaries({}, optional={
-        f.name: _OVERRIDES[f.name] if f.name in _OVERRIDES else st.from_type(hints[f.name])
-        for f in dataclasses.fields(cls)})
+    values = {f.name: _OVERRIDES[f.name] if f.name in _OVERRIDES else st.from_type(hints[f.name])
+              for f in dataclasses.fields(cls)}
+    required = {f.name for f in dataclasses.fields(cls)
+                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING}
+    return st.fixed_dictionaries({name: values.pop(name) for name in required}, optional=values)
 
 
-@pytest.mark.parametrize("cls", [Field, Entity, Constraint, LocalizedText])
+# the model types and the records built once per model element or per artifact
+SLOTTED_TYPES = [Field, Entity, Constraint, LocalizedText, Settings, ApplicationModel, ColumnSpec,
+                 Diagnostic, Artifact, ManifestEntry, PlanEntry]
+
+
+@pytest.mark.parametrize("cls", SLOTTED_TYPES)
 @given(data=st.data())
 def test_build_equals_the_constructor(cls, data):
     values = data.draw(_keywords(cls))
     built, constructed = build(cls, **values), cls(**values)
+    assert type(built) is cls
     assert built == constructed
     assert hash(built) == hash(constructed)
     assert repr(built) == repr(constructed)
+    assert not hasattr(built, "__dict__") and not hasattr(constructed, "__dict__")
     name = dataclasses.fields(cls)[0].name
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(built, name, getattr(constructed, name))
     with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
         build(cls, **values, bogus=1)
+
+
+def test_load_shares_language_names_and_type_tokens(newsboard_model):
+    model = newsboard_model
+    texts = [text for entity in model.entities
+             for text in (entity.displayNames, entity.pluralNames,
+                          *(f.displayNames for f in entity.fields),
+                          *(c.errorMessages for c in entity.constraints))]
+    names = [name for text in texts for name, _ in text.entries]
+    assert len(names) > len(model.languages)
+    for name in names:
+        assert name is model.languages[model.languages.index(name)]
+    tokens = [f.type_token for entity in model.entities for f in entity.fields]
+    assert len(set(tokens)) < len(tokens)
+    first = {}
+    for token in tokens:
+        assert first.setdefault(token, token) is token
