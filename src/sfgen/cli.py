@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from . import loader, ownership, packs, stats
 from .atl import TemplateRuntimeError
 from .loader import Severity
-from .xmlsubset import ParseError
+from .xmlsubset import Document, ParseError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -64,12 +64,11 @@ def _build_parser() -> _Parser:
 def _load_model(path: str):
     """Returns (model, diagnostics, exit_code); model is None on hard failure.
 
-    The file's bytes go to load_model with no name bound to them here, so they
-    are freed once decoded, before binding. Only reading the file raises
-    OSError: load_model does no I/O.
+    The file's bytes are bound to no name, so they are freed once the Document
+    has decoded them, before binding. Only reading the file raises OSError.
     """
     try:
-        model, diagnostics = loader.load_model(Path(path).read_bytes())
+        model, diagnostics = loader.load_document(Document(Path(path).read_bytes()))
     except OSError as exc:
         print(f"error E_IO: cannot read {path}: {exc.strerror}", file=sys.stderr)
         return None, [], EXIT_IO

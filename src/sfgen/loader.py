@@ -667,18 +667,23 @@ class paused_gc:
 
 
 def load_model(data: bytes) -> tuple[ApplicationModel, list[Diagnostic]]:
-    """Parse, bind and validate in one step. Raises ParseError on malformed XML.
+    """Decode, parse, bind and validate in one step. Raises ParseError on
+    malformed XML. The caller's reference keeps the bytes alive until this
+    returns; a caller that should not hold them decodes a Document itself and
+    calls load_document."""
+    return load_document(Document(data))
+
+
+def load_document(document: Document) -> tuple[ApplicationModel, list[Diagnostic]]:
+    """Parse, bind and validate a decoded document. Raises ParseError on
+    malformed XML.
 
     The model is bound while the document is parsed, so no element outlives
-    its closing tag: memory is the model plus the document text. The bytes
-    are dropped once decoded, so a caller that passes them on and keeps no
-    reference of its own frees them before binding. The model is acyclic, so
-    the collector is paused: on large models its passes over the growing
-    model took close to half the time.
+    its closing tag: memory is the model plus the document text. The model is
+    acyclic, so the collector is paused: on large models its passes over the
+    growing model took close to half the time.
     """
     with paused_gc():
-        document = Document(data)
-        del data
         binder = _Binder(document)
         document.parse(binder)
         model, diagnostics = binder.model()
