@@ -61,6 +61,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _cannot_read(path, exc: OSError) -> int:
+    print(f"error E_IO: cannot read {path}: {exc.strerror}", file=sys.stderr)
+    return EXIT_IO
+
+
 def _load_model(path: str):
     """Returns (model, diagnostics, exit_code); model is None on hard failure.
 
@@ -70,8 +75,7 @@ def _load_model(path: str):
     try:
         model, diagnostics = loader.load_document(Document(Path(path).read_bytes()))
     except OSError as exc:
-        print(f"error E_IO: cannot read {path}: {exc.strerror}", file=sys.stderr)
-        return None, [], EXIT_IO
+        return None, [], _cannot_read(path, exc)
     except ParseError as exc:
         print(f"error E_PARSE at {exc.line}:{exc.column}: {exc.reason}", file=sys.stderr)
         return None, [], EXIT_VALIDATION
@@ -117,6 +121,8 @@ def _cmd_generate(args) -> int:
     except packs.PackError as exc:
         print(f"error E_PACK: {exc}", file=sys.stderr)
         return EXIT_TEMPLATE
+    except OSError as exc:  # reading a pack file
+        return _cannot_read(exc.filename, exc)
 
     out_root = Path(args.out)
     existing: dict[str, bytes] = {}
@@ -127,8 +133,7 @@ def _cmd_generate(args) -> int:
         except (FileNotFoundError, NotADirectoryError):
             continue
         except OSError as exc:
-            print(f"error E_IO: cannot read {target}: {exc.strerror}", file=sys.stderr)
-            return EXIT_IO
+            return _cannot_read(target, exc)
     try:
         manifest = ownership.load_manifest(out_root)
     except ownership.ManifestError as exc:
@@ -191,7 +196,11 @@ def _cmd_stats(args) -> int:
         print(f"error E_IO: no manifest in {out_root}; run generate first", file=sys.stderr)
         return EXIT_IO
 
-    report = stats.compute_report(_walk_output(out_root), manifest)
+    try:
+        listing = _walk_output(out_root)
+    except OSError as exc:
+        return _cannot_read(exc.filename, exc)
+    report = stats.compute_report(listing, manifest)
     if args.json:
         print(json.dumps(dataclasses.asdict(report), indent=2))
     else:

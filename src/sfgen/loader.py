@@ -1,11 +1,13 @@
-"""Binding of parsed documents to ApplicationModel, and model validation.
+"""Binding of model documents to ApplicationModel, and model validation.
 
-Binding is best-effort: it never raises, always returns a model plus the
-diagnostics collected on the way, so a single run can report every problem.
-Lexical issues (bad booleans, unknown attributes) are caught while binding;
-semantic rules (key multiplicity, reference resolution, constraint shape) live
-in `validate_model`, which works on the bound model using the source locations
-captured on each element.
+`bind_model` binds each element while `Document.parse` reads it, so no
+document tree is built; it is the only way a model is bound. Only malformed
+XML raises (ParseError). Binding is otherwise best-effort: it always returns a
+model plus the diagnostics collected on the way, so a single run can report
+every problem. Lexical issues (bad booleans, unknown attributes) are caught
+while binding; semantic rules (key multiplicity, reference resolution,
+constraint shape) live in `validate_model`, which works on the bound model
+using the source locations captured on each element.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from .model import (
     comparison_family,
     find_entity,
 )
-from .xmlsubset import Document, XmlNode
-from .xmlsubset import parse_document  # re-exported: the tree that bind_model binds
+from .xmlsubset import Document
 
 
 class Severity(Enum):
@@ -168,8 +169,8 @@ class _Binder:
     the collector paused.
     """
 
-    def __init__(self, document: Optional[Document]) -> None:
-        self.document = document  # for locations; None for a hand-built tree
+    def __init__(self, document: Document) -> None:
+        self.document = document  # for locations
         # the first string read for each attribute value, which every later
         # read of that value is replaced by: each name, type token and
         # language name exists once per load, however many elements carry it
@@ -194,8 +195,6 @@ class _Binder:
 
     def locate(self, offset: int, attr: Optional[str] = None) -> tuple[int, int]:
         """The location of the element at offset, or of its attribute `attr`."""
-        if self.document is None:
-            return 1, 1
         if attr is not None:
             location = self.document.attribute_locations(offset).get(attr)
             if location is not None:
@@ -492,25 +491,15 @@ class _Constraint(_Element):
             cfields=cfields))
 
 
-def bind_model(root: XmlNode) -> tuple[ApplicationModel, list[Diagnostic]]:
-    """Map a parsed document to an ApplicationModel, best-effort.
-
-    Replays the tree's elements into the binder that `load_model` parses
-    into. Returns the model together with every lexical diagnostic; the model
+def bind_model(document: Document) -> tuple[ApplicationModel, list[Diagnostic]]:
+    """Map a decoded document to an ApplicationModel, best-effort, binding
+    each element while the document is parsed. Raises ParseError on malformed
+    XML. Returns the model together with every lexical diagnostic; the model
     is usable (for further validation and reporting) even when errors are
     present.
     """
-    binder = _Binder(root.source)
-    # (node, the frame of its parent, its own frame once it is open)
-    stack: list[tuple[XmlNode, _Binder | _Frame, Optional[_Frame]]] = [(root, binder, None)]
-    while stack:
-        node, parent, frame = stack.pop()
-        if frame is not None:
-            frame.close(node.text)
-        else:
-            frame = parent.child(node.tag, node.attributes, node.offset)
-            stack.append((node, parent, frame))
-            stack.extend((child, frame, None) for child in reversed(node.children))
+    binder = _Binder(document)
+    document.parse(binder)
     return binder.model()
 
 
@@ -684,8 +673,6 @@ def load_document(document: Document) -> tuple[ApplicationModel, list[Diagnostic
     growing model took close to half the time.
     """
     with paused_gc():
-        binder = _Binder(document)
-        document.parse(binder)
-        model, diagnostics = binder.model()
+        model, diagnostics = bind_model(document)
         diagnostics.extend(validate_model(model))
     return model, diagnostics

@@ -21,6 +21,7 @@ from .model import ApplicationModel, Entity
 from .ownership import Ownership
 
 _PLACEHOLDER_RE = re.compile(r"\{entity\.([A-Za-z_][A-Za-z0-9_]*)\}")
+_PATH_FIELDS = ("name", "tableName")  # the entity text fields a path may read
 _BUILTIN_PACKS = Path(__file__).parent / "builtin_packs"
 
 
@@ -62,7 +63,8 @@ def builtin_pack_dir(name: str = "webstack") -> Path:
 
 
 def read_pack_dir(directory: Path) -> dict[str, str]:
-    """Flat path -> text listing of a pack directory; every file must be UTF-8."""
+    """Flat path -> text listing of a pack directory; every file must be UTF-8.
+    A file that cannot be read raises OSError, with the file's path."""
     directory = Path(directory)
     if not directory.is_dir():
         raise PackError(f"pack directory not found: {directory}")
@@ -86,6 +88,10 @@ def _check_path_pattern(rule_index: int, rule: OutputRule) -> None:
         raise PackError(f"{where}: path must not escape the output root")
     if rule.per == "model" and _PLACEHOLDER_RE.search(pattern):
         raise PackError(f"{where}: per-model paths cannot use entity placeholders")
+    for match in _PLACEHOLDER_RE.finditer(pattern):
+        if match.group(1) not in _PATH_FIELDS:
+            raise PackError(f"{where}: placeholder {match.group()} is not a path field; "
+                            "use {entity.name} or {entity.tableName}")
 
 
 def load_pack(listing: Mapping[str, str]) -> TemplatePack:
@@ -145,10 +151,9 @@ def load_pack(listing: Mapping[str, str]) -> TemplatePack:
 def _expand_path(pattern: str, entity: Entity) -> str:
     def substitute(match: re.Match) -> str:
         attr = match.group(1)
-        value = getattr(entity, attr, None)
-        if not isinstance(value, str) or not value:
-            raise PackError(
-                f"path pattern {pattern!r}: entity attribute {attr!r} is not usable in a path")
+        value = getattr(entity, attr)
+        if not value:
+            raise PackError(f"path pattern {pattern!r}: entity attribute {attr!r} is empty")
         return value
 
     path = _PLACEHOLDER_RE.sub(substitute, pattern)

@@ -5,13 +5,15 @@ single- or double-quoted attributes, character data, comments, an optional XML
 declaration, and the five predefined entities. DOCTYPE, CDATA, processing
 instructions, numeric character references and namespace prefixes are rejected
 with a located error.
+
+`Document.parse` is the one entry point: it reports each element to a
+`Consumer` as it opens and as it closes, and builds no tree.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Optional, Protocol
+from typing import Protocol
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_.\-]*"
 # Ends a name only where no name character or ':' follows, so a failed match
@@ -43,35 +45,6 @@ class ParseError(Exception):
         self.line = line
         self.column = column
         self.reason = reason
-
-
-@dataclass(slots=True)
-class XmlNode:
-    tag: str
-    attributes: dict[str, str] = field(default_factory=dict)
-    children: list["XmlNode"] = field(default_factory=list)
-    text: str = ""
-    offset: int = 0  # of the start tag's '<' in the source
-    source: Optional[Document] = field(default=None, repr=False, compare=False)
-
-    @property
-    def location(self) -> tuple[int, int]:
-        """1-based (line, column) of the start tag; (1, 1) without a source."""
-        return (1, 1) if self.source is None else self.source.location(self.offset)
-
-    @property
-    def attribute_locations(self) -> dict[str, tuple[int, int]]:
-        """1-based (line, column) of each attribute name, read again from the start tag."""
-        return {} if self.source is None else self.source.attribute_locations(self.offset)
-
-    # as a Consumer, a node builds the tree under it
-    def child(self, tag: str, attributes: dict[str, str], offset: int) -> XmlNode:
-        node = XmlNode(tag, attributes, [], "", offset, self.source)
-        self.children.append(node)
-        return node
-
-    def close(self, text: str) -> None:
-        self.text = text
 
 
 class Consumer(Protocol):
@@ -322,15 +295,3 @@ class Document:
                     if not stack:
                         return end
             pos = end
-
-
-def parse_document(data: bytes) -> XmlNode:
-    """Parse a UTF-8 document into its root element.
-
-    Raises ParseError with a 1-based (line, column) on any input outside the
-    accepted subset.
-    """
-    document = Document(data)
-    top = XmlNode("", source=document)  # holds the root as its child
-    document.parse(top)
-    return top.children[0]

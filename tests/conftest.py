@@ -3,10 +3,47 @@ from pathlib import Path
 import pytest
 
 from sfgen import loader, packs
+from sfgen.xmlsubset import Document
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class Node:
+    """An element as `Document.parse` reports it, recorded with its children."""
+
+    def __init__(self, document: Document, tag="", attributes=None, offset=0):
+        self.document = document
+        self.tag = tag
+        self.attributes = attributes or {}
+        self.offset = offset  # of the start tag's '<'
+        self.children: list[Node] = []
+        self.text = ""
+
+    @property
+    def location(self) -> tuple[int, int]:
+        return self.document.location(self.offset)
+
+    @property
+    def attribute_locations(self) -> dict[str, tuple[int, int]]:
+        return self.document.attribute_locations(self.offset)
+
+    def child(self, tag: str, attributes: dict[str, str], offset: int) -> "Node":
+        node = Node(self.document, tag, attributes, offset)
+        self.children.append(node)
+        return node
+
+    def close(self, text: str) -> None:
+        self.text = text
+
+
+def parse_tree(data: bytes) -> Node:
+    """The root element of a UTF-8 document; raises ParseError as the parser does."""
+    document = Document(data)
+    top = Node(document)  # holds the root as its child
+    document.parse(top)
+    return top.children[0]
 
 
 def load_fixture(name: str):

@@ -237,8 +237,8 @@ def test_c10_validator_codes_are_located():
             break
         seen.add(code)
     # lexical errors carry attribute-precise locations
-    from sfgen.xmlsubset import parse_document
-    _, diagnostics = loader.bind_model(parse_document(_wrap(
+    from sfgen.xmlsubset import Document
+    _, diagnostics = loader.bind_model(Document(_wrap(
         '<Entity name="E" tableName="E">'
         '<Field name="x" type="int" isPK="true" nullable="maybe" length="zero"/></Entity>')))
     for code in (loader.E_BAD_BOOL, loader.E_BAD_INT):

@@ -1,3 +1,4 @@
+import errno
 import gc
 import hashlib
 import json
@@ -259,6 +260,27 @@ def test_generate_pack_file_not_utf8(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def _deny_reads(monkeypatch, method: str, suffix: str) -> None:
+    """Make Path.<method> fail on every file whose name ends with `suffix`, as
+    reading a file of mode 000 does for any user but root."""
+    read = getattr(Path, method)
+
+    def denied(self, *args, **kwargs):
+        if self.name.endswith(suffix):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+        return read(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, method, denied)
+
+
+def test_generate_pack_file_unreadable(tmp_path, monkeypatch, capsys):
+    _deny_reads(monkeypatch, "read_text", "docs.md.atl")
+    assert generate(tmp_path / "out") == 3
+    assert capsys.readouterr().err == (
+        f"error E_IO: cannot read {Path(PACK) / 'docs.md.atl'}: {os.strerror(errno.EACCES)}\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key", ["path", "template", "per"])
 def test_generate_output_rule_value_not_a_string(tmp_path, key):
     rule = {"template": "docs.md.atl", "path": "docs.md", "per": "model", "ownership": "always"}
@@ -289,6 +311,18 @@ def test_stats_table_and_json(tmp_path, capsys):
     }
     assert payload["manualFiles"] == 1
     assert payload["manualBytes"] == len("hand-written notes")
+
+
+def test_stats_output_file_unreadable(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    assert generate(out) == 0
+    capsys.readouterr()
+    _deny_reads(monkeypatch, "read_bytes", ".html")
+    assert main(["stats", "--out", str(out)]) == 3
+    first = sorted(out.rglob("*.html"))[0]
+    captured = capsys.readouterr()
+    assert captured.err == f"error E_IO: cannot read {first}: {os.strerror(errno.EACCES)}\n"
+    assert captured.out == ""
 
 
 def test_stats_without_manifest(tmp_path, capsys):

@@ -3,8 +3,7 @@
 A model is pinned by the SHA-256 of its repr, its diagnostics as
 (code, severity, location, subject, message) in order, and a document that
 does not parse by the ParseError's (line, column, reason). `load_model` must
-give exactly that, and so must `bind_model` over `parse_document`'s tree
-followed by `validate_model`.
+give exactly that.
 """
 
 import copy
@@ -15,37 +14,28 @@ import pytest
 
 import randmodels
 from conftest import FIXTURES
-from sfgen.loader import bind_model, load_model, validate_model
-from sfgen.xmlsubset import ParseError, parse_document
+from sfgen.loader import load_model
+from sfgen.xmlsubset import ParseError
 
 
 def _sha256(value) -> str:
     return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()
 
 
-def _replayed(data: bytes):
-    model, diagnostics = bind_model(parse_document(data))
-    return model, diagnostics + validate_model(model)
-
-
-def _outcomes(data: bytes):
-    """(SHA-256 of repr(model), diagnostics) or ParseError's (line, column,
-    reason), from load_model and from the tree replayed into bind_model."""
-    for load in (load_model, _replayed):
-        try:
-            model, diagnostics = load(data)
-        except ParseError as exc:
-            yield exc.line, exc.column, exc.reason
-        else:
-            yield _sha256(model), [(d.code, d.severity.value, d.location, d.subject, d.message)
-                                   for d in diagnostics]
+def _outcome(data: bytes):
+    """(SHA-256 of repr(model), diagnostics) from load_model, or its
+    ParseError's (line, column, reason)."""
+    try:
+        model, diagnostics = load_model(data)
+    except ParseError as exc:
+        return exc.line, exc.column, exc.reason
+    return _sha256(model), [(d.code, d.severity.value, d.location, d.subject, d.message)
+                            for d in diagnostics]
 
 
 def _pinned(data: bytes):
-    """The outcome of both loads, which must agree; diagnostics by their digest and count."""
-    outcomes = list(_outcomes(data))
-    assert outcomes[0] == outcomes[1]
-    outcome = outcomes[0]
+    """The outcome of loading `data`; diagnostics by their digest and count."""
+    outcome = _outcome(data)
     if len(outcome) == 3:
         return outcome
     model, diagnostics = outcome
@@ -448,5 +438,4 @@ ORDER_QUIRKS = [
 @pytest.mark.parametrize("doc, model, diagnostics", ORDER_QUIRKS)
 def test_order_quirks_load_as_pinned(doc, model, diagnostics):
     expected = model if diagnostics is None else (model, diagnostics)
-    for outcome in _outcomes(doc):
-        assert outcome == expected
+    assert _outcome(doc) == expected

@@ -52,11 +52,14 @@ def test_unparsable_template():
         load_pack(listing)
 
 
-@pytest.mark.parametrize("path", ["../escape.md", "/abs.md", "a/../../b"])
+@pytest.mark.parametrize("path", ["../escape.md", "/abs.md", "a/../../b",
+                                  # any placeholder but name and tableName
+                                  "x/{entity.__module__}.md", "x/{entity.__doc__}.md",
+                                  "x/{entity.nmae}.md", "x/{entity.fields}.md"])
 def test_bad_path_patterns(path):
     listing = dict(MINIMAL_PACK)
     listing["pack.json"] = MINIMAL_PACK["pack.json"].replace("docs/{entity.name}.md", path)
-    with pytest.raises(PackError):
+    with pytest.raises(PackError, match=r"^output rule #1 \("):
         load_pack(listing)
 
 

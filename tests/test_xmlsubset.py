@@ -1,11 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from sfgen.xmlsubset import ParseError, parse_document
+from sfgen.xmlsubset import ParseError
+
+from conftest import parse_tree
 
 
 def test_minimal_document():
-    root = parse_document(b"<xsource/>")
+    root = parse_tree(b"<xsource/>")
     assert root.tag == "xsource"
     assert root.children == []
     assert root.location == (1, 1)
@@ -17,7 +19,7 @@ def test_entity_fragment():
   <Constraint type="Unique"><CField name="strName" /></Constraint>
 </Entity>
 </EntityConfig></xsource>""".encode()
-    root = parse_document(doc)
+    root = parse_tree(doc)
     entity = root.children[0].children[0]
     assert entity.tag == "Entity"
     assert entity.attributes["name"] == "Fakultet"
@@ -29,18 +31,18 @@ def test_entity_fragment():
 
 def test_unclosed_element():
     with pytest.raises(ParseError) as exc:
-        parse_document(b"<a>")
+        parse_tree(b"<a>")
     assert (exc.value.line, exc.value.column) == (1, 1)
     assert "unclosed" in exc.value.reason
 
 
 def test_mismatched_close_tag():
     with pytest.raises(ParseError, match="mismatched"):
-        parse_document(b"<a><b></a></a>")
+        parse_tree(b"<a><b></a></a>")
 
 
 def test_predefined_entities_decoded():
-    root = parse_document(b'<a v="&lt;&gt;&amp;&quot;&apos;">x &amp; y</a>')
+    root = parse_tree(b'<a v="&lt;&gt;&amp;&quot;&apos;">x &amp; y</a>')
     assert root.attributes["v"] == "<>&\"'"
     assert root.text == "x & y"
 
@@ -48,7 +50,7 @@ def test_predefined_entities_decoded():
 @pytest.mark.parametrize("payload", [b"<a>&nbsp;</a>", b"<a>&#65;</a>", b"<a>&broken</a>"])
 def test_undefined_entities_rejected(payload):
     with pytest.raises(ParseError, match="entity"):
-        parse_document(payload)
+        parse_tree(payload)
 
 
 @pytest.mark.parametrize(
@@ -63,7 +65,7 @@ def test_undefined_entities_rejected(payload):
 )
 def test_disallowed_constructs(payload, needle):
     with pytest.raises(ParseError, match=needle):
-        parse_document(payload)
+        parse_tree(payload)
 
 
 # One row per ParseError reason (and per place it can be raised), with the
@@ -114,52 +116,52 @@ def test_disallowed_constructs(payload, needle):
 )
 def test_parse_errors_are_located(payload, line, column, reason):
     with pytest.raises(ParseError) as exc:
-        parse_document(payload)
+        parse_tree(payload)
     assert (exc.value.line, exc.value.column, exc.value.reason) == (line, column, reason)
 
 
 def test_xml_declaration_and_comments_discarded():
-    root = parse_document(b"<?xml version='1.0'?><!-- top --><a><!-- in -->text</a><!-- after -->")
+    root = parse_tree(b"<?xml version='1.0'?><!-- top --><a><!-- in -->text</a><!-- after -->")
     assert root.tag == "a"
     assert root.text == "text"
 
 
 def test_single_and_double_quoted_attributes():
-    root = parse_document(b"<a x='1' y=\"2\"/>")
+    root = parse_tree(b"<a x='1' y=\"2\"/>")
     assert root.attributes == {"x": "1", "y": "2"}
 
 
 def test_attributes_need_no_whitespace_between_them():
-    root = parse_document(b'<a x="1"y="2"/>')
+    root = parse_tree(b'<a x="1"y="2"/>')
     assert root.attributes == {"x": "1", "y": "2"}
     assert root.attribute_locations == {"x": (1, 4), "y": (1, 9)}
 
 
 def test_duplicate_attribute_rejected():
     with pytest.raises(ParseError, match="duplicate attribute"):
-        parse_document(b'<a x="1" x="2"/>')
+        parse_tree(b'<a x="1" x="2"/>')
 
 
 def test_content_after_root_rejected():
     with pytest.raises(ParseError, match="after the root"):
-        parse_document(b"<a/><b/>")
+        parse_tree(b"<a/><b/>")
 
 
 def test_attribute_locations_are_tracked():
-    root = parse_document(b'<a\n  first="1"\n  second="2"/>')
+    root = parse_tree(b'<a\n  first="1"\n  second="2"/>')
     assert root.attribute_locations["first"] == (2, 3)
     assert root.attribute_locations["second"] == (3, 3)
 
 
 def test_non_utf8_rejected():
     with pytest.raises(ParseError, match="UTF-8"):
-        parse_document(b"<a>\xff\xfe</a>")
+        parse_tree(b"<a>\xff\xfe</a>")
 
 
 def test_deep_nesting_parses():
     depth = 5000
-    node = parse_document(b"<a>" * depth + b"</a>" * depth)
-    # walk with a loop: XmlNode's == and repr recurse
+    node = parse_tree(b"<a>" * depth + b"</a>" * depth)
+    # walk with a loop, as a recursive walk would exceed the recursion limit
     levels = 1
     while node.children:
         (node,) = node.children
@@ -180,7 +182,7 @@ deep_nesting = st.builds(
 def test_total_over_byte_sequences(data):
     # any input either parses to a tree or raises a located ParseError
     try:
-        root = parse_document(data)
+        root = parse_tree(data)
         assert root.tag
     except ParseError as exc:
         assert exc.line >= 1 and exc.column >= 1
@@ -189,7 +191,7 @@ def test_total_over_byte_sequences(data):
 @given(st.text(alphabet="abc<>&\"' \n", max_size=40))
 def test_attribute_value_roundtrip(value):
     encoded = (value.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;"))
-    root = parse_document(f'<a v="{encoded}"/>'.encode())
+    root = parse_tree(f'<a v="{encoded}"/>'.encode())
     assert root.attributes["v"] == value
 
 
@@ -249,7 +251,7 @@ def _line_and_column(text, offset):
 def test_locations_match_offsets(document):
     text, expected = document
     nodes = []
-    stack = [parse_document(text.encode())]
+    stack = [parse_tree(text.encode())]
     while stack:  # preorder, children left to right
         node = stack.pop()
         nodes.append(node)
