@@ -118,6 +118,11 @@ class TemplateAst:
     # parse_template, and the template positions its runtime errors refer to
     compiled: Callable[[dict, Callable[[str], None]], None] = dc_field(repr=False, compare=False)
     sites: tuple[Pos, ...] = dc_field(repr=False, compare=False)
+    # what rendering can read: the source, the context names read, and every
+    # attribute named by a path step
+    source: str = dc_field(default="", repr=False, compare=False)
+    names: frozenset[str] = dc_field(default=frozenset(), repr=False, compare=False)
+    steps: frozenset[str] = dc_field(default=frozenset(), repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +384,8 @@ def parse_template(source: str, name: str) -> TemplateAst:
     nodes, _ = _Parser(source, name).block(0)
     gen = _Codegen()
     gen.define("ctx, append", lambda: gen.block(nodes, 1))
-    return TemplateAst(name, nodes, gen.finish(), tuple(gen.sites))
+    return TemplateAst(name, nodes, gen.finish(), tuple(gen.sites), source,
+                       frozenset(gen.context_names), frozenset(gen.steps))
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +442,8 @@ _TOKEN_TYPES = frozenset({m.FieldType, m.RelationshipOp, m.ConstraintKind, m.Cac
 _VIEWED_TYPES = frozenset({m.Entity, m.Field, m.Constraint, m.ColumnSpec, m.Settings,
                            m.LocalizedText, m.ApplicationModel})
 # the attributes a view reads from its element, besides those in _COMPUTED
-_FIELDS = {cls: frozenset(f.name for f in fields(cls)) for cls in _VIEWED_TYPES}
+# (an entity's source digest is not compared, so not part of its value)
+_FIELDS = {cls: frozenset(f.name for f in fields(cls) if f.compare) for cls in _VIEWED_TYPES}
 
 
 def _constraint_fields(view: ModelView) -> list[Optional[ModelView]]:
@@ -651,6 +658,8 @@ class _Codegen:
         self.scope: tuple[_Loop, ...] = ()
         self.lines: list[str] = []  # the body of the function being generated
         self.names: dict[str, str] = {}  # its context names -> the locals c<n> holding them
+        self.context_names: set[str] = set()  # of every function
+        self.steps: set[str] = set()  # the attribute of every path step
 
     def site(self, pos: Pos) -> int:
         self.sites.append(pos)
@@ -757,10 +766,12 @@ class _Codegen:
 
     def path(self, node: Path) -> tuple[str, Optional[type]]:
         head, attrs, site, kind = node.names[0], node.names[1:], self.site(node.pos), None
+        self.steps.update(attrs)
         # a name is the innermost for's variable, `loop` its loop, else a context name
         loop = self.scope[-1] if head == "loop" and self.scope else \
             next((loop for loop in reversed(self.scope) if loop.var == head), None)
         if loop is None:
+            self.context_names.add(head)
             local = self.names.setdefault(head, f"c{len(self.names)}")
             reason = f"unknown name {head!r}"
             value = f"({local} if {local} is not _U else _fail({site}, {reason!r}))"

@@ -112,33 +112,38 @@ def _cmd_generate(args) -> int:
         print(f"{errors} validation errors; nothing generated", file=sys.stderr)
         return EXIT_VALIDATION
 
+    out_root = Path(args.out)
+    # an artifact's file is out_root / path, named as a str for speed
+    prefix = "" if str(out_root) == "." else str(out_root).rstrip("/") + "/"
+    on_disk: dict[str, Optional[bytes]] = {}  # each file read, None where there is none
+
+    def read(path: str) -> Optional[bytes]:
+        content = on_disk[path] = ownership.read_file(prefix + path)
+        return content
+
+    def reuse(path: str, inputs: str, owner: ownership.Ownership) -> Optional[bytes]:
+        return read(path) if ownership.reusable(manifest, path, inputs, owner) else None
+
     try:
         pack = packs.load_pack(packs.read_pack_dir(Path(args.pack)))
-        artifacts = packs.generate_all(model, pack, lang=args.lang)
+        manifest = ownership.load_manifest(out_root)
+        artifacts = packs.generate_all(model, pack, lang=args.lang,
+                                       reuse=None if args.force else reuse)
+        for artifact in artifacts:
+            if artifact.path not in on_disk:
+                read(artifact.path)
     except TemplateRuntimeError as exc:
         print(f"error E_TEMPLATE: {exc}", file=sys.stderr)
         return EXIT_TEMPLATE
     except packs.PackError as exc:
         print(f"error E_PACK: {exc}", file=sys.stderr)
         return EXIT_TEMPLATE
-    except OSError as exc:  # reading a pack file
-        return _cannot_read(exc.filename, exc)
-
-    out_root = Path(args.out)
-    existing: dict[str, bytes] = {}
-    for artifact in artifacts:
-        target = out_root / artifact.path
-        try:
-            existing[artifact.path] = target.read_bytes()
-        except (FileNotFoundError, NotADirectoryError):
-            continue
-        except OSError as exc:
-            return _cannot_read(target, exc)
-    try:
-        manifest = ownership.load_manifest(out_root)
     except ownership.ManifestError as exc:
         print(f"error E_MANIFEST: {exc}", file=sys.stderr)
         return EXIT_IO
+    except OSError as exc:  # reading a pack or an output file
+        return _cannot_read(exc.filename, exc)
+    existing = {path: content for path, content in on_disk.items() if content is not None}
 
     plan = ownership.plan_writes(artifacts, existing, manifest, force=args.force)
     conflicts = plan.conflicts()
@@ -161,7 +166,8 @@ def _cmd_generate(args) -> int:
 
     try:
         new_manifest = ownership.apply_plan(plan, artifacts, out_root)
-        ownership.save_manifest(new_manifest, out_root)
+        if new_manifest != manifest:
+            ownership.save_manifest(new_manifest, out_root)
     except ownership.IoError as exc:
         print(f"error E_IO: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -175,11 +181,8 @@ def _cmd_generate(args) -> int:
 
 
 def _walk_output(out_root: Path) -> dict[str, bytes]:
-    listing: dict[str, bytes] = {}
-    for path in sorted(out_root.rglob("*")):
-        if path.is_file():
-            listing[path.relative_to(out_root).as_posix()] = path.read_bytes()
-    return listing
+    return {path.relative_to(out_root).as_posix(): path.read_bytes()
+            for path in ownership.walk_files(out_root)}
 
 
 def _cmd_stats(args) -> int:

@@ -13,6 +13,7 @@ using the source locations captured on each element.
 from __future__ import annotations
 
 import gc
+import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Optional
@@ -256,7 +257,7 @@ class _Frame:
     def child(self, tag: str, attributes: dict[str, str], offset: int) -> _Frame:
         return _IGNORED
 
-    def close(self, text: str) -> None:
+    def close(self, text: str, end: int) -> None:
         pass
 
 
@@ -289,7 +290,7 @@ class _Root(_Frame):
             binder.diagnostics, attributes, offset, _SETTINGS, "Settings"))
         return _Settings(binder)
 
-    def close(self, text: str) -> None:
+    def close(self, text: str, end: int) -> None:
         binder = self.binder
         if "EntityConfig" not in self.seen:
             binder.diag(binder.diagnostics, E_DOC_SHAPE, Severity.ERROR,
@@ -396,7 +397,7 @@ class _Text(_Frame):
         self.block = block
         self.tag = tag
 
-    def close(self, text: str) -> None:
+    def close(self, text: str, end: int) -> None:
         block, owner = self.block, self.block.owner
         entries = owner.texts[self.tag]
         if block.name in entries:
@@ -412,7 +413,7 @@ class _Entity(_Element):
     attributes, Language blocks and unknown children), its fields', then its
     constraints'."""
 
-    __slots__ = ("out", "for_fields", "for_constraints", "fields", "constraints")
+    __slots__ = ("out", "offset", "for_fields", "for_constraints", "fields", "constraints")
     table = _ENTITY
     text_tags = ("DisplayName", "PluralName")
 
@@ -421,6 +422,7 @@ class _Entity(_Element):
         super().__init__(binder, _Pending(), f"Entity[{attributes.get('name', '')}]",
                          attributes, offset)
         self.out = out
+        self.offset = offset
         self.for_fields = _Pending()
         self.for_constraints = _Pending()
         self.fields: list[Field] = []
@@ -433,12 +435,14 @@ class _Entity(_Element):
             return _Constraint(self, attributes, offset)
         return super().child(tag, attributes, offset)
 
-    def close(self, text: str) -> None:
+    def close(self, text: str, end: int) -> None:
         binder = self.binder
+        source = binder.document.text[self.offset:end]
         binder.entities.append(build(
             Entity, **self.kwargs, displayNames=self.localized("DisplayName"),
             pluralNames=self.localized("PluralName"), fields=tuple(self.fields),
-            constraints=tuple(self.constraints)))
+            constraints=tuple(self.constraints),
+            digest=hashlib.sha256(source.encode("utf-8")).hexdigest()))
         for pending in (self.pending, self.for_fields, self.for_constraints):
             self.out += pending.diagnostics
             for name in pending.languages:
@@ -457,7 +461,7 @@ class _Field(_Element):
                          attributes, offset)
         self.entity = entity
 
-    def close(self, text: str) -> None:
+    def close(self, text: str, end: int) -> None:
         self.entity.fields.append(build(Field, **self.kwargs,
                                         displayNames=self.localized("DisplayName")))
 
@@ -482,7 +486,7 @@ class _Constraint(_Element):
             return _IGNORED
         return super().child(tag, attributes, offset)
 
-    def close(self, text: str) -> None:
+    def close(self, text: str, end: int) -> None:
         cfields = tuple(self.binder.attributes(self.pending.diagnostics, attributes, offset,
                                                _NAME, self.subject).get("name", "")
                         for attributes, offset in self.cfields)

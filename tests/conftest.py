@@ -20,6 +20,7 @@ class Node:
         self.offset = offset  # of the start tag's '<'
         self.children: list[Node] = []
         self.text = ""
+        self.end = 0
 
     @property
     def location(self) -> tuple[int, int]:
@@ -34,8 +35,9 @@ class Node:
         self.children.append(node)
         return node
 
-    def close(self, text: str) -> None:
+    def close(self, text: str, end: int) -> None:
         self.text = text
+        self.end = end  # just past the end tag
 
 
 def parse_tree(data: bytes) -> Node:

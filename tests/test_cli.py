@@ -281,6 +281,67 @@ def test_generate_pack_file_unreadable(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _deny(monkeypatch, function: str, suffix: str) -> None:
+    """Make os.<function> fail on every path that ends with `suffix`, as
+    opening a file or listing a directory of mode 000 does for any user but root."""
+    real = getattr(os, function)
+
+    def denied(path, *args, **kwargs):
+        if str(path).endswith(suffix):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, function, denied)
+
+
+def test_generate_output_file_unreadable(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    assert generate(out) == 0
+    for force in ([], ["--force"]):  # with or without a file taken as it is
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            _deny(patch, "open", "Vest_edit.html")
+            assert generate(out, *force) == 3
+        assert capsys.readouterr() == (
+            "", f"error E_IO: cannot read {out / 'web' / 'Vest_edit.html'}: "
+                f"{os.strerror(errno.EACCES)}\n")
+
+
+def test_generate_output_path_is_a_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "docs" / "Vest.md").mkdir(parents=True)
+    assert generate(out) == 3
+    assert capsys.readouterr().err == (
+        f"error E_IO: cannot read {out / 'docs' / 'Vest.md'}: {os.strerror(errno.EISDIR)}\n")
+
+
+def test_generate_pack_directory_unreadable(tmp_path, monkeypatch, capsys):
+    pack_dir = tmp_path / "pack"
+    shutil.copytree(PACK, pack_dir)
+    (pack_dir / "sub").mkdir()
+    (pack_dir / "docs.md.atl").rename(pack_dir / "sub" / "docs.md.atl")
+    spec = (pack_dir / "pack.json").read_text()
+    (pack_dir / "pack.json").write_text(spec.replace('"docs.md.atl"', '"sub/docs.md.atl"'))
+    argv = ["generate", "--model", NEWSBOARD, "--pack", str(pack_dir),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    _deny(monkeypatch, "scandir", "sub")
+    assert main(argv) == 3
+    assert capsys.readouterr() == (
+        "", f"error E_IO: cannot read {pack_dir / 'sub'}: {os.strerror(errno.EACCES)}\n")
+
+
+def test_stats_output_directory_unreadable(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    assert generate(out) == 0
+    capsys.readouterr()
+    _deny(monkeypatch, "scandir", "web")
+    assert main(["stats", "--out", str(out)]) == 3
+    assert capsys.readouterr() == (
+        "", f"error E_IO: cannot read {out / 'web'}: {os.strerror(errno.EACCES)}\n")
+
+
 @pytest.mark.parametrize("key", ["path", "template", "per"])
 def test_generate_output_rule_value_not_a_string(tmp_path, key):
     rule = {"template": "docs.md.atl", "path": "docs.md", "per": "model", "ownership": "always"}

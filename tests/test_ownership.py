@@ -19,7 +19,9 @@ from sfgen.ownership import (
     manifest_from_json,
     manifest_to_json,
     plan_writes,
+    read_file,
     save_manifest,
+    walk_files,
 )
 from sfgen.packs import Artifact
 
@@ -225,13 +227,86 @@ def test_manifest_json_format():
     text = manifest_to_json(manifest)
     assert text.endswith("\n") and "\r" not in text
     payload = json.loads(text)
-    assert payload["version"] == 1
+    assert payload["version"] == 2
     assert payload["entries"][0] == {
         "path": "a.sql",
         "ownership": "always",
         "sha256": digest(b"x"),
+        "inputs": "",
     }
     assert manifest_from_json(text) == manifest
+
+
+_texts = st.text(alphabet=st.characters(exclude_categories=("Cs",)), max_size=12)
+
+
+@given(st.lists(st.tuples(_texts, st.sampled_from(Ownership), _texts, _texts), max_size=6))
+def test_manifest_json_is_what_json_dumps_writes(entries):
+    manifest = Manifest(entries=tuple(ManifestEntry(*entry) for entry in entries))
+    reference = {"version": 2, "entries": [
+        {"path": path, "ownership": owner.value, "sha256": sha, "inputs": inputs}
+        for path, owner, sha, inputs in entries]}
+    text = manifest_to_json(manifest)
+    assert text == json.dumps(reference, indent=2, ensure_ascii=False) + "\n"
+    assert manifest_from_json(text) == manifest
+
+
+def test_version_1_manifest_loads_with_no_inputs():
+    text = ('{"version": 1, "entries": [{"path": "a", "ownership": "once", "sha256": "00", '
+            '"inputs": "ignored"}]}')
+    manifest = manifest_from_json(text)
+    assert manifest == Manifest((ManifestEntry("a", Ownership.ONCE, "00", ""),), version=1)
+    assert manifest != Manifest(manifest.entries)  # so it is written again, at version 2
+
+
+def test_unknown_ownership_keeps_its_message():
+    text = ('{"version": 2, "entries": [{"path": "a", "ownership": "sometimes", '
+            '"sha256": "00", "inputs": ""}]}')
+    with pytest.raises(ManifestError,
+                       match="^malformed manifest: 'sometimes' is not a valid Ownership$"):
+        manifest_from_json(text)
+
+
+def test_read_file(tmp_path):
+    assert read_file(str(tmp_path / "absent")) is None
+    assert read_file(str(tmp_path / "absent" / "below")) is None
+    for size in (0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 << 16):
+        data = os.urandom(size)
+        (tmp_path / "file").write_bytes(data)
+        assert read_file(str(tmp_path / "file")) == data
+    with pytest.raises(IsADirectoryError) as raised:
+        read_file(str(tmp_path))
+    assert raised.value.filename == str(tmp_path)
+
+
+def test_walk_files_sorts_as_paths_sort(tmp_path):
+    for name in ("b", "a.txt", "a/z", "a/b/c", "a-b", "A"):
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(name)
+    (tmp_path / "empty").mkdir()
+    os.symlink(tmp_path / "a", tmp_path / "linked-dir")
+    os.symlink(tmp_path / "b", tmp_path / "linked-file")
+    os.symlink(tmp_path / "absent", tmp_path / "dangling")
+    expected = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    assert walk_files(tmp_path) == expected
+    assert [p.relative_to(tmp_path).as_posix() for p in expected] == [
+        "A", "a/b/c", "a/z", "a-b", "a.txt", "b", "linked-file"]
+
+
+def test_walk_files_raises_for_a_directory_it_cannot_list(tmp_path, monkeypatch):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "f").write_text("f")
+    real = os.scandir
+
+    def scandir(path):
+        if str(path).endswith("sub"):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return real(path)
+
+    monkeypatch.setattr(os, "scandir", scandir)
+    with pytest.raises(PermissionError) as raised:
+        walk_files(tmp_path)
+    assert raised.value.filename == str(tmp_path / "sub")
 
 
 def test_manifest_file_roundtrip(tmp_path):
@@ -262,7 +337,12 @@ def test_load_missing_manifest_returns_none(tmp_path):
                                   '{"version": 99, "entries": []}',
                                   '{"version": "7", "entries": []}',
                                   '{"version": true, "entries": []}',
-                                  '{"version": 1.9, "entries": []}'])
+                                  '{"version": 1.9, "entries": []}',
+                                  '{"version": 3, "entries": []}',
+                                  '{"version": 2, "entries": [{"path": "a", '
+                                  '"ownership": "always", "sha256": "00"}]}',
+                                  '{"version": 2, "entries": [{"path": "a", '
+                                  '"ownership": "always", "sha256": "00", "inputs": 0}]}'])
 def test_malformed_manifest_rejected(text):
     with pytest.raises(ManifestError):
         manifest_from_json(text)

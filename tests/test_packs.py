@@ -55,7 +55,10 @@ def test_unparsable_template():
 @pytest.mark.parametrize("path", ["../escape.md", "/abs.md", "a/../../b",
                                   # any placeholder but name and tableName
                                   "x/{entity.__module__}.md", "x/{entity.__doc__}.md",
-                                  "x/{entity.nmae}.md", "x/{entity.fields}.md"])
+                                  "x/{entity.nmae}.md", "x/{entity.fields}.md",
+                                  # braces that enclose no placeholder
+                                  "docs/{ entity.name }.md", "docs/{model.name}.md",
+                                  "docs/{entity.name.md", "docs/entity.name}.md"])
 def test_bad_path_patterns(path):
     listing = dict(MINIMAL_PACK)
     listing["pack.json"] = MINIMAL_PACK["pack.json"].replace("docs/{entity.name}.md", path)

@@ -13,6 +13,19 @@ def test_minimal_document():
     assert root.location == (1, 1)
 
 
+def test_an_element_closes_with_the_offset_past_its_end_tag():
+    doc = ('<?xml version="1.0"?>\n<xsource>\n  <E a="1">x<!-- c --><F/>'
+           '<G b=\'&amp;\' >y</G  ></E>\n</xsource >\n')
+    root = parse_tree(doc.encode())
+    text = root.document.text
+    entity = root.children[0]
+    assert text[root.offset:root.end] == doc[doc.index("<xsource"):doc.rindex(">") + 1]
+    assert text[entity.offset:entity.end] == \
+        '<E a="1">x<!-- c --><F/><G b=\'&amp;\' >y</G  ></E>'
+    assert [text[c.offset:c.end] for c in entity.children] == \
+        ["<F/>", "<G b='&amp;' >y</G  >"]
+
+
 def test_entity_fragment():
     doc = """<xsource><EntityConfig>
 <Entity tableName="Fakultet" name="Fakultet" isLogged="true">
