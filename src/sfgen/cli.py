@@ -121,8 +121,8 @@ def _cmd_generate(args) -> int:
         content = on_disk[path] = ownership.read_file(prefix + path)
         return content
 
-    def reuse(path: str, inputs: str, owner: ownership.Ownership) -> Optional[bytes]:
-        return read(path) if ownership.reusable(manifest, path, inputs, owner) else None
+    def reuse(path: str, inputs: str) -> Optional[bytes]:
+        return read(path) if ownership.reusable(manifest, path, inputs) else None
 
     try:
         pack = packs.load_pack(packs.read_pack_dir(Path(args.pack)))

@@ -65,7 +65,7 @@ Location = tuple[int, int]  # 1-based (line, column)
 
 
 @cache
-def builder(cls: type) -> Callable[..., Any]:
+def _builder(cls: type) -> Callable[..., Any]:
     """The builder of the slotted frozen dataclass `cls`, made once per class:
     a function of `cls`'s fields as keywords that returns an instance.
 
@@ -104,7 +104,7 @@ def build(cls: type[T], /, **values: Any) -> T:
     Built or constructed, a `Field` takes 232 bytes, an `Entity` 120, a
     `Constraint` 88 and a `LocalizedText` 40: a slot per field and no `__dict__`.
     """
-    return builder(cls)(**values)
+    return _builder(cls)(**values)
 
 
 @dataclass(frozen=True, slots=True)

@@ -21,8 +21,6 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from .model import builder
-
 if TYPE_CHECKING:
     from .packs import Artifact
 
@@ -62,9 +60,6 @@ class ManifestEntry:
     inputs: str = ""  # the digest of what the file was generated from; "" if unknown
 
 
-_new_entry = builder(ManifestEntry)  # ManifestEntry(...), 3 times as fast
-
-
 @dataclass(frozen=True)
 class Manifest:
     entries: tuple[ManifestEntry, ...] = ()
@@ -99,13 +94,10 @@ def digest(content: bytes) -> str:
     return hashlib.sha256(content).hexdigest()
 
 
-def reusable(manifest: Optional[Manifest], path: str, inputs: str, owner: Ownership) -> bool:
+def reusable(manifest: Optional[Manifest], path: str, inputs: str) -> bool:
     """Whether the file at `path`, if it exists, may stand for rendering the
-    artifact with these inputs: it is a scaffold, which is never rewritten, or
-    the manifest records these inputs for it. Planning then finds whether its
-    bytes are still the ones generated."""
-    if owner is Ownership.ONCE:
-        return True
+    artifact with these inputs: the manifest records these inputs for it.
+    Planning then finds whether its bytes are still the ones generated."""
     entry = manifest.entry_of(path) if manifest is not None else None
     return entry is not None and entry.inputs == inputs
 
@@ -189,8 +181,8 @@ def apply_plan(plan: WritePlan, artifacts: Sequence["Artifact"], out_root: Path)
     for entry, artifact in zip(plan.actions, artifacts, strict=True):
         if entry.action in (WriteAction.CREATE, WriteAction.OVERWRITE):
             _atomic_write(out_root / entry.path, artifact.content)
-        manifest_entries.append(_new_entry(path=entry.path, ownership=artifact.ownership,
-                                           sha256=entry.sha256, inputs=artifact.inputs))
+        manifest_entries.append(ManifestEntry(entry.path, artifact.ownership, entry.sha256,
+                                              artifact.inputs))
     manifest_entries.sort(key=lambda e: e.path)
     return Manifest(entries=tuple(manifest_entries))
 
@@ -222,7 +214,7 @@ def _entry_from_json(e: Mapping, version: int) -> ManifestEntry:
     ownership = _OWNERSHIPS.get(owner)
     if ownership is None:
         raise ValueError(f"{owner!r} is not a valid Ownership")
-    return _new_entry(path=path, ownership=ownership, sha256=sha, inputs=inputs)
+    return ManifestEntry(path, ownership, sha, inputs)
 
 
 def manifest_from_json(text: str) -> Manifest:

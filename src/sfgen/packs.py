@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Optional
 
 from . import atl
 from .loader import paused_gc
-from .model import ApplicationModel, Entity, builder
+from .model import ApplicationModel, Entity
 from .ownership import Ownership, walk_files
 
 _PLACEHOLDER_RE = re.compile(r"\{entity\.([A-Za-z_][A-Za-z0-9_]*)\}")
@@ -60,9 +60,6 @@ class Artifact:
     content: bytes
     ownership: Ownership
     inputs: str = ""  # the digest of everything its content depends on; "" if unknown
-
-
-_new_artifact = builder(Artifact)  # Artifact(...), 3 times as fast
 
 
 def builtin_pack_dir(name: str = "webstack") -> Path:
@@ -158,17 +155,17 @@ def load_pack(listing: Mapping[str, str]) -> TemplatePack:
     return TemplatePack(name=name, version=version, outputs=tuple(rules), templates=templates)
 
 
-def _expand_path(pattern: str, parts: list[str], entity: Entity) -> str:
-    """`pattern` with each placeholder replaced by the entity's value; `parts`
-    is `_PLACEHOLDER_RE.split(pattern)`: text, then field and text in turn."""
-    path = parts[0]
-    for i in range(1, len(parts), 2):
-        value = getattr(entity, parts[i])
+def _expand_path(pattern: str, entity: Entity) -> str:
+    def substitute(match: re.Match) -> str:
+        attr = match.group(1)
+        value = getattr(entity, attr)
         if not value:
-            raise PackError(f"path pattern {pattern!r}: entity attribute {parts[i]!r} is empty")
-        path += value + parts[i + 1]
+            raise PackError(f"path pattern {pattern!r}: entity attribute {attr!r} is empty")
+        return value
+
+    path = _PLACEHOLDER_RE.sub(substitute, pattern)
     normalized = posixpath.normpath(path)
-    if normalized.startswith(("..", "/")):
+    if normalized.startswith("..") or normalized.startswith("/"):
         raise PackError(f"expanded path {path!r} escapes the output root")
     return normalized
 
@@ -195,8 +192,8 @@ def _rule_inputs(rule: OutputRule, ast: atl.TemplateAst, lang: str,
                  model: ApplicationModel) -> "hashlib._Hash":
     """A hash of the inputs that every artifact of `rule` shares."""
     h = hashlib.sha256(_sources_digest())
-    for part in (ast.source, rule.per, rule.pathPattern, lang, repr(model.settings),
-                 repr(model.languages),
+    for part in (ast.source, rule.per, rule.pathPattern, rule.ownership.value, lang,
+                 repr(model.settings), repr(model.languages),
                  json.dumps(rule.flags, sort_keys=True, ensure_ascii=False, default=repr)):
         _update(h, part)
     return h
@@ -223,9 +220,9 @@ def _model_digest(model: ApplicationModel) -> str:
     return h.hexdigest()
 
 
-# Reuse(path, inputs, ownership): the bytes to take as the content of the
-# artifact at `path`, instead of rendering it, or None to render it
-Reuse = Callable[[str, str, Ownership], Optional[bytes]]
+# Reuse(path, inputs): the bytes to take as the content of the artifact at
+# `path`, instead of rendering it, or None to render it
+Reuse = Callable[[str, str], Optional[bytes]]
 
 
 def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
@@ -236,18 +233,19 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
     line endings; two artifacts with one path raise PathCollision.
 
     Each artifact records the digest of its inputs: sfgen's sources, the
-    rule's template, flags, path and kind, the language, the settings and the
-    model's languages, then the source of its entity or, for a per-model rule
-    or a template that reads `model` or any `location`, of the whole model. A
-    template view of an entity reaches no other entity, and its default
-    language through the settings. Where `reuse` gives the bytes for an
-    artifact with known inputs, they are its content and it is not rendered.
+    rule's template, flags, path, kind and ownership, the language, the
+    settings and the model's languages, then the source of its entity or, for
+    a per-model rule or a template that reads `model` or any `location`, of
+    the whole model. A template view of an entity reaches no other entity, and
+    its default language through the settings. Where `reuse` gives the bytes
+    for an artifact with known inputs, they are its content and it is not
+    rendered.
     """
     lang = lang or model.settings.defaultLanguage or next(iter(model.languages), "")
     view = atl.ModelView(model, model)  # one view of the model serves every rule
     model_digest: Optional[str] = None  # computed for the first rule that needs it
     artifacts: list[Artifact] = []
-    producers: dict[str, tuple[int, Optional[Entity]]] = {}  # path -> the rule and entity
+    producers: dict[str, str] = {}  # path -> the rule (and entity) that produced it
     with paused_gc():  # the views and artifacts are acyclic
         for number, rule in enumerate(pack.outputs, start=1):
             ast = pack.templates[rule.template]
@@ -257,19 +255,20 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
             if whole and model_digest is None:
                 model_digest = _model_digest(model)
             if rule.per == "model":
-                targets = [(posixpath.normpath(rule.pathPattern), None, None)]
+                targets = [(posixpath.normpath(rule.pathPattern), f"output rule #{number}",
+                            None, None)]
             else:
-                parts = _PLACEHOLDER_RE.split(rule.pathPattern)
-                targets = [(_expand_path(rule.pathPattern, parts, entity), entity, entity_view)
+                targets = [(_expand_path(rule.pathPattern, entity),
+                            f"output rule #{number} for entity {entity.name!r}",
+                            entity, entity_view)
                            for entity, entity_view in zip(model.entities, view["entities"])
                            if entity.isActive]
-            for path, entity, entity_view in targets:
+            for path, producer, entity, entity_view in targets:
                 if path in producers:
-                    raise PathCollision(f"{_producer(*producers[path])} and "
-                                        f"{_producer(number, entity)} both produce {path!r}")
-                producers[path] = (number, entity)
+                    raise PathCollision(f"{producers[path]} and {producer} both produce {path!r}")
+                producers[path] = producer
                 inputs = _inputs(rule_inputs, model_digest if whole else entity.digest)
-                content = reuse(path, inputs, rule.ownership) if reuse and inputs else None
+                content = reuse(path, inputs) if reuse and inputs else None
                 if content is None:
                     context = base if entity is None else {**base, "entity": entity_view}
                     try:
@@ -278,10 +277,6 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
                         exc.args = (f"while rendering {path!r}: {exc}",)
                         raise
                     content = text.replace("\r\n", "\n").encode("utf-8")
-                artifacts.append(_new_artifact(path=path, content=content,
-                                               ownership=rule.ownership, inputs=inputs))
+                artifacts.append(Artifact(path=path, content=content,
+                                          ownership=rule.ownership, inputs=inputs))
     return artifacts
-
-
-def _producer(number: int, entity: Optional[Entity]) -> str:
-    return f"output rule #{number}" + (f" for entity {entity.name!r}" if entity is not None else "")

@@ -23,7 +23,8 @@ NEWSBOARD = str(FIXTURES / "newsboard.xml")
 PACK = packs.builtin_pack_dir()
 
 # rules added to webstack: per-entity artifacts whose templates read each
-# entity's `location`, or the `model` root, so their inputs are the whole model
+# entity's `location`, or the `model` root, so their inputs are the whole model;
+# and a line added to its scaffold template, so that the scaffold reads fields
 EXTRA_RULES = [
     {"template": "location.txt.atl", "path": "loc/{entity.name}.txt", "per": "entity",
      "ownership": "always"},
@@ -34,6 +35,7 @@ EXTRA_TEMPLATES = {
     "location.txt.atl": "{{ entity.name }} at {% for n in entity.location %}{{ n }} {% endfor %}\n",
     "siblings.txt.atl": "{{ entity.name }} of {{ count(model.active_entities) }}\n",
 }
+SCAFFOLD_LINE = "// {% for f in entity.fields %}{{ f.name }} {% endfor %}\n"
 
 
 def run(argv):
@@ -87,6 +89,8 @@ class Workspace:
         (self.pack / "pack.json").write_text(json.dumps(spec, indent=2))
         for name, text in EXTRA_TEMPLATES.items():
             (self.pack / name).write_text(text)
+        with open(self.pack / "dal_derived.js.atl", "a", encoding="utf-8") as file:
+            file.write(SCAFFOLD_LINE)
         self.trees = tmp_path / "incremental", tmp_path / "full"
         for tree in self.trees:
             tree.mkdir()
@@ -213,9 +217,24 @@ class Workspace:
         with open(self.pack / "docs.md.atl", "a", encoding="utf-8") as file:
             file.write("\nEdited {{ entity.name }}.\n")
 
+    def flip_ownership(self):
+        """The scaffold rule becomes `always`, or `once` again."""
+        spec = json.loads((self.pack / "pack.json").read_text())
+        rule = spec["outputs"][4]
+        rule["ownership"] = "always" if rule["ownership"] == "once" else "once"
+        (self.pack / "pack.json").write_text(json.dumps(spec, indent=2))
+
     def hand_edit(self):
         path = self.rng.choice(self.outputs())
         self.each_tree(lambda out: (out / path).write_bytes(b"hand edit\n"))
+
+    def hand_edit_scaffold(self):
+        """Edit a file of the scaffold rule, whatever its ownership now."""
+        paths = [path for path in self.outputs()
+                 if path.startswith("dal/") and not path.endswith("_Base.js")]
+        if paths:
+            path = self.rng.choice(paths)
+            self.each_tree(lambda out: (out / path).write_bytes(b"// hand edit\n"))
 
     def delete_output(self):
         path = self.rng.choice(self.outputs())
@@ -234,7 +253,8 @@ class Workspace:
 
 EDITS = ["rename_field", "edit_text", "toggle_active", "add_field", "remove_field",
          "blank_line", "default_language", "command_language", "app_name", "flag", "template",
-         "hand_edit", "delete_output", "version_1_manifest"]
+         "flip_ownership", "hand_edit", "hand_edit_scaffold", "delete_output",
+         "version_1_manifest"]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -246,7 +266,7 @@ def test_incremental_regeneration_equals_rendering_everything(tmp_path, monkeypa
     for step, edit in enumerate(random.Random(seed).sample(EDITS * 2, k=len(EDITS) * 2)):
         getattr(space, edit)()
         space.write_model()
-        for extra in ([], ["--force"]) if edit == "hand_edit" else ([],):
+        for extra in ([], ["--force"]) if edit.startswith("hand_edit") else ([],):
             (incremental, renders), (full, all_renders) = space.generate(monkeypatch, *extra)
             where = f"seed {seed}, step {step}: {edit} {' '.join(extra)}"
             assert incremental == full, where
@@ -255,10 +275,27 @@ def test_incremental_regeneration_equals_rendering_everything(tmp_path, monkeypa
     assert skipped > 0
 
 
+@pytest.mark.parametrize("before", ["add_field", "hand_edit_scaffold"])
+def test_an_ownership_flip_equals_rendering_everything(tmp_path, monkeypatch, before):
+    """A scaffold left as it was after an edit of its entity, or after a hand
+    edit, is rewritten when its rule becomes `always`, as a full render does."""
+    space = Workspace(tmp_path, 0)
+    for entity in space.entities:
+        space.set_attribute(entity, "isActive", "true")
+    space.write_model()
+    space.generate(monkeypatch)
+    for edit in (before, "flip_ownership", "flip_ownership"):
+        getattr(space, edit)()
+        space.write_model()
+        (incremental, _), (full, _) = space.generate(monkeypatch)
+        assert incremental == full and incremental[0] == 0, (edit, incremental)
+        assert read_tree(space.trees[0] / "out") == read_tree(space.trees[1] / "out"), edit
+
+
 def test_a_one_entity_edit_renders_only_that_entity_and_the_model(tmp_path, monkeypatch):
     """Newsboard's two entities give 4 per-model artifacts and 6 per entity,
     one of them a scaffold. With no edit nothing is rendered; editing one
-    entity renders its 5 other artifacts and the 4 per-model ones."""
+    entity renders its 6 artifacts and the 4 per-model ones."""
     model = tmp_path / "model.xml"
     text = Path(NEWSBOARD).read_text("utf-8")
     model.write_text(text, "utf-8")
@@ -277,7 +314,8 @@ def test_a_one_entity_edit_renders_only_that_entity_and_the_model(tmp_path, monk
     assert code == 0 and "OVERWRITE" in out
     assert sorted(renders) == sorted(["tables.sql.atl", "constraints.sql.atl", "validation.js.atl",
                                       "api.json.atl", "procs.sql.atl", "dal_base.js.atl",
-                                      "edit.html.atl", "list.html.atl", "docs.md.atl"])
+                                      "dal_derived.js.atl", "edit.html.atl", "list.html.atl",
+                                      "docs.md.atl"])
 
 
 def test_no_change_regeneration_writes_no_manifest(tmp_path, monkeypatch):
@@ -312,7 +350,7 @@ def test_a_version_1_manifest_reuses_nothing_and_is_rewritten(tmp_path, monkeypa
     manifest.write_text(json.dumps(payload, indent=2), "utf-8")
     renders = counting_renders(monkeypatch)
     assert run(argv)[0] == 0
-    assert len(renders) == 16 - 2  # the 2 scaffolds that exist are never rendered
+    assert len(renders) == 16
     assert manifest.read_text("utf-8") == current
 
 
@@ -391,12 +429,12 @@ def test_every_input_of_a_loaded_model_is_recorded(newsboard_model, webstack):
 def test_reuse_is_asked_for_each_artifact_with_its_inputs(newsboard_model, webstack):
     asked = []
 
-    def reuse(path, inputs, owner):
-        asked.append((path, inputs, owner))
+    def reuse(path, inputs):
+        asked.append((path, inputs))
         return b"from disk"
 
     artifacts = packs.generate_all(newsboard_model, webstack, reuse=reuse)
-    assert asked == [(a.path, a.inputs, a.ownership) for a in artifacts]
+    assert asked == [(a.path, a.inputs) for a in artifacts]
     assert all(a.content == b"from disk" for a in artifacts)
 
 
