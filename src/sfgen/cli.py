@@ -143,9 +143,8 @@ def _cmd_generate(args) -> int:
         return EXIT_IO
     except OSError as exc:  # reading a pack or an output file
         return _cannot_read(exc.filename, exc)
-    existing = {path: content for path, content in on_disk.items() if content is not None}
 
-    plan = ownership.plan_writes(artifacts, existing, manifest, force=args.force)
+    plan = ownership.plan_writes(artifacts, on_disk, manifest, force=args.force)
     conflicts = plan.conflicts()
 
     if args.dry_run:
@@ -168,8 +167,8 @@ def _cmd_generate(args) -> int:
         new_manifest = ownership.apply_plan(plan, artifacts, out_root)
         if new_manifest != manifest:
             ownership.save_manifest(new_manifest, out_root)
-    except ownership.IoError as exc:
-        print(f"error E_IO: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error E_IO: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_IO
 
     counts: dict[str, int] = {}

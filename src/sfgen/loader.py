@@ -33,7 +33,6 @@ from .model import (
     Settings,
     build,
     comparison_family,
-    find_entity,
 )
 from .xmlsubset import Document
 
@@ -511,7 +510,7 @@ def _err(code: str, message: str, location, subject: str) -> Diagnostic:
     return Diagnostic(code, Severity.ERROR, message, location, subject)
 
 
-def _validate_field(field: Field, model: ApplicationModel, subject: str) -> list[Diagnostic]:
+def _validate_field(field: Field, entity_names: set[str], subject: str) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     loc = field.location
     if not field.name:
@@ -536,7 +535,7 @@ def _validate_field(field: Field, model: ApplicationModel, subject: str) -> list
     if field.isFK:
         if field.fkEntityName is None:
             out.append(_err(E_FK_TARGET, "isFK requires a 'fkEntityName' attribute", loc, subject))
-        elif find_entity(model, field.fkEntityName) is None:
+        elif field.fkEntityName not in entity_names:
             out.append(_err(E_FK_TARGET,
                             f"fkEntityName '{field.fkEntityName}' does not name an entity",
                             loc, subject))
@@ -595,6 +594,7 @@ def validate_model(model: ApplicationModel) -> list[Diagnostic]:
                         f"defaultLanguage '{default_lang}' is not declared by any Language element",
                         None, "Settings"))
 
+    entity_names = {entity.name for entity in model.entities}  # what an FK may target
     seen_names: dict[str, Entity] = {}
     seen_tables: dict[str, Entity] = {}
     for entity in model.entities:
@@ -637,7 +637,7 @@ def validate_model(model: ApplicationModel) -> list[Diagnostic]:
                                 field.location, f"{subject}/Field[{field.name}]"))
 
         for field in entity.fields:
-            out.extend(_validate_field(field, model, f"{subject}/Field[{field.name}]"))
+            out.extend(_validate_field(field, entity_names, f"{subject}/Field[{field.name}]"))
         for i, constraint in enumerate(entity.constraints, start=1):
             out.extend(_validate_constraint(constraint, entity, f"{subject}/Constraint[{i}]"))
     return out

@@ -41,13 +41,6 @@ class WriteAction(Enum):
     CONFLICT = "CONFLICT"
 
 
-class IoError(Exception):
-    def __init__(self, path: str, reason: str):
-        super().__init__(f"{path}: {reason}")
-        self.path = path
-        self.reason = reason
-
-
 class ManifestError(Exception):
     pass
 
@@ -79,12 +72,12 @@ class PlanEntry:
     path: str
     action: WriteAction
     reason: str = ""
-    sha256: Optional[str] = None  # what the new manifest records; None for a CONFLICT
 
 
 @dataclass(frozen=True)
 class WritePlan:
-    actions: tuple[PlanEntry, ...] = ()
+    actions: tuple[PlanEntry, ...]
+    manifest: Manifest  # once the plan is applied; it has no entry for a CONFLICT
 
     def conflicts(self) -> list[PlanEntry]:
         return [a for a in self.actions if a.action is WriteAction.CONFLICT]
@@ -104,45 +97,49 @@ def reusable(manifest: Optional[Manifest], path: str, inputs: str) -> bool:
 
 def plan_writes(
     artifacts: Sequence["Artifact"],
-    existing: Mapping[str, bytes],
+    existing: Mapping[str, Optional[bytes]],
     manifest: Optional[Manifest],
     force: bool = False,
 ) -> WritePlan:
-    """Decide the per-file action for one regeneration; pure, writes nothing.
+    """Decide the per-file action for one regeneration, and the manifest that
+    applying it leaves; pure, writes nothing. `existing` maps a path to its
+    bytes on disk; a path that maps to None, or is missing, has no file.
 
     ONCE files that already exist are always skipped. ALWAYS files are only
     overwritten when the on-disk content is what the generator last wrote
     (digest matches the manifest); anything else is a CONFLICT unless forced.
-    Each entry carries the digest the new manifest records for its path: that
-    of the content written, or of the bytes left on disk. Every file is hashed
-    at most once.
+    The new manifest records, for each path, the digest of the content written
+    or of the bytes left on disk. Every file is hashed at most once.
     """
     actions: list[PlanEntry] = []
+    entries: list[ManifestEntry] = []
     for artifact in artifacts:
         path, content = artifact.path, artifact.content
         on_disk = existing.get(path)
-        if on_disk is None:
-            actions.append(PlanEntry(path, WriteAction.CREATE, "new file", digest(content)))
-            continue
-        if artifact.ownership is Ownership.ONCE:
-            actions.append(PlanEntry(path, WriteAction.SKIP_ONCE,
-                                     "scaffolded once; owned by the developer", digest(on_disk)))
-            continue
         recorded = manifest.entry_of(path) if manifest is not None else None
-        if recorded is not None and digest(on_disk) == recorded.sha256:
+        if on_disk is None:
+            action, reason, sha256 = WriteAction.CREATE, "new file", digest(content)
+        elif artifact.ownership is Ownership.ONCE:
+            action, reason = WriteAction.SKIP_ONCE, "scaffolded once; owned by the developer"
+            sha256 = digest(on_disk)
+        elif recorded is not None and digest(on_disk) == recorded.sha256:
             if on_disk == content:
-                actions.append(PlanEntry(path, WriteAction.SKIP_UNCHANGED,
-                                         "content unchanged", recorded.sha256))
+                action, reason, sha256 = (WriteAction.SKIP_UNCHANGED, "content unchanged",
+                                          recorded.sha256)
             else:
-                actions.append(PlanEntry(path, WriteAction.OVERWRITE,
-                                         "regenerated content differs", digest(content)))
+                action, reason = WriteAction.OVERWRITE, "regenerated content differs"
+                sha256 = digest(content)
         elif force:
-            actions.append(PlanEntry(path, WriteAction.OVERWRITE, "forced", digest(content)))
+            action, reason, sha256 = WriteAction.OVERWRITE, "forced", digest(content)
         else:
+            action, sha256 = WriteAction.CONFLICT, None
             reason = ("file was modified after the last generation"
                       if recorded is not None else "file is not covered by the manifest")
-            actions.append(PlanEntry(path, WriteAction.CONFLICT, reason))
-    return WritePlan(tuple(actions))
+        actions.append(PlanEntry(path, action, reason))
+        if sha256 is not None:
+            entries.append(ManifestEntry(path, artifact.ownership, sha256, artifact.inputs))
+    entries.sort(key=lambda e: e.path)
+    return WritePlan(tuple(actions), Manifest(tuple(entries)))
 
 
 def _atomic_write(target: Path, content: bytes) -> None:
@@ -161,30 +158,26 @@ def _atomic_write(target: Path, content: bytes) -> None:
         with open(fd, "wb") as file:
             file.write(content)
         os.replace(tmp, target)
-    except OSError as exc:
+    except OSError as exc:  # named by the target, whatever file failed
         if tmp is not None:
             tmp.unlink(missing_ok=True)
-        raise IoError(str(target), exc.strerror or str(exc)) from exc
+        raise OSError(exc.errno, exc.strerror or str(exc), str(target)) from None
 
 
 def apply_plan(plan: WritePlan, artifacts: Sequence["Artifact"], out_root: Path) -> Manifest:
-    """Execute a conflict-free plan under `out_root` and return the new manifest.
+    """Write the CREATE and OVERWRITE files of a conflict-free plan under
+    `out_root`, and return the plan's manifest.
 
     `plan` is `plan_writes(artifacts, ...)`, one entry per artifact in order.
-    Writes are atomic per file (temp file + rename). The manifest records each
-    entry's digest, so user-edited ONCE scaffolds stay recognizable.
+    Writes are atomic per file (temp file + rename). A failed write raises
+    OSError with the file it was writing as its filename.
     """
     if plan.conflicts():
         raise ValueError("plan contains conflicts; resolve them or use force")
-
-    manifest_entries: list[ManifestEntry] = []
     for entry, artifact in zip(plan.actions, artifacts, strict=True):
         if entry.action in (WriteAction.CREATE, WriteAction.OVERWRITE):
             _atomic_write(out_root / entry.path, artifact.content)
-        manifest_entries.append(ManifestEntry(entry.path, artifact.ownership, entry.sha256,
-                                              artifact.inputs))
-    manifest_entries.sort(key=lambda e: e.path)
-    return Manifest(entries=tuple(manifest_entries))
+    return plan.manifest
 
 
 _OWNERSHIPS = {member.value: member for member in Ownership}

@@ -1,8 +1,9 @@
 """Minimal XML parser for model documents.
 
 Accepts the constrained subset the modeling language actually uses: elements,
-single- or double-quoted attributes, character data, comments, an optional XML
-declaration, and the five predefined entities. DOCTYPE, CDATA, processing
+single- or double-quoted attributes, each after whitespace, character data
+without `]]>`, comments, an optional XML declaration, and the five predefined
+entities. DOCTYPE, CDATA, processing
 instructions, numeric character references and namespace prefixes are rejected
 with a located error.
 
@@ -20,6 +21,7 @@ _NAME = r"[A-Za-z_][A-Za-z0-9_.\-]*"
 # never retries a shorter name. A lookahead, because atomic groups need 3.11.
 _NAME_END = r"(?![A-Za-z0-9_.\-:])"
 _WS = r"[ \t\r\n]*"
+_S = r"[ \t\r\n]+"  # what must come before each attribute
 
 NAME_RE = re.compile(_NAME)
 ENTITY_RE = re.compile(r"&([A-Za-z]+);")
@@ -35,7 +37,7 @@ TAG_END_RE = re.compile(_WS + "(/?)>")
 # closes another element, the step-by-step readers of `Document` run instead.
 MARKUP_RE = re.compile(
     "([^<]*)<(?:(" + _NAME + ")" + _NAME_END
-    + "((?:" + _WS + _NAME + _NAME_END + _WS + "=" + _WS + "(?:\"[^\"<&]*\"|'[^'<&]*'))*)"
+    + "((?:" + _S + _NAME + _NAME_END + _WS + "=" + _WS + "(?:\"[^\"<&]*\"|'[^'<&]*'))*)"
     + _WS + "(/?)>|/(" + _NAME + ")" + _NAME_END + _WS + ">)")
 
 
@@ -149,6 +151,8 @@ class Document:
         """Read one attribute check by check; returns (name, value, end)."""
         text = self.text
         name_pos = self.skip_whitespace(pos)
+        if name_pos == pos and NAME_RE.match(text, pos):  # right after a value
+            raise self.fail("expected whitespace before attribute name", pos)
         pos = self.read_name(name_pos, "attribute name")
         name = text[name_pos:pos]
         if name in attributes:
@@ -253,6 +257,8 @@ class Document:
                     raise self.fail(f"unclosed element '{tag}'", offset)
                 raw = text[pos:lt]
             if raw:
+                if "]]>" in raw:
+                    raise self.fail("']]>' in character data", pos + raw.index("]]>"))
                 parts.append(self.decode_text(raw, pos) if "&" in raw else raw)
                 pos = lt
 

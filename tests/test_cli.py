@@ -315,6 +315,22 @@ def test_generate_output_path_is_a_directory(tmp_path, capsys):
         f"error E_IO: cannot read {out / 'docs' / 'Vest.md'}: {os.strerror(errno.EISDIR)}\n")
 
 
+@pytest.mark.parametrize("failing", ["web/Vest_edit.html", ownership.MANIFEST_FILENAME])
+def test_generate_failed_write_is_io_error(tmp_path, monkeypatch, capsys, failing):
+    out = tmp_path / "out"
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if str(dst).endswith(failing):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert generate(out) == 3
+    assert capsys.readouterr() == (
+        "", f"error E_IO: {out / failing}: {os.strerror(errno.EIO)}\n")
+
+
 def test_generate_pack_directory_unreadable(tmp_path, monkeypatch, capsys):
     pack_dir = tmp_path / "pack"
     shutil.copytree(PACK, pack_dir)

@@ -461,3 +461,33 @@ def test_a_template_reading_the_model_or_a_location_uses_the_whole_model():
     after = inputs(text.replace('\n<Entity name="B"', '\n\n<Entity name="B"'))
     changed = {path for path in before if before[path] != after[path]}
     assert changed == {"loc.atl/A", "loc.atl/B", "model.atl/A", "model.atl/B"}
+
+
+def test_a_rule_made_per_model_is_rendered_again(tmp_path, monkeypatch):
+    """`per` is an input: a per-entity rule with a fixed path whose template
+    reads the model root has every other input of its per-model twin, and the
+    twin's template finds no `entity` to read."""
+    pack, model = tmp_path / "pack", tmp_path / "model.xml"
+    pack.mkdir()
+    (pack / "both.atl").write_text("{{ count(model.entities) }} {{ entity.name }}\n")
+    rule = {"template": "both.atl", "path": "both.txt", "per": "entity", "ownership": "always"}
+    model.write_text('<xsource><Settings appName="A"/><EntityConfig>'
+                     '<Entity name="A" tableName="A"><Field name="ID" type="int" isPK="true"/>'
+                     '</Entity></EntityConfig></xsource>', "utf-8")
+    argv = ["generate", "--model", str(model), "--pack", str(pack), "--out", "out"]
+    results = []
+    for full in (False, True):
+        with monkeypatch.context() as patch:
+            patch.chdir(tmp_path)
+            shutil.rmtree("out", ignore_errors=True)
+            if full:
+                rendering_everything(patch)
+            rule["per"] = "entity"
+            (pack / "pack.json").write_text(json.dumps({"name": "p", "version": "1", "outputs": [rule]}))
+            assert run(argv) == (0, "generated 1 artifacts: 1 CREATE\n", "")
+            rule["per"] = "model"
+            (pack / "pack.json").write_text(json.dumps({"name": "p", "version": "1", "outputs": [rule]}))
+            results.append(run(argv))
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert (code, out) == (4, "") and err.startswith("error E_TEMPLATE: "), err

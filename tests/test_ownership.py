@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from sfgen.ownership import (
     MANIFEST_FILENAME,
-    IoError,
     Manifest,
     ManifestEntry,
     ManifestError,
@@ -114,6 +113,32 @@ def test_plan_force_overwrites_always_but_not_once():
     }
 
 
+def test_plan_records_the_new_manifest_sorted_with_no_entry_for_a_conflict():
+    arts = [Artifact("z.sql", b"new", Ownership.ALWAYS, "1" * 64),
+            Artifact("c.sql", b"same", Ownership.ALWAYS, "2" * 64),
+            Artifact("b.js", b"scaffold", Ownership.ONCE, "3" * 64),
+            Artifact("m.sql", b"regenerated", Ownership.ALWAYS, "4" * 64),
+            Artifact("a.sql", b"mine too", Ownership.ALWAYS, "5" * 64)]
+    manifest = Manifest(entries=(
+        ManifestEntry("c.sql", Ownership.ALWAYS, digest(b"same")),
+        ManifestEntry("m.sql", Ownership.ALWAYS, digest(b"old")),
+        ManifestEntry("a.sql", Ownership.ALWAYS, digest(b"original")),
+    ))
+    existing = {"c.sql": b"same", "b.js": b"edited", "m.sql": b"old", "a.sql": b"mine",
+                "z.sql": None}
+    plan = plan_writes(arts, existing, manifest)
+    assert actions_by_path(plan) == {
+        "z.sql": WriteAction.CREATE, "c.sql": WriteAction.SKIP_UNCHANGED,
+        "b.js": WriteAction.SKIP_ONCE, "m.sql": WriteAction.OVERWRITE,
+        "a.sql": WriteAction.CONFLICT}
+    assert plan.manifest == Manifest(entries=(
+        ManifestEntry("b.js", Ownership.ONCE, digest(b"edited"), "3" * 64),
+        ManifestEntry("c.sql", Ownership.ALWAYS, digest(b"same"), "2" * 64),
+        ManifestEntry("m.sql", Ownership.ALWAYS, digest(b"regenerated"), "4" * 64),
+        ManifestEntry("z.sql", Ownership.ALWAYS, digest(b"new"), "1" * 64),
+    ))
+
+
 def test_plan_is_pure():
     existing = {"a.sql": b"x"}
     plan_writes([A("a.sql", b"y")], existing, None, force=True)
@@ -197,8 +222,10 @@ def test_failed_replace_leaves_no_temp_file(tmp_path, monkeypatch, failing_call)
 
     monkeypatch.setattr(os, "replace", replace)
     arts = [A(f"f{i}.txt", str(i).encode()) for i in range(4)]
-    with pytest.raises(IoError, match=f"f{failing_call - 1}.txt: I/O error"):
+    with pytest.raises(OSError) as raised:
         apply_plan(plan_writes(arts, {}, None), arts, tmp_path)
+    assert raised.value.filename == str(tmp_path / f"f{failing_call - 1}.txt")
+    assert raised.value.strerror == "I/O error"
     assert read_tree(tmp_path) == {f"f{i}.txt": str(i).encode() for i in range(failing_call - 1)}
 
 
@@ -206,6 +233,17 @@ def test_manifest_entries_sorted_by_path(tmp_path):
     arts = [A("z.txt", b"z"), A("a.txt", b"a"), A("m.txt", b"m")]
     manifest = apply_plan(plan_writes(arts, {}, None), arts, tmp_path)
     assert [e.path for e in manifest.entries] == ["a.txt", "m.txt", "z.txt"]
+
+
+def test_apply_returns_the_manifest_the_plan_records(tmp_path):
+    arts = [A("z.txt", b"z"), A("a.txt", b"a", Ownership.ONCE), A("m.txt", b"m")]
+    first = plan_writes(arts, {}, None)
+    assert apply_plan(first, arts, tmp_path) == first.manifest
+    arts[2] = A("m.txt", b"m2")
+    (tmp_path / "a.txt").write_bytes(b"edited")
+    plan = plan_writes(arts, read_tree(tmp_path), first.manifest)
+    assert apply_plan(plan, arts, tmp_path) == plan.manifest
+    assert [e.path for e in plan.manifest.entries] == ["a.txt", "m.txt", "z.txt"]
 
 
 @given(edit=st.binary(min_size=1, max_size=64), scaffold=st.binary(max_size=64))

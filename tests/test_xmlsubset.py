@@ -125,6 +125,10 @@ def test_disallowed_constructs(payload, needle):
         (b'<a x="1" =/>', 1, 10, "expected attribute name"),
         (b'<a\n  x="1"\n  y="2" x="3"/>', 3, 9, "duplicate attribute 'x'"),
         (b'<a x="1" y=\'2\' z="&bad;"/>', 1, 19, "undefined or malformed entity reference"),
+        (b'<a x="1"y="2"/>', 1, 9, "expected whitespace before attribute name"),
+        (b'<a x="&amp;"y="2"/>', 1, 13, "expected whitespace before attribute name"),
+        (b"<a>]]></a>", 1, 4, "']]>' in character data"),
+        (b"<a>x &amp; ]]></a>", 1, 12, "']]>' in character data"),
     ],
 )
 def test_parse_errors_are_located(payload, line, column, reason):
@@ -142,12 +146,6 @@ def test_xml_declaration_and_comments_discarded():
 def test_single_and_double_quoted_attributes():
     root = parse_tree(b"<a x='1' y=\"2\"/>")
     assert root.attributes == {"x": "1", "y": "2"}
-
-
-def test_attributes_need_no_whitespace_between_them():
-    root = parse_tree(b'<a x="1"y="2"/>')
-    assert root.attributes == {"x": "1", "y": "2"}
-    assert root.attribute_locations == {"x": (1, 4), "y": (1, 9)}
 
 
 def test_duplicate_attribute_rejected():
