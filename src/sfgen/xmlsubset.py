@@ -3,9 +3,8 @@
 Accepts the constrained subset the modeling language actually uses: elements,
 single- or double-quoted attributes, each after whitespace, character data
 without `]]>`, comments, an optional XML declaration, and the five predefined
-entities. DOCTYPE, CDATA, processing
-instructions, numeric character references and namespace prefixes are rejected
-with a located error.
+entities. DOCTYPE, CDATA, processing instructions, numeric character
+references and namespace prefixes are rejected with a located error.
 
 `Document.parse` is the one entry point: it reports each element to a
 `Consumer` as it opens and as it closes, and builds no tree.
