@@ -206,7 +206,9 @@ def model_element(rng: random.Random, model: ApplicationModel) -> Element:
 
 
 def _escaped(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
+    # `]]>` may not stand in character data, so its `>` is escaped as well
+    return (text.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
+            .replace("]]>", "]]&gt;"))
 
 
 def to_xml(root: Element) -> str:

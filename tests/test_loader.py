@@ -522,6 +522,6 @@ def _trees(draw, tag="xsource"):
 
 @given(_trees())
 def test_binding_never_raises(root):
-    # to_xml escapes '&', '<' and '"', so every drawn document is well-formed
+    # to_xml escapes '&', '<', '"' and the '>' of ']]>', so every drawn document is well-formed
     _, diagnostics = load_model(randmodels.to_xml(root).encode("utf-8"))
     assert all(isinstance(d, loader.Diagnostic) for d in diagnostics)
