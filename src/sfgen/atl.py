@@ -10,6 +10,7 @@ same text, and the context is never mutated.
 
 from __future__ import annotations
 
+import json
 import operator
 import re
 from dataclasses import dataclass, field as dc_field, fields
@@ -123,6 +124,21 @@ class TemplateAst:
     source: str = dc_field(default="", repr=False, compare=False)
     names: frozenset[str] = dc_field(default=frozenset(), repr=False, compare=False)
     steps: frozenset[str] = dc_field(default=frozenset(), repr=False, compare=False)
+    fragment: Optional["FragmentLoop"] = dc_field(default=None, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class FragmentLoop:
+    """The first top-level `for` over `model.entities` or `model.active_entities`
+    of a template, where its body reads no context name but `lang` and `flags`,
+    and no `location`. An iteration's text then depends only on its item, the
+    values of the loop attributes in `reads`, `lang`, `flags` and the settings
+    (through `localized`), so it can be rendered, or kept, on its own."""
+    reads: tuple[str, ...]  # the loop attributes its body reads, in _LOOP_ATTRS order
+    before: Callable[[dict, Callable[[str], None]], None]  # the text before the loop
+    items: Callable[[dict], list]  # the sequence it iterates
+    body: Callable[..., None]  # (ctx, append, item, index, length): one iteration
+    after: Callable[[dict, Callable[[str], None]], None]  # the text after the loop
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +399,14 @@ def parse_template(source: str, name: str) -> TemplateAst:
     byte-exactly except where trim markers apply."""
     nodes, _ = _Parser(source, name).block(0)
     gen = _Codegen()
-    gen.define("ctx, append", lambda: gen.block(nodes, 1))
-    return TemplateAst(name, nodes, gen.finish(), tuple(gen.sites), source,
-                       frozenset(gen.context_names), frozenset(gen.steps))
+    pieces = gen.template(nodes)
+    compiled = gen.finish()
+    fragment = None
+    if pieces is not None and pieces[0] is not None:
+        reads, *slots = pieces
+        fragment = FragmentLoop(reads, *(gen.namespace[f"r{slot}"] for slot in slots))
+    return TemplateAst(name, nodes, compiled, tuple(gen.sites), source,
+                       frozenset(gen.context_names), frozenset(gen.steps), fragment)
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +548,11 @@ def _builtin_coalesce(value: Value, fallback: Value) -> Value:
     return fallback if value is None else value
 
 
+def _builtin_json_str(text: Value) -> str:
+    """Text as the inside of a JSON string literal."""
+    return json.dumps(_as_text(text), ensure_ascii=False)[1:-1]
+
+
 def _builtin_localized(node: Value, lang: Value, key: Value) -> str:
     if not isinstance(node, ModelView) \
             or not isinstance(node.element, (m.Entity, m.Field, m.Constraint)):
@@ -544,6 +570,7 @@ BUILTINS: dict[str, Callable[..., Value]] = {
     "upper": lambda t: _as_text(t).upper(),
     "coalesce": _builtin_coalesce,
     "localized": _builtin_localized,
+    "json_str": _builtin_json_str,
 }
 
 
@@ -563,6 +590,9 @@ _LOOP_ATTRS = {"index": ("i{}", int), "first": ("(i{} == 1)", bool),
                "last": ("(i{0} == n{0})", bool), "length": ("n{}", int)}
 _ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _UNKNOWN = object()  # the value of a context name the context lacks
+# what a fragment loop iterates, and the context names its body may read
+_FRAGMENT_SEQUENCES = {("model", "entities"), ("model", "active_entities")}
+_FRAGMENT_NAMES = frozenset({"lang", "flags"})
 
 
 class _Failure(Exception):
@@ -640,10 +670,12 @@ _RUNTIME = {"_MV": ModelView, "_U": _UNKNOWN, "_fail": _fail, "_step": _step, "_
 @dataclass
 class _Loop:
     """An enclosing for: its variable, and its number k in the locals it binds,
-    v<k>, i<k>, n<k> and, where its body reads `loop` as a value, the dict l<k>."""
+    v<k>, i<k>, n<k> and, where its body reads `loop` as a value, the dict l<k>;
+    and the attributes its body reads of `loop`."""
     var: str
     k: int
     meta: bool = False
+    reads: set[str] = dc_field(default_factory=set)
 
 
 class _Codegen:
@@ -682,6 +714,57 @@ class _Codegen:
     def finish(self) -> Callable:
         exec(compile("\n".join(self.defs), "<atl>", "exec"), self.namespace)
         return self.namespace["r0"]
+
+    def template(self, nodes: Sequence[TplNode]) -> Optional[tuple]:
+        """Generate r0, the template's function. Where the template has a
+        top-level `for` over the model's entities, r0 calls one function for
+        the text before it, one for its sequence, one per iteration and one for
+        the text after it; returns the loop's reads (None unless it is a
+        fragment loop) and the numbers of those four functions."""
+        at = next((i for i, node in enumerate(nodes) if type(node) is ForNode
+                   and type(node.expr) is Path and node.expr.names in _FRAGMENT_SEQUENCES), None)
+        if at is None:
+            self.define("ctx, append", lambda: self.block(nodes, 1))
+            return None
+        return self.define("ctx, append",
+                           lambda: self.split(nodes[:at], nodes[at], nodes[at + 1:]))[1]
+
+    def split(self, before: Sequence[TplNode], node: ForNode, after: Sequence[TplNode]) -> tuple:
+        slots = [len(self.defs)]
+        call_before = self.define("ctx, append", lambda: self.block(before, 1))[0]
+        slots.append(len(self.defs))
+        call_items = self.define("ctx", lambda: self.items(node))[0]
+        self.loops += 1
+        loop, names, steps = _Loop(node.var, self.loops), self.context_names, self.steps
+        self.scope, self.context_names, self.steps = (loop,), set(), set()
+        slots.append(len(self.defs))
+        call_body = self.define("ctx, append", lambda: self.iteration(node.body, loop))[0]
+        body_names, body_steps, self.scope = self.context_names, self.steps, ()
+        self.context_names, self.steps = names | body_names, steps | body_steps
+        slots.append(len(self.defs))
+        call_after = self.define("ctx, append", lambda: self.block(after, 1))[0]
+        k = loop.k
+        self.lines += [f" {call_before}", f" t = {call_items}", f" n{k} = len(t)",
+                       f" for i{k}, v{k} in enumerate(t, 1):", f"  {call_body}", f" {call_after}"]
+        fragment = body_names <= _FRAGMENT_NAMES and "location" not in body_steps
+        reads = tuple(attr for attr in _LOOP_ATTRS if attr in loop.reads)
+        return reads if fragment else None, *slots
+
+    def items(self, node: ForNode) -> None:
+        site = self.site(node.pos)
+        self.lines += [f" t = {self.expr(node.expr, 0)[0]}",
+                       f" if not isinstance(t, list): _fail({site}, "
+                       f"'for-loop expression is not a sequence')", " return t"]
+
+    def iteration(self, body: Sequence[TplNode], loop: _Loop) -> None:
+        """The body of a loop as a function of its item, index and length; the
+        dict that reads `loop` as a value is built in it, not passed to it."""
+        self.block(body, 1)
+        if loop.meta:
+            k, loop.meta = loop.k, False
+            loop.reads.update(_LOOP_ATTRS)
+            self.lines.insert(0, f" l{k} = {{'index': i{k}, 'first': i{k} == 1, "
+                                 f"'last': i{k} == n{k}, 'length': n{k}}}")
 
     def block(self, nodes: Sequence[TplNode], indent: int) -> None:
         pad, text, first = " " * indent, [], len(self.lines)
@@ -778,6 +861,7 @@ class _Codegen:
         elif head != "loop":
             value = f"v{loop.k}"
         elif attrs and attrs[0] in _LOOP_ATTRS:
+            loop.reads.add(attrs[0])
             (value, kind), attrs = _LOOP_ATTRS[attrs[0]], attrs[1:]
             value = value.format(loop.k)
         else:
@@ -799,6 +883,36 @@ def render(ast: TemplateAst, context: Mapping[str, Value]) -> str:
         site, reason = exc.args
         raise TemplateRuntimeError(ast.name, *ast.sites[site], reason) from None
     return "".join(out)
+
+
+def render_fragments(ast: TemplateAst, context: Mapping[str, Value],
+                     kept: Callable[[ModelView, str], Optional[bytes]]) -> list[Union[str, bytes]]:
+    """The output of a template with a fragment loop as pieces: the text before
+    the loop, one piece per iteration, then the text after it. Joined, the
+    pieces are what render() returns. An iteration is rendered only where
+    kept(item, loop) gives no bytes for it; `loop` is the text of the loop
+    attributes its body reads, comma-separated."""
+    loop, ctx, out = ast.fragment, dict(context), []
+    try:
+        loop.before(ctx, out.append)
+        pieces: list[Union[str, bytes]] = ["".join(out)]
+        items = loop.items(ctx)
+        n = len(items)
+        for i, item in enumerate(items, 1):
+            attrs = {"index": i, "first": i == 1, "last": i == n, "length": n}
+            piece = kept(item, ",".join([_as_text(attrs[name]) for name in loop.reads]))
+            if piece is None:
+                out.clear()
+                loop.body(ctx, out.append, item, i, n)
+                piece = "".join(out)
+            pieces.append(piece)
+        out.clear()
+        loop.after(ctx, out.append)
+    except _Failure as exc:
+        site, reason = exc.args
+        raise TemplateRuntimeError(ast.name, *ast.sites[site], reason) from None
+    pieces.append("".join(out))
+    return pieces
 
 
 def eval_expr(expr: Union[Expr, str], env: Mapping[str, Value], name: str = "<expr>") -> Value:

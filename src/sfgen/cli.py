@@ -121,14 +121,16 @@ def _cmd_generate(args) -> int:
         content = on_disk[path] = ownership.read_file(prefix + path)
         return content
 
-    def reuse(path: str, inputs: str) -> Optional[bytes]:
-        return read(path) if ownership.reusable(manifest, path, inputs) else None
+    def reuse(inputs: str, path: str) -> Optional[tuple[ownership.ManifestEntry, bytes]]:
+        entry = manifest.entry_of(path) if path else manifest.entry_for(inputs)
+        content = read(entry.path) if entry is not None else None
+        return None if content is None else (entry, content)
 
     try:
         pack = packs.load_pack(packs.read_pack_dir(Path(args.pack)))
         manifest = ownership.load_manifest(out_root)
         artifacts = packs.generate_all(model, pack, lang=args.lang,
-                                       reuse=None if args.force else reuse)
+                                       reuse=None if args.force or manifest is None else reuse)
         for artifact in artifacts:
             if artifact.path not in on_disk:
                 read(artifact.path)

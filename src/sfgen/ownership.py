@@ -18,14 +18,24 @@ from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+
+from .model import _builder
 
 if TYPE_CHECKING:
     from .packs import Artifact
 
 MANIFEST_FILENAME = ".sfgen-manifest.json"
-MANIFEST_VERSION = 2  # 2 added each entry's "inputs"; a version-1 manifest still loads
+# 3 names each entry's rule and entity, and lists a spliced file's iterations;
+# a version-1 or version-2 manifest still loads, with no inputs, so reuses nothing
+MANIFEST_VERSION = 3
+KEY_LENGTH = 32  # hex digits of a rule's or an entity's part of an inputs key
+
+# (key, start, end): one iteration of a fragment loop, at file[start:end]. Its
+# key is its entity's key, then the values of the loop attributes it reads.
+Fragment = tuple[str, int, int]
 
 
 class Ownership(Enum):
@@ -50,7 +60,8 @@ class ManifestEntry:
     path: str
     ownership: Ownership
     sha256: str
-    inputs: str = ""  # the digest of what the file was generated from; "" if unknown
+    inputs: str = ""  # the key of what the file was generated from; "" if unknown
+    fragments: tuple[Fragment, ...] = ()  # the iterations a later run may keep
 
 
 @dataclass(frozen=True)
@@ -63,8 +74,17 @@ class Manifest:
         # built from the last entry back, so the first entry for a path wins
         return {entry.path: entry for entry in reversed(self.entries)}
 
+    @cached_property
+    def _by_inputs(self) -> dict[str, ManifestEntry]:
+        # only the entry that entry_of gives for its path, which planning checks
+        return {entry.inputs: entry for entry in self._by_path.values() if entry.inputs}
+
     def entry_of(self, path: str) -> Optional[ManifestEntry]:
         return self._by_path.get(path)
+
+    def entry_for(self, inputs: str) -> Optional[ManifestEntry]:
+        """The entry of the file generated from these inputs, if any."""
+        return self._by_inputs.get(inputs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,14 +107,6 @@ def digest(content: bytes) -> str:
     return hashlib.sha256(content).hexdigest()
 
 
-def reusable(manifest: Optional[Manifest], path: str, inputs: str) -> bool:
-    """Whether the file at `path`, if it exists, may stand for rendering the
-    artifact with these inputs: the manifest records these inputs for it.
-    Planning then finds whether its bytes are still the ones generated."""
-    entry = manifest.entry_of(path) if manifest is not None else None
-    return entry is not None and entry.inputs == inputs
-
-
 def plan_writes(
     artifacts: Sequence["Artifact"],
     existing: Mapping[str, Optional[bytes]],
@@ -109,7 +121,9 @@ def plan_writes(
     overwritten when the on-disk content is what the generator last wrote
     (digest matches the manifest); anything else is a CONFLICT unless forced.
     The new manifest records, for each path, the digest of the content written
-    or of the bytes left on disk. Every file is hashed at most once.
+    or of the bytes left on disk, and the artifact's inputs. Where all of these
+    are as recorded, it keeps the recorded entry. Every file is hashed at most
+    once.
     """
     actions: list[PlanEntry] = []
     entries: list[ManifestEntry] = []
@@ -136,9 +150,15 @@ def plan_writes(
             reason = ("file was modified after the last generation"
                       if recorded is not None else "file is not covered by the manifest")
         actions.append(PlanEntry(path, action, reason))
-        if sha256 is not None:
-            entries.append(ManifestEntry(path, artifact.ownership, sha256, artifact.inputs))
-    entries.sort(key=lambda e: e.path)
+        if sha256 is None:
+            continue
+        if recorded is None or recorded.sha256 != sha256 or recorded.inputs != artifact.inputs \
+                or recorded.ownership is not artifact.ownership \
+                or recorded.fragments != artifact.fragments:
+            recorded = ManifestEntry(path, artifact.ownership, sha256, artifact.inputs,
+                                     artifact.fragments)
+        entries.append(recorded)
+    entries.sort(key=attrgetter("path"))
     return WritePlan(tuple(actions), Manifest(tuple(entries)))
 
 
@@ -185,39 +205,110 @@ _QUOTED = {member: json.encoder.encode_basestring(member.value) for member in Ow
 
 
 def manifest_to_json(manifest: Manifest) -> str:
-    """The manifest as `json.dumps(..., indent=2, ensure_ascii=False)` lays it
-    out, always at MANIFEST_VERSION. Written line by line, since an indent
-    makes json.dumps use its pure-Python encoder: about 5 times as slow on a
-    manifest of 7,654 entries."""
+    """The manifest as JSON, always at MANIFEST_VERSION: the keys of its rules,
+    then of its entities, each once, then one entry per line. An entry is
+    [path, ownership, sha256], followed where it has inputs by the indices of
+    their rule and entity in those lists, and then by its fragments, flat:
+    entity, loop attributes, start and end of each iteration in turn."""
     quote = json.encoder.encode_basestring
-    entries = ",\n".join(
-        f'    {{\n      "path": {quote(e.path)},\n      "ownership": {_QUOTED[e.ownership]},'
-        f'\n      "sha256": {quote(e.sha256)},\n      "inputs": {quote(e.inputs)}\n    }}'
-        for e in manifest.entries)
-    entries = f"[\n{entries}\n  ]" if entries else "[]"
-    return f'{{\n  "version": {MANIFEST_VERSION},\n  "entries": {entries}\n}}\n'
+    rules: dict[str, int] = {}
+    entities: dict[str, int] = {}
+    lines = []
+    for e in manifest.entries:
+        line = f"[{quote(e.path)}, {_QUOTED[e.ownership]}, {quote(e.sha256)}"
+        if e.inputs:
+            rule = rules.setdefault(e.inputs[:KEY_LENGTH], len(rules))
+            entity = entities.setdefault(e.inputs[KEY_LENGTH:], len(entities))
+            line += f", {rule}, {entity}"
+            if e.fragments:
+                fragments = [part for key, start, end in e.fragments for part in (
+                    entities.setdefault(key[:KEY_LENGTH], len(entities)), key[KEY_LENGTH:],
+                    start, end)]
+                line += f", {json.dumps(fragments, ensure_ascii=False)}"
+        lines.append(line + "]")
+    return (f'{{\n  "version": {MANIFEST_VERSION},\n'
+            f'  "rules": {_lines(map(quote, rules))},\n'
+            f'  "entities": {_lines(map(quote, entities))},\n'
+            f'  "entries": {_lines(lines)}\n}}\n')
 
 
-def _entry_from_json(e: Mapping, version: int) -> ManifestEntry:
+def _lines(items: Iterable[str]) -> str:
+    """A JSON array of these values, one per line."""
+    body = ",\n    ".join(items)
+    return f"[\n    {body}\n  ]" if body else "[]"
+
+
+def _strings(value: object, what: str) -> list[str]:
+    if type(value) is not list or any(type(item) is not str for item in value):
+        raise TypeError(f"{what} must be a list of strings")
+    return value
+
+
+def _at(table: list[str], index: object) -> str:
+    if type(index) is not int or not 0 <= index < len(table):
+        raise ValueError(f"index {index!r} is out of range")
+    return table[index]
+
+
+def _fragments(entities: list[str], flat: object) -> tuple[Fragment, ...]:
+    if type(flat) is not list or len(flat) % 4:
+        raise TypeError("fragments must be a list of entity, loop, start and end")
+    fragments = []
+    for i in range(0, len(flat), 4):
+        entity, loop, start, end = flat[i:i + 4]
+        if type(loop) is not str or type(start) is not int or type(end) is not int \
+                or not 0 <= start <= end:
+            raise ValueError(f"fragment #{i // 4 + 1} is not [entity, loop, start, end]")
+        fragments.append((_at(entities, entity) + loop, start, end))
+    return tuple(fragments)
+
+
+def _entries(rows: object, rules: list[str], entities: list[str]) -> list[ManifestEntry]:
+    """The entries of a version-3 manifest."""
+    if type(rows) is not list:
+        raise TypeError("entries must be a list")
+    make, entries = _builder(ManifestEntry), []
+    for number, row in enumerate(rows, 1):
+        if type(row) is not list or len(row) not in (3, 5, 6):
+            raise ValueError(f"entry #{number} is not [path, ownership, sha256, ...]")
+        path, owner, sha = row[0], row[1], row[2]
+        if type(path) is not str or type(owner) is not str or type(sha) is not str:
+            raise TypeError("entry path, ownership and sha256 must be strings")
+        ownership = _OWNERSHIPS.get(owner)
+        if ownership is None:
+            raise ValueError(f"{owner!r} is not a valid Ownership")
+        inputs = _at(rules, row[3]) + _at(entities, row[4]) if len(row) > 3 else ""
+        fragments = _fragments(entities, row[5]) if len(row) > 5 else ()
+        entries.append(make(path=path, ownership=ownership, sha256=sha, inputs=inputs,
+                            fragments=fragments))
+    return entries
+
+
+def _old_entry(e: Mapping, version: int) -> ManifestEntry:
+    """An entry of a version-1 or version-2 manifest, with no inputs: their
+    inputs were keyed otherwise, so nothing is reused by them."""
     path, owner, sha = e["path"], e["ownership"], e["sha256"]
-    inputs = e["inputs"] if version > 1 else ""  # version 1 recorded none
     if not (type(path) is str and type(owner) is str and type(sha) is str
-            and type(inputs) is str):
+            and (version == 1 or type(e["inputs"]) is str)):
         raise TypeError("entry path, ownership, sha256 and inputs must be strings")
     ownership = _OWNERSHIPS.get(owner)
     if ownership is None:
         raise ValueError(f"{owner!r} is not a valid Ownership")
-    return ManifestEntry(path, ownership, sha, inputs)
+    return ManifestEntry(path, ownership, sha)
 
 
 def manifest_from_json(text: str) -> Manifest:
     try:
         payload = json.loads(text)
         version = payload["version"]
-        if type(version) is not int or version not in (1, MANIFEST_VERSION):
+        if type(version) is not int or version not in (1, 2, MANIFEST_VERSION):
             raise ValueError(f"unsupported manifest version {version!r}")
-        entries = tuple(_entry_from_json(e, version) for e in payload["entries"])
-        return Manifest(entries, version)
+        if version == MANIFEST_VERSION:
+            entries = _entries(payload["entries"], _strings(payload["rules"], "rules"),
+                               _strings(payload["entities"], "entities"))
+        else:
+            entries = [_old_entry(e, version) for e in payload["entries"]]
+        return Manifest(tuple(entries), version)
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ManifestError(f"malformed manifest: {exc}") from exc
 

@@ -4,8 +4,8 @@ render, at which output paths, with which ownership.
 A pack directory holds `pack.json` and the templates it references. Generation
 expands each output rule (once per model, or once per active entity), renders
 the template and yields deterministic UTF-8 artifacts. Each artifact carries
-the digest of its inputs, so that a later run can take an artifact whose
-inputs are unchanged from disk instead of rendering it.
+the key of its inputs, so that a later run can take an artifact whose inputs
+are unchanged from disk instead of rendering it.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import Callable, Mapping, Optional
 
 from . import atl
 from .loader import paused_gc
-from .model import ApplicationModel, Entity
-from .ownership import Ownership, walk_files
+from .model import ApplicationModel, Entity, _builder
+from .ownership import KEY_LENGTH, Fragment, ManifestEntry, Ownership, walk_files
 
 _PLACEHOLDER_RE = re.compile(r"\{entity\.([A-Za-z_][A-Za-z0-9_]*)\}")
 _PATH_FIELDS = ("name", "tableName")  # the entity text fields a path may read
@@ -59,7 +59,8 @@ class Artifact:
     path: str
     content: bytes
     ownership: Ownership
-    inputs: str = ""  # the digest of everything its content depends on; "" if unknown
+    inputs: str = ""  # the key of everything its content depends on; "" if unknown
+    fragments: tuple[Fragment, ...] = ()  # of a template with a fragment loop: its iterations
 
 
 def builtin_pack_dir(name: str = "webstack") -> Path:
@@ -188,25 +189,16 @@ def _update(h: "hashlib._Hash", part: str) -> None:
     h.update(data)
 
 
-def _rule_inputs(rule: OutputRule, ast: atl.TemplateAst, lang: str,
-                 model: ApplicationModel) -> "hashlib._Hash":
-    """A hash of the inputs that every artifact of `rule` shares."""
+def _rule_key(rule: OutputRule, ast: atl.TemplateAst, lang: str, model: ApplicationModel,
+              model_digest: str) -> str:
+    """The key of the inputs that every artifact of `rule` shares."""
     h = hashlib.sha256(_sources_digest())
     for part in (ast.source, rule.per, rule.pathPattern, rule.ownership.value, lang,
                  repr(model.settings), repr(model.languages),
-                 json.dumps(rule.flags, sort_keys=True, ensure_ascii=False, default=repr)):
+                 json.dumps(rule.flags, sort_keys=True, ensure_ascii=False, default=repr),
+                 model_digest):
         _update(h, part)
-    return h
-
-
-def _inputs(rule_inputs: "hashlib._Hash", source: str) -> str:
-    """The inputs of an artifact that reads the model `source` digests; "" if
-    the model has no source to digest."""
-    if not source:
-        return ""
-    h = rule_inputs.copy()
-    _update(h, source)
-    return h.hexdigest()
+    return h.hexdigest()[:KEY_LENGTH]
 
 
 def _model_digest(model: ApplicationModel) -> str:
@@ -220,9 +212,10 @@ def _model_digest(model: ApplicationModel) -> str:
     return h.hexdigest()
 
 
-# Reuse(path, inputs): the bytes to take as the content of the artifact at
-# `path`, instead of rendering it, or None to render it
-Reuse = Callable[[str, str], Optional[bytes]]
+# Reuse(inputs, path): the manifest's entry for the file at `path` or, where
+# `path` is "", for the file generated from these inputs, and the bytes of that
+# file; None where there is no such entry or no such file
+Reuse = Callable[[str, str], Optional[tuple[ManifestEntry, bytes]]]
 
 
 def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
@@ -232,51 +225,125 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
     model's defaultLanguage, then its first language. Content is UTF-8 with LF
     line endings; two artifacts with one path raise PathCollision.
 
-    Each artifact records the digest of its inputs: sfgen's sources, the
-    rule's template, flags, path, kind and ownership, the language, the
-    settings and the model's languages, then the source of its entity or, for
-    a per-model rule or a template that reads `model` or any `location`, of
-    the whole model. A template view of an entity reaches no other entity, and
-    its default language through the settings. Where `reuse` gives the bytes
-    for an artifact with known inputs, they are its content and it is not
-    rendered.
+    Each artifact records the key of its inputs: the key of its rule's, then
+    the first KEY_LENGTH hex digits of the source digest of its entity or, for
+    a per-model artifact, of the whole model. A rule's inputs are sfgen's
+    sources, its template, flags, path, kind and ownership, the language, the
+    settings and the model's languages, and the whole model's source where a
+    per-entity template reads `model` or any `location`. A template view of an
+    entity reaches no other entity, and its default language through the
+    settings. Where `reuse` gives the file of an artifact with the same inputs,
+    its bytes are the content and it is not rendered.
+
+    A per-model template with a fragment loop (atl.FragmentLoop) renders the
+    text around the loop, and each iteration whose key the file's manifest
+    entry does not list; the other iterations are kept from the file's bytes.
+    Planning then checks that those bytes are the ones the manifest records:
+    content spliced from an edited file is a CONFLICT, and never written.
     """
     lang = lang or model.settings.defaultLanguage or next(iter(model.languages), "")
     view = atl.ModelView(model, model)  # one view of the model serves every rule
-    model_digest: Optional[str] = None  # computed for the first rule that needs it
+    model_digest = _model_digest(model)
+    # each active entity, its view and its key ("" if it has no source digest)
+    active = [(entity, entity_view, entity.digest[:KEY_LENGTH])
+              for entity, entity_view in zip(model.entities, view["entities"])
+              if entity.isActive]
+    make = _builder(Artifact)
     artifacts: list[Artifact] = []
-    producers: dict[str, str] = {}  # path -> the rule (and entity) that produced it
+    producers: dict[str, tuple[int, Optional[Entity]]] = {}  # path -> its rule and entity
     with paused_gc():  # the views and artifacts are acyclic
         for number, rule in enumerate(pack.outputs, start=1):
             ast = pack.templates[rule.template]
-            base: dict[str, atl.Value] = {"model": view, "lang": lang, "flags": dict(rule.flags)}
-            rule_inputs = _rule_inputs(rule, ast, lang, model)
-            whole = rule.per == "model" or "model" in ast.names or "location" in ast.steps
-            if whole and model_digest is None:
-                model_digest = _model_digest(model)
+            context: dict[str, atl.Value] = {"model": view, "lang": lang,
+                                             "flags": dict(rule.flags)}
             if rule.per == "model":
-                targets = [(posixpath.normpath(rule.pathPattern), f"output rule #{number}",
-                            None, None)]
-            else:
-                targets = [(_expand_path(rule.pathPattern, entity),
-                            f"output rule #{number} for entity {entity.name!r}",
-                            entity, entity_view)
-                           for entity, entity_view in zip(model.entities, view["entities"])
-                           if entity.isActive]
-            for path, producer, entity, entity_view in targets:
-                if path in producers:
-                    raise PathCollision(f"{producers[path]} and {producer} both produce {path!r}")
-                producers[path] = producer
-                inputs = _inputs(rule_inputs, model_digest if whole else entity.digest)
-                content = reuse(path, inputs) if reuse and inputs else None
-                if content is None:
-                    context = base if entity is None else {**base, "entity": entity_view}
-                    try:
-                        text = atl.render(ast, context)
-                    except atl.TemplateRuntimeError as exc:
-                        exc.args = (f"while rendering {path!r}: {exc}",)
-                        raise
-                    content = text.replace("\r\n", "\n").encode("utf-8")
-                artifacts.append(Artifact(path=path, content=content,
-                                          ownership=rule.ownership, inputs=inputs))
+                path = posixpath.normpath(rule.pathPattern)
+                _produce(producers, path, number, None)
+                artifacts.append(_per_model(rule, ast, context, path, model, model_digest, reuse))
+                continue
+            whole = "model" in ast.names or "location" in ast.steps
+            # "" where the inputs are unknown: the model has no source digest
+            rule_key = "" if whole and not model_digest else \
+                _rule_key(rule, ast, lang, model, model_digest if whole else "")
+            for entity, entity_view, key in active:
+                inputs = rule_key + key if rule_key and key else ""
+                kept = reuse(inputs, "") if reuse and inputs else None
+                path = _expand_path(rule.pathPattern, entity) if kept is None else kept[0].path
+                _produce(producers, path, number, entity)
+                content = _render(ast, {**context, "entity": entity_view}, path) \
+                    if kept is None else kept[1]
+                artifacts.append(make(path=path, content=content, ownership=rule.ownership,
+                                      inputs=inputs, fragments=()))
     return artifacts
+
+
+def _produce(producers: dict[str, tuple[int, Optional[Entity]]], path: str, number: int,
+             entity: Optional[Entity]) -> None:
+    if path in producers:
+        raise PathCollision(f"{_producer(*producers[path])} and {_producer(number, entity)} "
+                            f"both produce {path!r}")
+    producers[path] = number, entity
+
+
+def _producer(number: int, entity: Optional[Entity]) -> str:
+    return f"output rule #{number}" + (f" for entity {entity.name!r}" if entity else "")
+
+
+def _per_model(rule: OutputRule, ast: atl.TemplateAst, context: Mapping[str, atl.Value],
+               path: str, model: ApplicationModel, model_digest: str,
+               reuse: Optional[Reuse]) -> Artifact:
+    """The artifact of a per-model rule: the file as it is where its inputs are
+    unchanged; else, for a template with a fragment loop, the file spliced from
+    the iterations its entry lists and those rendered anew; else rendered."""
+    rule_key = _rule_key(rule, ast, context["lang"], model, "")
+    inputs = rule_key + model_digest[:KEY_LENGTH] if model_digest else ""
+    kept = reuse(inputs, path) if reuse and inputs else None
+    if kept is not None and kept[0].inputs == inputs:
+        return Artifact(path, kept[1], rule.ownership, inputs, kept[0].fragments)
+    if ast.fragment is None:
+        return Artifact(path, _render(ast, context, path), rule.ownership, inputs)
+    entry, old = kept if kept is not None else (None, b"")
+    recorded = entry.fragments if entry and entry.inputs[:KEY_LENGTH] == rule_key else ()
+    content, fragments = _render_fragments(ast, context, path, recorded, old)
+    return Artifact(path, content, rule.ownership, inputs, fragments if inputs else ())
+
+
+def _render(ast: atl.TemplateAst, context: Mapping[str, atl.Value], path: str) -> bytes:
+    try:
+        text = atl.render(ast, context)
+    except atl.TemplateRuntimeError as exc:
+        exc.args = (f"while rendering {path!r}: {exc}",)
+        raise
+    return text.replace("\r\n", "\n").encode("utf-8")
+
+
+def _render_fragments(ast: atl.TemplateAst, context: Mapping[str, atl.Value], path: str,
+                      recorded: tuple[Fragment, ...],
+                      old: bytes) -> tuple[bytes, tuple[Fragment, ...]]:
+    """The content of a template with a fragment loop, keeping the iterations
+    `recorded` lists from the bytes `old`, and its iterations: none where the
+    text holds a CR, since normalizing line ends could then join the ends of
+    two iterations."""
+    spans = {key: (start, end) for key, start, end in recorded}
+    keys: list[str] = []
+
+    def kept(item: atl.ModelView, loop: str) -> Optional[bytes]:
+        keys.append(item.element.digest[:KEY_LENGTH] + loop)
+        span = spans.get(keys[-1])
+        return old[span[0]:span[1]] if span else None
+
+    try:
+        pieces = atl.render_fragments(ast, context, kept)
+        if any(type(piece) is str and "\r" in piece for piece in pieces):
+            if any(type(piece) is bytes for piece in pieces):
+                pieces = atl.render_fragments(ast, context, lambda item, loop: None)
+            return "".join(pieces).replace("\r\n", "\n").encode("utf-8"), ()
+    except atl.TemplateRuntimeError as exc:
+        exc.args = (f"while rendering {path!r}: {exc}",)
+        raise
+    data = [piece.encode("utf-8") if type(piece) is str else piece for piece in pieces]
+    fragments, offset = [], len(data[0])
+    for key, piece in zip(keys, data[1:-1]):
+        fragments.append((key, offset, offset + len(piece)))
+        offset += len(piece)
+    return b"".join(data), tuple(fragments)

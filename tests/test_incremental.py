@@ -52,10 +52,13 @@ def read_tree(root):
 
 
 def counting_renders(monkeypatch):
+    """The name of each template rendered, whole or in part, as it is rendered."""
     calls = []
-    real = atl.render
+    real, real_fragments = atl.render, atl.render_fragments
     monkeypatch.setattr(atl, "render", lambda ast, context: calls.append(ast.name)
                         or real(ast, context))
+    monkeypatch.setattr(atl, "render_fragments", lambda ast, context, kept:
+                        calls.append(ast.name) or real_fragments(ast, context, kept))
     return calls
 
 
@@ -241,14 +244,7 @@ class Workspace:
         self.each_tree(lambda out: (out / path).unlink())
 
     def version_1_manifest(self):
-        def rewrite(out):
-            manifest = out / ownership.MANIFEST_FILENAME
-            payload = json.loads(manifest.read_text("utf-8"))
-            payload["version"] = 1
-            for entry in payload["entries"]:
-                entry.pop("inputs", None)
-            manifest.write_text(json.dumps(payload, indent=2), "utf-8")
-        self.each_tree(rewrite)
+        self.each_tree(lambda out: old_manifest(out / ownership.MANIFEST_FILENAME, 1))
 
 
 EDITS = ["rename_field", "edit_text", "toggle_active", "add_field", "remove_field",
@@ -337,21 +333,37 @@ def test_force_renders_everything(tmp_path, monkeypatch):
     assert len(renders) == 16
 
 
-def test_a_version_1_manifest_reuses_nothing_and_is_rewritten(tmp_path, monkeypatch):
+def old_manifest(manifest, version):
+    """Rewrite a manifest as `version` 1 or 2 would hold it."""
+    payload = json.loads(manifest.read_text("utf-8"))
+    entries = [dict(zip(("path", "ownership", "sha256"), row)) for row in payload["entries"]]
+    if version == 2:
+        for entry in entries:
+            entry["inputs"] = "0" * 64
+    manifest.write_text(json.dumps({"version": version, "entries": entries}, indent=2), "utf-8")
+
+
+def rewritten_from_old_manifest(tmp_path, monkeypatch, version):
+    """Generate newsboard, rewrite its manifest at `version`, and generate again:
+    every template is rendered, and the manifest is as before."""
     out = tmp_path / "out"
     argv = ["generate", "--model", NEWSBOARD, "--pack", str(PACK), "--out", str(out)]
     assert run(argv)[0] == 0
     manifest = out / ownership.MANIFEST_FILENAME
     current = manifest.read_text("utf-8")
-    payload = json.loads(current)
-    payload["version"] = 1
-    for entry in payload["entries"]:
-        del entry["inputs"]
-    manifest.write_text(json.dumps(payload, indent=2), "utf-8")
+    old_manifest(manifest, version)
     renders = counting_renders(monkeypatch)
     assert run(argv)[0] == 0
     assert len(renders) == 16
     assert manifest.read_text("utf-8") == current
+
+
+def test_a_version_1_manifest_reuses_nothing_and_is_rewritten(tmp_path, monkeypatch):
+    rewritten_from_old_manifest(tmp_path, monkeypatch, 1)
+
+
+def test_a_version_2_manifest_reuses_nothing_and_is_rewritten(tmp_path, monkeypatch):
+    rewritten_from_old_manifest(tmp_path, monkeypatch, 2)
 
 
 def test_an_edited_file_with_unchanged_inputs_is_a_conflict(tmp_path, monkeypatch):
@@ -427,14 +439,21 @@ def test_every_input_of_a_loaded_model_is_recorded(newsboard_model, webstack):
 
 
 def test_reuse_is_asked_for_each_artifact_with_its_inputs(newsboard_model, webstack):
+    """A per-entity artifact is asked for by its inputs, and takes its path from
+    the entry given; a per-model one is asked for by its path."""
     asked = []
 
-    def reuse(path, inputs):
-        asked.append((path, inputs))
-        return b"from disk"
+    def reuse(inputs, path):
+        asked.append((inputs, path))
+        entry = ownership.ManifestEntry(path or f"kept/{len(asked)}", ownership.Ownership.ALWAYS,
+                                        "", inputs)
+        return entry, b"from disk"
 
     artifacts = packs.generate_all(newsboard_model, webstack, reuse=reuse)
-    assert asked == [(a.path, a.inputs) for a in artifacts]
+    per_model = {rule.pathPattern for rule in webstack.outputs if rule.per == "model"}
+    assert asked == [(a.inputs, a.path if a.path in per_model else "") for a in artifacts]
+    assert [a.path for a in artifacts if a.path not in per_model] == [
+        f"kept/{i}" for i, (_, path) in enumerate(asked, 1) if not path]
     assert all(a.content == b"from disk" for a in artifacts)
 
 
@@ -442,7 +461,7 @@ def test_a_template_reading_the_model_or_a_location_uses_the_whole_model():
     listing = {"pack.json": json.dumps({"name": "p", "version": "1", "outputs": [
         {"template": name, "path": f"{name}/{{entity.name}}", "per": "entity",
          "ownership": "always"} for name in ("own.atl", "loc.atl", "model.atl")]}),
-        "own.atl": "{{ entity.name }}", "loc.atl": "{{ entity.location }}",
+        "own.atl": "{{ entity.name }}", "loc.atl": "{{ count(entity.location) }}",
         "model.atl": "{{ count(model.entities) }}"}
     pack = packs.load_pack(listing)
     assert pack.templates["own.atl"].names == {"entity"}
@@ -455,7 +474,7 @@ def test_a_template_reading_the_model_or_a_location_uses_the_whole_model():
     def inputs(document):
         model, _ = loader.load_model(document.encode("utf-8"))
         return {a.path: a.inputs for a in packs.generate_all(
-            model, pack, reuse=lambda *args: b"")}
+            model, pack, reuse=lambda *args: None)}
 
     before = inputs(text)
     after = inputs(text.replace('\n<Entity name="B"', '\n\n<Entity name="B"'))

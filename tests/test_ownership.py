@@ -258,34 +258,54 @@ def test_once_files_never_planned_for_overwrite(edit, scaffold):
 # -- manifest serialization ---------------------------------------------------
 
 def test_manifest_json_format():
+    rule, entity, model = "r" * 32, "e" * 32, "m" * 32
     manifest = Manifest(entries=(
         ManifestEntry("a.sql", Ownership.ALWAYS, digest(b"x")),
-        ManifestEntry("b.js", Ownership.ONCE, digest(b"y")),
+        ManifestEntry("b.js", Ownership.ONCE, digest(b"y"), rule + entity),
+        ManifestEntry("c.sql", Ownership.ALWAYS, digest(b"z"), rule + model,
+                      ((entity + "true", 3, 9),)),
     ))
     text = manifest_to_json(manifest)
     assert text.endswith("\n") and "\r" not in text
     payload = json.loads(text)
-    assert payload["version"] == 2
-    assert payload["entries"][0] == {
-        "path": "a.sql",
-        "ownership": "always",
-        "sha256": digest(b"x"),
-        "inputs": "",
-    }
+    assert payload == {"version": 3, "rules": [rule], "entities": [entity, model], "entries": [
+        ["a.sql", "always", digest(b"x")],
+        ["b.js", "once", digest(b"y"), 0, 0],
+        ["c.sql", "always", digest(b"z"), 0, 1, [0, "true", 3, 9]],
+    ]}
     assert manifest_from_json(text) == manifest
 
 
 _texts = st.text(alphabet=st.characters(exclude_categories=("Cs",)), max_size=12)
+_keys = st.one_of(st.just(""), st.text(alphabet="0123456789abcdef", min_size=64, max_size=64),
+                  _texts)
+_fragments = st.lists(st.tuples(_keys, st.integers(0, 99), st.integers(0, 99)).map(
+    lambda f: (f[0], min(f[1:]), max(f[1:]))), max_size=3).map(tuple)
 
 
-@given(st.lists(st.tuples(_texts, st.sampled_from(Ownership), _texts, _texts), max_size=6))
+# an entry with no inputs has no fragments
+_entries = st.tuples(_texts, st.sampled_from(Ownership), _texts, _keys, _fragments).map(
+    lambda e: e if e[3] else e[:4])
+
+
+@given(st.lists(_entries, max_size=6))
 def test_manifest_json_is_what_json_dumps_writes(entries):
+    """Each entry is on a line of its own, as json.dumps writes it; each rule's
+    and entity's key is listed once; and the manifest reads back as written."""
     manifest = Manifest(entries=tuple(ManifestEntry(*entry) for entry in entries))
-    reference = {"version": 2, "entries": [
-        {"path": path, "ownership": owner.value, "sha256": sha, "inputs": inputs}
-        for path, owner, sha, inputs in entries]}
     text = manifest_to_json(manifest)
-    assert text == json.dumps(reference, indent=2, ensure_ascii=False) + "\n"
+    payload = json.loads(text)
+    assert payload["version"] == 3
+    rules, entities = payload["rules"], payload["entities"]
+    assert len(set(rules)) == len(rules) and len(set(entities)) == len(entities)
+    lines = {line.strip().rstrip(",") for line in text.split("\n")}
+    for entry, row in zip(manifest.entries, payload["entries"], strict=True):
+        assert json.dumps(row, ensure_ascii=False) in lines
+        assert row[:3] == [entry.path, entry.ownership.value, entry.sha256]
+        assert (rules[row[3]] + entities[row[4]] if len(row) > 3 else "") == entry.inputs
+        fragments = row[5] if len(row) > 5 else []
+        assert [(entities[fragments[i]] + fragments[i + 1], fragments[i + 2], fragments[i + 3])
+                for i in range(0, len(fragments), 4)] == list(entry.fragments)
     assert manifest_from_json(text) == manifest
 
 
@@ -294,7 +314,7 @@ def test_version_1_manifest_loads_with_no_inputs():
             '"inputs": "ignored"}]}')
     manifest = manifest_from_json(text)
     assert manifest == Manifest((ManifestEntry("a", Ownership.ONCE, "00", ""),), version=1)
-    assert manifest != Manifest(manifest.entries)  # so it is written again, at version 2
+    assert manifest != Manifest(manifest.entries)  # so it is written again, at version 3
 
 
 def test_unknown_ownership_keeps_its_message():
