@@ -886,24 +886,25 @@ def render(ast: TemplateAst, context: Mapping[str, Value]) -> str:
 
 
 def render_fragments(ast: TemplateAst, context: Mapping[str, Value],
-                     kept: Callable[[ModelView, str], Optional[bytes]]) -> list[Union[str, bytes]]:
+                     kept: Callable[[ModelView, str], Any]) -> list[Any]:
     """The output of a template with a fragment loop as pieces: the text before
     the loop, one piece per iteration, then the text after it. Joined, the
     pieces are what render() returns. An iteration is rendered only where
-    kept(item, loop) gives no bytes for it; `loop` is the text of the loop
-    attributes its body reads, comma-separated."""
+    kept(item, loop) is None; anything else stands as its piece. `loop` is the
+    text of the loop attributes its body reads, comma-separated."""
     loop, ctx, out = ast.fragment, dict(context), []
+    body, texts = loop.body, [_LOOP_TEXTS[name] for name in loop.reads]
+    text = texts[0] if len(texts) == 1 else lambda i, n: ",".join([t(i, n) for t in texts])
     try:
         loop.before(ctx, out.append)
-        pieces: list[Union[str, bytes]] = ["".join(out)]
+        pieces = ["".join(out)]
         items = loop.items(ctx)
         n = len(items)
         for i, item in enumerate(items, 1):
-            attrs = {"index": i, "first": i == 1, "last": i == n, "length": n}
-            piece = kept(item, ",".join([_as_text(attrs[name]) for name in loop.reads]))
+            piece = kept(item, text(i, n) if texts else "")
             if piece is None:
                 out.clear()
-                loop.body(ctx, out.append, item, i, n)
+                body(ctx, out.append, item, i, n)
                 piece = "".join(out)
             pieces.append(piece)
         out.clear()
@@ -913,6 +914,12 @@ def render_fragments(ast: TemplateAst, context: Mapping[str, Value],
         raise TemplateRuntimeError(ast.name, *ast.sites[site], reason) from None
     pieces.append("".join(out))
     return pieces
+
+
+# the text of each loop attribute of iteration i of n
+_LOOP_TEXTS: dict[str, Callable[[int, int], str]] = {
+    "index": lambda i, n: str(i), "first": lambda i, n: "true" if i == 1 else "false",
+    "last": lambda i, n: "true" if i == n else "false", "length": lambda i, n: str(n)}
 
 
 def eval_expr(expr: Union[Expr, str], env: Mapping[str, Value], name: str = "<expr>") -> Value:

@@ -127,10 +127,12 @@ def plan_writes(
     """
     actions: list[PlanEntry] = []
     entries: list[ManifestEntry] = []
+    entry_of = manifest.entry_of if manifest is not None else {}.get
+    make = _builder(PlanEntry)
     for artifact in artifacts:
         path, content = artifact.path, artifact.content
         on_disk = existing.get(path)
-        recorded = manifest.entry_of(path) if manifest is not None else None
+        recorded = entry_of(path)
         if on_disk is None:
             action, reason, sha256 = WriteAction.CREATE, "new file", digest(content)
         elif artifact.ownership is Ownership.ONCE:
@@ -149,7 +151,7 @@ def plan_writes(
             action, sha256 = WriteAction.CONFLICT, None
             reason = ("file was modified after the last generation"
                       if recorded is not None else "file is not covered by the manifest")
-        actions.append(PlanEntry(path, action, reason))
+        actions.append(make(path=path, action=action, reason=reason))
         if sha256 is None:
             continue
         if recorded is None or recorded.sha256 != sha256 or recorded.inputs != artifact.inputs \
@@ -213,19 +215,29 @@ def manifest_to_json(manifest: Manifest) -> str:
     quote = json.encoder.encode_basestring
     rules: dict[str, int] = {}
     entities: dict[str, int] = {}
+
+    def entity(key: str) -> int:
+        index = entities.get(key)
+        if index is None:
+            index = entities[key] = len(entities)
+        return index
+
     lines = []
     for e in manifest.entries:
-        line = f"[{quote(e.path)}, {_QUOTED[e.ownership]}, {quote(e.sha256)}"
-        if e.inputs:
-            rule = rules.setdefault(e.inputs[:KEY_LENGTH], len(rules))
-            entity = entities.setdefault(e.inputs[KEY_LENGTH:], len(entities))
-            line += f", {rule}, {entity}"
-            if e.fragments:
-                fragments = [part for key, start, end in e.fragments for part in (
-                    entities.setdefault(key[:KEY_LENGTH], len(entities)), key[KEY_LENGTH:],
-                    start, end)]
-                line += f", {json.dumps(fragments, ensure_ascii=False)}"
-        lines.append(line + "]")
+        head = f"[{quote(e.path)}, {_QUOTED[e.ownership]}, {quote(e.sha256)}"
+        inputs = e.inputs
+        if not inputs:
+            lines.append(head + "]")
+            continue
+        rule = rules.get(inputs[:KEY_LENGTH])
+        if rule is None:
+            rule = rules[inputs[:KEY_LENGTH]] = len(rules)
+        head = f"{head}, {rule}, {entity(inputs[KEY_LENGTH:])}"
+        if e.fragments:
+            fragments = [part for key, start, end in e.fragments
+                         for part in (entity(key[:KEY_LENGTH]), key[KEY_LENGTH:], start, end)]
+            head = f"{head}, {json.dumps(fragments, ensure_ascii=False)}"
+        lines.append(head + "]")
     return (f'{{\n  "version": {MANIFEST_VERSION},\n'
             f'  "rules": {_lines(map(quote, rules))},\n'
             f'  "entities": {_lines(map(quote, entities))},\n'
@@ -277,8 +289,14 @@ def _entries(rows: object, rules: list[str], entities: list[str]) -> list[Manife
         ownership = _OWNERSHIPS.get(owner)
         if ownership is None:
             raise ValueError(f"{owner!r} is not a valid Ownership")
-        inputs = _at(rules, row[3]) + _at(entities, row[4]) if len(row) > 3 else ""
-        fragments = _fragments(entities, row[5]) if len(row) > 5 else ()
+        inputs, fragments = "", ()
+        if len(row) > 3:
+            rule, entity = row[3], row[4]
+            if type(rule) is not int or type(entity) is not int or rule < 0 or entity < 0:
+                raise ValueError(f"entry #{number} names no rule or entity")
+            inputs = rules[rule] + entities[entity]  # IndexError where there is none
+            if len(row) > 5:
+                fragments = _fragments(entities, row[5])
         entries.append(make(path=path, ownership=ownership, sha256=sha, inputs=inputs,
                             fragments=fragments))
     return entries
@@ -309,7 +327,7 @@ def manifest_from_json(text: str) -> Manifest:
         else:
             entries = [_old_entry(e, version) for e in payload["entries"]]
         return Manifest(tuple(entries), version)
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+    except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
         raise ManifestError(f"malformed manifest: {exc}") from exc
 
 

@@ -324,26 +324,39 @@ def _render_fragments(ast: atl.TemplateAst, context: Mapping[str, atl.Value], pa
     `recorded` lists from the bytes `old`, and its iterations: none where the
     text holds a CR, since normalizing line ends could then join the ends of
     two iterations."""
-    spans = {key: (start, end) for key, start, end in recorded}
+    spans = {fragment[0]: fragment for fragment in recorded}
     keys: list[str] = []
 
-    def kept(item: atl.ModelView, loop: str) -> Optional[bytes]:
-        keys.append(item.element.digest[:KEY_LENGTH] + loop)
-        span = spans.get(keys[-1])
-        return old[span[0]:span[1]] if span else None
+    def kept(item: atl.ModelView, loop: str) -> Optional[Fragment]:
+        key = item.element.digest[:KEY_LENGTH] + loop
+        keys.append(key)
+        return spans.get(key)
 
     try:
         pieces = atl.render_fragments(ast, context, kept)
         if any(type(piece) is str and "\r" in piece for piece in pieces):
-            if any(type(piece) is bytes for piece in pieces):
+            if any(type(piece) is tuple for piece in pieces):
                 pieces = atl.render_fragments(ast, context, lambda item, loop: None)
             return "".join(pieces).replace("\r\n", "\n").encode("utf-8"), ()
     except atl.TemplateRuntimeError as exc:
         exc.args = (f"while rendering {path!r}: {exc}",)
         raise
-    data = [piece.encode("utf-8") if type(piece) is str else piece for piece in pieces]
-    fragments, offset = [], len(data[0])
-    for key, piece in zip(keys, data[1:-1]):
-        fragments.append((key, offset, offset + len(piece)))
-        offset += len(piece)
+    # the new content, with each run of kept iterations copied from `old` at once
+    data, fragments = [pieces[0].encode("utf-8")], []
+    offset, run = len(data[0]), [0, 0]  # the run of `old` being copied
+    for key, piece in zip(keys, pieces[1:-1]):
+        if type(piece) is tuple:
+            _, start, end = piece
+            if start != run[1]:
+                data.append(old[run[0]:run[1]])
+                run[0] = start
+            run[1] = end
+            fragments.append(piece if start == offset else (key, offset, offset + end - start))
+            offset += end - start
+        else:
+            data += [old[run[0]:run[1]], piece.encode("utf-8")]
+            run = [0, 0]
+            fragments.append((key, offset, offset + len(data[-1])))
+            offset += len(data[-1])
+    data += [old[run[0]:run[1]], pieces[-1].encode("utf-8")]
     return b"".join(data), tuple(fragments)

@@ -347,6 +347,14 @@ def test_text_builtins():
     assert R("{{ coalesce(v, 'fallback') }}", v="real") == "real"
 
 
+def test_json_str_builtin():
+    assert R('"{{ json_str(s) }}"', s='a"b\\c\n\r\t\x01é') == '"a\\"b\\\\c\\n\\r\\t\\u0001é"'
+    assert R("{{ json_str(n) }}|{{ json_str(t) }}|{{ json_str(x) }}", n=5, t=True, x=None) \
+        == "5|true|"
+    with pytest.raises(TemplateRuntimeError, match="cannot render a list value as text"):
+        R("{{ json_str(items) }}", items=[1])
+
+
 def test_localized_builtin():
     entity = Entity(
         name="Fakultet", tableName="Fakultet",

@@ -3,6 +3,7 @@ taken from disk instead of rendered, and the run's result is exactly that of
 rendering every artifact."""
 
 import contextlib
+import copy
 import io
 import json
 import random
@@ -18,6 +19,7 @@ from sfgen.model import Entity, Field, FieldType
 
 import randmodels
 from conftest import FIXTURES
+from readsets import ReadChecker
 
 NEWSBOARD = str(FIXTURES / "newsboard.xml")
 PACK = packs.builtin_pack_dir()
@@ -126,17 +128,20 @@ class Workspace:
 
     def generate(self, monkeypatch, *extra):
         """The (exit code, stdout, stderr) and the number of templates rendered
-        of the incremental run, then of the full one."""
+        of the incremental run, then of the full one. Every render of either
+        reads only its inputs (readsets.py)."""
         argv = ["generate", "--model", str(self.model), "--pack", str(self.pack),
                 "--out", "out", "--lang", self.lang, *extra]
         results = []
         for tree, full in zip(self.trees, (False, True)):
             with monkeypatch.context() as patch:
                 patch.chdir(tree)
+                checker = ReadChecker().install(patch)
                 renders = counting_renders(patch)
                 if full:
                     rendering_everything(patch)
                 results.append((run(argv), len(renders)))
+                assert checker.violations == []
         return results
 
     # -- edits: each changes the inputs of the next step, or its tree ----------
@@ -246,11 +251,58 @@ class Workspace:
     def version_1_manifest(self):
         self.each_tree(lambda out: old_manifest(out / ownership.MANIFEST_FILENAME, 1))
 
+    def version_2_manifest(self):
+        self.each_tree(lambda out: old_manifest(out / ownership.MANIFEST_FILENAME, 2))
+
+    # -- edits that move, add or remove the iterations of the fragment loops --
+
+    def insert_entity(self):
+        entity = copy.deepcopy(self.rng.choice(self.entities))
+        name = f"Added{self.rng.randrange(10**6)}"
+        self.set_attribute(entity, "name", name)
+        self.set_attribute(entity, "tableName", name)
+        self.entities.insert(self.rng.randrange(len(self.entities) + 1), entity)
+
+    def delete_entity(self):
+        if len(self.entities) > 1:
+            self.entities.remove(self.rng.choice(self.entities))
+
+    def reorder_entities(self):
+        self.rng.shuffle(self.entities)
+
+    def toggle_last_active(self):
+        """The last active entity becomes inactive, so another one is last."""
+        active = [e for e in self.entities if dict(e[1]).get("isActive", "true") == "true"]
+        if active:
+            self.set_attribute(active[-1], "isActive", "false")
+
+    def hand_edit_per_model(self):
+        path = self.rng.choice(["sql/001_tables.sql", "web/validation.js", "api/api.json"])
+        self.each_tree(lambda out: (out / path).exists() and (out / path).write_bytes(
+            (out / path).read_bytes().replace(b"\n", b"\n-- edited\n", 1)))
+
+    def crlf_template(self):
+        """A per-model template with CRLF line ends, or LF ends again."""
+        template = self.pack / "tables.sql.atl"
+        text = template.read_bytes()
+        template.write_bytes(text.replace(b"\r\n", b"\n") if b"\r\n" in text
+                             else text.replace(b"\n", b"\r\n"))
+
+    def loop_index(self):
+        """A fragment body reads loop.index, or no longer does."""
+        template = self.pack / "constraints.sql.atl"
+        line = b"-- entity {{ loop.index }}\n"
+        text = template.read_bytes()
+        template.write_bytes(text.replace(line, b"") if line in text
+                             else text.replace(b"-%}\n", b"-%}\n" + line, 1))
+
 
 EDITS = ["rename_field", "edit_text", "toggle_active", "add_field", "remove_field",
          "blank_line", "default_language", "command_language", "app_name", "flag", "template",
          "flip_ownership", "hand_edit", "hand_edit_scaffold", "delete_output",
-         "version_1_manifest"]
+         "version_1_manifest", "version_2_manifest", "insert_entity", "delete_entity",
+         "reorder_entities", "toggle_last_active", "hand_edit_per_model", "crlf_template",
+         "loop_index"]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -312,6 +364,38 @@ def test_a_one_entity_edit_renders_only_that_entity_and_the_model(tmp_path, monk
                                       "api.json.atl", "procs.sql.atl", "dal_base.js.atl",
                                       "dal_derived.js.atl", "edit.html.atl", "list.html.atl",
                                       "docs.md.atl"])
+
+
+def test_a_one_entity_edit_renders_one_iteration_of_each_fragment_loop(tmp_path, monkeypatch):
+    """The 4 per-model webstack templates are fragment loops over the active
+    entities: after an edit of one entity, each renders only its iteration,
+    and each file is as rendering it whole gives."""
+    model = tmp_path / "model.xml"
+    text = Path(NEWSBOARD).read_text("utf-8")
+    model.write_text(text, "utf-8")
+    out = tmp_path / "out"
+    argv = ["generate", "--model", str(model), "--pack", str(PACK), "--out", str(out)]
+    assert run(argv)[0] == 0
+    rendered = []
+    real = atl.render_fragments
+
+    def counted(ast, context, kept):
+        def counting(item, loop):
+            piece = kept(item, loop)
+            if piece is None:
+                rendered.append((ast.name, item.element.name))
+            return piece
+        return real(ast, context, counting)
+
+    monkeypatch.setattr(atl, "render_fragments", counted)
+    model.write_text(text.replace("<DisplayName>Faculty</DisplayName>",
+                                  "<DisplayName>Faculty board</DisplayName>", 1), "utf-8")
+    assert run(argv)[0] == 0
+    assert sorted(rendered) == [(name, "Fakultet") for name in (
+        "api.json.atl", "constraints.sql.atl", "tables.sql.atl", "validation.js.atl")]
+    monkeypatch.undo()
+    assert run([*argv[:-1], str(tmp_path / "fresh")])[0] == 0
+    assert read_tree(out) == read_tree(tmp_path / "fresh")
 
 
 def test_no_change_regeneration_writes_no_manifest(tmp_path, monkeypatch):

@@ -400,7 +400,22 @@ def test_load_missing_manifest_returns_none(tmp_path):
                                   '{"version": 2, "entries": [{"path": "a", '
                                   '"ownership": "always", "sha256": "00"}]}',
                                   '{"version": 2, "entries": [{"path": "a", '
-                                  '"ownership": "always", "sha256": "00", "inputs": 0}]}'])
+                                  '"ownership": "always", "sha256": "00", "inputs": 0}]}',
+                                  *(f'{{"version": 3, "rules": ["r"], "entities": ["e"], '
+                                    f'"entries": [{entry}]}}' for entry in (
+                                        '["a", "always"]', '["a", "always", "00", 0]',
+                                        '{"path": "a", "ownership": "always", "sha256": "00"}',
+                                        '["a", "sometimes", "00"]', '["a", "always", 0]',
+                                        '["a", "always", "00", 1, 0]', '["a", "always", "00", 0, -1]',
+                                        '["a", "always", "00", true, 0]',
+                                        '["a", "always", "00", 0, 0, [0, "x", 5, 2]]',
+                                        '["a", "always", "00", 0, 0, [0, "x", 1]]',
+                                        '["a", "always", "00", 0, 0, [0, 1, 2, 3]]',
+                                        '["a", "always", "00", 0, 0, [1, "x", 1, 2]]',
+                                        '["a", "always", "00", 0, 0, {"x": 1}]')),
+                                  '{"version": 3, "rules": [1], "entities": [], "entries": []}',
+                                  '{"version": 3, "rules": [], "entities": "e", "entries": []}',
+                                  '{"version": 3, "rules": [], "entities": [], "entries": {}}'])
 def test_malformed_manifest_rejected(text):
     with pytest.raises(ManifestError):
         manifest_from_json(text)

@@ -1,12 +1,14 @@
 import contextlib
 import dataclasses
 import gc
+import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sfgen import atl, packs
 from sfgen.loader import load_model
-from sfgen.model import ConstraintKind
+from sfgen.model import ApplicationModel, ConstraintKind, Entity, Field, FieldType, Settings
 from sfgen.ownership import Ownership
 from sfgen.packs import (
     PackError,
@@ -270,3 +272,41 @@ def test_generate_all_restores_gc_state(newsboard_model, gc_enabled, template, o
         assert gc.isenabled() is gc_enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+# -- api.json is valid JSON for every name ------------------------------------
+
+def _api_pack():
+    """webstack's api.json rule alone."""
+    template = (packs.builtin_pack_dir() / "api.json.atl").read_text("utf-8")
+    return load_pack({"pack.json": '{"name": "p", "version": "1", "outputs": [{"template": '
+                                   '"api.json.atl", "path": "api/api.json", "per": "model", '
+                                   '"ownership": "always"}]}',
+                      "api.json.atl": template})
+
+
+def test_api_json_escapes_a_quoted_app_name():
+    text = (GOLDEN.parent.parent / "fixtures" / "newsboard.xml").read_text("utf-8")
+    text = text.replace('appName="University News-Board"', 'appName="A&quot;pp\\x"')
+    model, _ = load_model(text.encode("utf-8"))
+    api = json.loads(generate_all(model, _api_pack())[0].content)
+    assert api["application"] == 'A"pp\\x'
+
+
+_HOSTILE = st.text(alphabet=st.characters(exclude_categories=("Cs",)), min_size=1, max_size=8)
+
+
+@given(app=_HOSTILE, names=st.lists(st.tuples(_HOSTILE, _HOSTILE), min_size=1, max_size=3))
+def test_api_json_parses_and_keeps_every_name(app, names):
+    key = Field(name="ID", type=FieldType.INT, isPK=True)
+    model = ApplicationModel(
+        settings=Settings(appName=app),
+        entities=tuple(Entity(name=name, tableName=table, fields=(key,)) for name, table in names))
+    api = json.loads(generate_all(model, _api_pack())[0].content)
+    assert api["application"] == app
+    assert [(e["name"], e["table"]) for e in api["entities"]] == [
+        (name, f"tbl_{table}") for name, table in names]
+    for entity, (name, _) in zip(api["entities"], names):
+        assert [e["path"] for e in entity["endpoints"]] == [
+            f"/{name.lower()}", f"/{name.lower()}/{{id}}", f"/{name.lower()}",
+            f"/{name.lower()}/{{id}}", f"/{name.lower()}/{{id}}"]
