@@ -399,11 +399,10 @@ def parse_template(source: str, name: str) -> TemplateAst:
     byte-exactly except where trim markers apply."""
     nodes, _ = _Parser(source, name).block(0)
     gen = _Codegen()
-    pieces = gen.template(nodes)
+    fragment = gen.template(nodes)
     compiled = gen.finish()
-    fragment = None
-    if pieces is not None and pieces[0] is not None:
-        reads, *slots = pieces
+    if fragment is not None:
+        reads, slots = fragment
         fragment = FragmentLoop(reads, *(gen.namespace[f"r{slot}"] for slot in slots))
     return TemplateAst(name, nodes, compiled, tuple(gen.sites), source,
                        frozenset(gen.context_names), frozenset(gen.steps), fragment)
@@ -588,6 +587,10 @@ _SPLIT = 12
 _INLINE_STEPS = 4  # path steps inlined; a longer path runs _steps
 _LOOP_ATTRS = {"index": ("i{}", int), "first": ("(i{} == 1)", bool),
                "last": ("(i{0} == n{0})", bool), "length": ("n{}", int)}
+# the text of each loop attribute of iteration i of n, as output renders it
+_LOOP_TEXTS: dict[str, Callable[[int, int], str]] = {
+    "index": lambda i, n: str(i), "first": lambda i, n: "true" if i == 1 else "false",
+    "last": lambda i, n: "true" if i == n else "false", "length": lambda i, n: str(n)}
 _ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _UNKNOWN = object()  # the value of a context name the context lacks
 # what a fragment loop iterates, and the context names its body may read
@@ -715,12 +718,12 @@ class _Codegen:
         exec(compile("\n".join(self.defs), "<atl>", "exec"), self.namespace)
         return self.namespace["r0"]
 
-    def template(self, nodes: Sequence[TplNode]) -> Optional[tuple]:
+    def template(self, nodes: Sequence[TplNode]) -> Optional[tuple[tuple[str, ...], list[int]]]:
         """Generate r0, the template's function. Where the template has a
         top-level `for` over the model's entities, r0 calls one function for
         the text before it, one for its sequence, one per iteration and one for
-        the text after it; returns the loop's reads (None unless it is a
-        fragment loop) and the numbers of those four functions."""
+        the text after it. Where that loop is a fragment loop, returns the loop
+        attributes its body reads and the numbers of those four functions."""
         at = next((i for i, node in enumerate(nodes) if type(node) is ForNode
                    and type(node.expr) is Path and node.expr.names in _FRAGMENT_SEQUENCES), None)
         if at is None:
@@ -729,12 +732,14 @@ class _Codegen:
         return self.define("ctx, append",
                            lambda: self.split(nodes[:at], nodes[at], nodes[at + 1:]))[1]
 
-    def split(self, before: Sequence[TplNode], node: ForNode, after: Sequence[TplNode]) -> tuple:
+    def split(self, before: Sequence[TplNode], node: ForNode,
+              after: Sequence[TplNode]) -> Optional[tuple[tuple[str, ...], list[int]]]:
         slots = [len(self.defs)]
         call_before = self.define("ctx, append", lambda: self.block(before, 1))[0]
         slots.append(len(self.defs))
         call_items = self.define("ctx", lambda: self.items(node))[0]
         self.loops += 1
+        # what the body reads is gathered apart, then added to what the rest reads
         loop, names, steps = _Loop(node.var, self.loops), self.context_names, self.steps
         self.scope, self.context_names, self.steps = (loop,), set(), set()
         slots.append(len(self.defs))
@@ -746,9 +751,9 @@ class _Codegen:
         k = loop.k
         self.lines += [f" {call_before}", f" t = {call_items}", f" n{k} = len(t)",
                        f" for i{k}, v{k} in enumerate(t, 1):", f"  {call_body}", f" {call_after}"]
-        fragment = body_names <= _FRAGMENT_NAMES and "location" not in body_steps
-        reads = tuple(attr for attr in _LOOP_ATTRS if attr in loop.reads)
-        return reads if fragment else None, *slots
+        if body_names <= _FRAGMENT_NAMES and "location" not in body_steps:
+            return tuple(attr for attr in _LOOP_ATTRS if attr in loop.reads), slots
+        return None
 
     def items(self, node: ForNode) -> None:
         site = self.site(node.pos)
@@ -915,11 +920,6 @@ def render_fragments(ast: TemplateAst, context: Mapping[str, Value],
     pieces.append("".join(out))
     return pieces
 
-
-# the text of each loop attribute of iteration i of n
-_LOOP_TEXTS: dict[str, Callable[[int, int], str]] = {
-    "index": lambda i, n: str(i), "first": lambda i, n: "true" if i == 1 else "false",
-    "last": lambda i, n: "true" if i == n else "false", "length": lambda i, n: str(n)}
 
 
 def eval_expr(expr: Union[Expr, str], env: Mapping[str, Value], name: str = "<expr>") -> Value:

@@ -14,10 +14,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import defaultdict
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import count
 from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
@@ -213,31 +215,19 @@ def manifest_to_json(manifest: Manifest) -> str:
     their rule and entity in those lists, and then by its fragments, flat:
     entity, loop attributes, start and end of each iteration in turn."""
     quote = json.encoder.encode_basestring
-    rules: dict[str, int] = {}
-    entities: dict[str, int] = {}
-
-    def entity(key: str) -> int:
-        index = entities.get(key)
-        if index is None:
-            index = entities[key] = len(entities)
-        return index
-
+    # key -> its index, given in the order keys are first seen
+    rules: defaultdict[str, int] = defaultdict(count().__next__)
+    entities: defaultdict[str, int] = defaultdict(count().__next__)
     lines = []
     for e in manifest.entries:
-        head = f"[{quote(e.path)}, {_QUOTED[e.ownership]}, {quote(e.sha256)}"
-        inputs = e.inputs
-        if not inputs:
-            lines.append(head + "]")
-            continue
-        rule = rules.get(inputs[:KEY_LENGTH])
-        if rule is None:
-            rule = rules[inputs[:KEY_LENGTH]] = len(rules)
-        head = f"{head}, {rule}, {entity(inputs[KEY_LENGTH:])}"
+        line = f"[{quote(e.path)}, {_QUOTED[e.ownership]}, {quote(e.sha256)}"
+        if e.inputs:
+            line += f", {rules[e.inputs[:KEY_LENGTH]]}, {entities[e.inputs[KEY_LENGTH:]]}"
         if e.fragments:
             fragments = [part for key, start, end in e.fragments
-                         for part in (entity(key[:KEY_LENGTH]), key[KEY_LENGTH:], start, end)]
-            head = f"{head}, {json.dumps(fragments, ensure_ascii=False)}"
-        lines.append(head + "]")
+                         for part in (entities[key[:KEY_LENGTH]], key[KEY_LENGTH:], start, end)]
+            line += f", {json.dumps(fragments, ensure_ascii=False)}"
+        lines.append(line + "]")
     return (f'{{\n  "version": {MANIFEST_VERSION},\n'
             f'  "rules": {_lines(map(quote, rules))},\n'
             f'  "entities": {_lines(map(quote, entities))},\n'
