@@ -123,7 +123,9 @@ def _cmd_generate(args) -> int:
 
     def reuse(inputs: str, path: str) -> Optional[tuple[ownership.ManifestEntry, bytes]]:
         entry = manifest.entry_of(path) if path else manifest.entry_for(inputs)
-        content = read(entry.path) if entry is not None else None
+        if entry is None:
+            return None
+        content = on_disk[entry.path] = ownership.read_file(prefix + entry.path)
         return None if content is None else (entry, content)
 
     try:

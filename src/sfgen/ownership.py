@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import count
-from operator import attrgetter
+from operator import attrgetter, le
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
@@ -130,14 +130,14 @@ def plan_writes(
     actions: list[PlanEntry] = []
     entries: list[ManifestEntry] = []
     entry_of = manifest.entry_of if manifest is not None else {}.get
-    make = _builder(PlanEntry)
+    plan_entry, manifest_entry = _builder(PlanEntry), _builder(ManifestEntry)
     for artifact in artifacts:
-        path, content = artifact.path, artifact.content
+        path, content, ownership = artifact.path, artifact.content, artifact.ownership
         on_disk = existing.get(path)
         recorded = entry_of(path)
         if on_disk is None:
             action, reason, sha256 = WriteAction.CREATE, "new file", digest(content)
-        elif artifact.ownership is Ownership.ONCE:
+        elif ownership is Ownership.ONCE:
             action, reason = WriteAction.SKIP_ONCE, "scaffolded once; owned by the developer"
             sha256 = digest(on_disk)
         elif recorded is not None and digest(on_disk) == recorded.sha256:
@@ -153,14 +153,13 @@ def plan_writes(
             action, sha256 = WriteAction.CONFLICT, None
             reason = ("file was modified after the last generation"
                       if recorded is not None else "file is not covered by the manifest")
-        actions.append(make(path=path, action=action, reason=reason))
+        actions.append(plan_entry(path=path, action=action, reason=reason))
         if sha256 is None:
             continue
         if recorded is None or recorded.sha256 != sha256 or recorded.inputs != artifact.inputs \
-                or recorded.ownership is not artifact.ownership \
-                or recorded.fragments != artifact.fragments:
-            recorded = ManifestEntry(path, artifact.ownership, sha256, artifact.inputs,
-                                     artifact.fragments)
+                or recorded.ownership is not ownership or recorded.fragments != artifact.fragments:
+            recorded = manifest_entry(path=path, ownership=ownership, sha256=sha256,
+                                      inputs=artifact.inputs, fragments=artifact.fragments)
         entries.append(recorded)
     entries.sort(key=attrgetter("path"))
     return WritePlan(tuple(actions), Manifest(tuple(entries)))
@@ -224,9 +223,7 @@ def manifest_to_json(manifest: Manifest) -> str:
         if e.inputs:
             line += f", {rules[e.inputs[:KEY_LENGTH]]}, {entities[e.inputs[KEY_LENGTH:]]}"
         if e.fragments:
-            fragments = [part for key, start, end in e.fragments
-                         for part in (entities[key[:KEY_LENGTH]], key[KEY_LENGTH:], start, end)]
-            line += f", {json.dumps(fragments, ensure_ascii=False)}"
+            line += f", {json.dumps(_flat(e.fragments, entities), ensure_ascii=False)}"
         lines.append(line + "]")
     return (f'{{\n  "version": {MANIFEST_VERSION},\n'
             f'  "rules": {_lines(map(quote, rules))},\n'
@@ -253,16 +250,26 @@ def _at(table: list[str], index: object) -> str:
 
 
 def _fragments(entities: list[str], flat: object) -> tuple[Fragment, ...]:
+    """Fragments from their flat form: entity, loop attributes, start, end."""
     if type(flat) is not list or len(flat) % 4:
         raise TypeError("fragments must be a list of entity, loop, start and end")
-    fragments = []
-    for i in range(0, len(flat), 4):
-        entity, loop, start, end = flat[i:i + 4]
-        if type(loop) is not str or type(start) is not int or type(end) is not int \
-                or not 0 <= start <= end:
-            raise ValueError(f"fragment #{i // 4 + 1} is not [entity, loop, start, end]")
-        fragments.append((_at(entities, entity) + loop, start, end))
-    return tuple(fragments)
+    indices, loops, starts, ends = flat[0::4], flat[1::4], flat[2::4], flat[3::4]
+    if flat and not ({*map(type, indices), *map(type, starts), *map(type, ends)} == {int}
+                     and set(map(type, loops)) == {str}
+                     and 0 <= min(indices) and max(indices) < len(entities)
+                     and 0 <= min(starts) and all(map(le, starts, ends))):
+        raise ValueError("a fragment is not [entity, loop, start, end]")
+    return tuple(zip([entities[i] + loop for i, loop in zip(indices, loops)], starts, ends))
+
+
+def _flat(fragments: tuple[Fragment, ...], entities: defaultdict[str, int]) -> list:
+    """Fragments in their flat form, with each entity key as its index."""
+    keys, starts, ends = zip(*fragments)
+    flat: list = [None] * (4 * len(keys))
+    flat[0::4] = [entities[key[:KEY_LENGTH]] for key in keys]
+    flat[1::4] = [key[KEY_LENGTH:] for key in keys]
+    flat[2::4], flat[3::4] = starts, ends
+    return flat
 
 
 def _entries(rows: object, rules: list[str], entities: list[str]) -> list[ManifestEntry]:

@@ -258,7 +258,9 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
                                              "flags": dict(rule.flags)}
             if rule.per == "model":
                 path = posixpath.normpath(rule.pathPattern)
-                _produce(producers, path, number, None)
+                producer = number, None
+                if producers.setdefault(path, producer) is not producer:
+                    raise _collision(producers[path], producer, path)
                 artifacts.append(_per_model(rule, ast, context, path, model, model_digest, reuse))
                 continue
             whole = "model" in ast.names or "location" in ast.steps
@@ -269,7 +271,9 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
                 inputs = rule_key + key if rule_key and key else ""
                 kept = reuse(inputs, "") if reuse and inputs else None
                 path = _expand_path(rule.pathPattern, entity) if kept is None else kept[0].path
-                _produce(producers, path, number, entity)
+                producer = number, entity
+                if producers.setdefault(path, producer) is not producer:
+                    raise _collision(producers[path], producer, path)
                 content = _render(ast, {**context, "entity": entity_view}, path) \
                     if kept is None else kept[1]
                 artifacts.append(make(path=path, content=content, ownership=rule.ownership,
@@ -277,16 +281,12 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
     return artifacts
 
 
-def _produce(producers: dict[str, tuple[int, Optional[Entity]]], path: str, number: int,
-             entity: Optional[Entity]) -> None:
-    if path in producers:
-        raise PathCollision(f"{_producer(*producers[path])} and {_producer(number, entity)} "
-                            f"both produce {path!r}")
-    producers[path] = number, entity
-
-
-def _producer(number: int, entity: Optional[Entity]) -> str:
-    return f"output rule #{number}" + (f" for entity {entity.name!r}" if entity else "")
+def _collision(first: tuple[int, Optional[Entity]], second: tuple[int, Optional[Entity]],
+               path: str) -> PathCollision:
+    """The error for two producers, each a rule's number and entity, of `path`."""
+    def producer(number: int, entity: Optional[Entity]) -> str:
+        return f"output rule #{number}" + (f" for entity {entity.name!r}" if entity else "")
+    return PathCollision(f"{producer(*first)} and {producer(*second)} both produce {path!r}")
 
 
 def _per_model(rule: OutputRule, ast: atl.TemplateAst, context: Mapping[str, atl.Value],

@@ -127,6 +127,14 @@ def test_path_collision_across_rules(newsboard_model):
         "output rule #2 for entity 'Vest' and output rule #3 both produce 'docs/Vest.md'"
 
 
+def test_path_collision_of_one_entity_across_rules(newsboard_model):
+    pack = _pack(("docs/{entity.name}.md", "entity"), ("docs/{entity.tableName}.md", "entity"))
+    with pytest.raises(PathCollision) as caught:
+        generate_all(newsboard_model, pack)
+    assert str(caught.value) == ("output rule #1 for entity 'Fakultet' and output rule #2 "
+                                 "for entity 'Fakultet' both produce 'docs/Fakultet.md'")
+
+
 def test_generate_all_deterministic(newsboard_model, webstack):
     first = generate_all(newsboard_model, webstack, lang="English")
     second = generate_all(newsboard_model, webstack, lang="English")
