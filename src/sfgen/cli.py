@@ -121,8 +121,9 @@ def _cmd_generate(args) -> int:
         content = on_disk[path] = ownership.read_file(prefix + path)
         return content
 
-    def reuse(inputs: str, path: str) -> Optional[tuple[ownership.ManifestEntry, bytes]]:
-        entry = manifest.entry_of(path) if path else manifest.entry_for(inputs)
+    def reuse(rule: str, entity: str,
+              path: str) -> Optional[tuple[ownership.ManifestEntry, bytes]]:
+        entry = manifest.entry_of(path) if path else manifest.entry_for(rule, entity)
         if entry is None:
             return None
         content = on_disk[entry.path] = ownership.read_file(prefix + entry.path)

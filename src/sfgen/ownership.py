@@ -5,8 +5,9 @@ ALWAYS files are regenerated on every run and must not be hand-edited; ONCE
 files are scaffolded once and then belong to the developer. The manifest
 records the digest each file had when the generator last wrote it, which is
 what lets a later run tell "unchanged", "needs regeneration" and "hand-edited"
-apart, and the digest of the inputs it was generated from, which lets a later
-run with the same inputs take the file as it is instead of rendering it.
+apart, and the keys of the inputs it was generated from, which let a later run
+with the same inputs take the file, or some of its iterations, as they are
+instead of rendering them.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ MANIFEST_FILENAME = ".sfgen-manifest.json"
 # 3 names each entry's rule and entity, and lists a spliced file's iterations;
 # a version-1 or version-2 manifest still loads, with no inputs, so reuses nothing
 MANIFEST_VERSION = 3
-KEY_LENGTH = 32  # hex digits of a rule's or an entity's part of an inputs key
 
-# (key, start, end): one iteration of a fragment loop, at file[start:end]. Its
-# key is its entity's key, then the values of the loop attributes it reads.
-Fragment = tuple[str, int, int]
+# (entity, loop, start, end): one iteration of a fragment loop, at
+# file[start:end], keyed by its entity's key and the text of the loop
+# attributes it reads
+Fragment = tuple[str, str, int, int]
 
 
 class Ownership(Enum):
@@ -62,7 +63,10 @@ class ManifestEntry:
     path: str
     ownership: Ownership
     sha256: str
-    inputs: str = ""  # the key of what the file was generated from; "" if unknown
+    # the keys of what the file was generated from: its rule's inputs, and the
+    # source of its entity or, for a per-model file, of the whole model; "" if unknown
+    rule: str = ""
+    entity: str = ""
     fragments: tuple[Fragment, ...] = ()  # the iterations a later run may keep
 
 
@@ -77,16 +81,17 @@ class Manifest:
         return {entry.path: entry for entry in reversed(self.entries)}
 
     @cached_property
-    def _by_inputs(self) -> dict[str, ManifestEntry]:
+    def _by_inputs(self) -> dict[tuple[str, str], ManifestEntry]:
         # only the entry that entry_of gives for its path, which planning checks
-        return {entry.inputs: entry for entry in self._by_path.values() if entry.inputs}
+        return {(entry.rule, entry.entity): entry for entry in self._by_path.values()
+                if entry.rule}
 
     def entry_of(self, path: str) -> Optional[ManifestEntry]:
         return self._by_path.get(path)
 
-    def entry_for(self, inputs: str) -> Optional[ManifestEntry]:
-        """The entry of the file generated from these inputs, if any."""
-        return self._by_inputs.get(inputs)
+    def entry_for(self, rule: str, entity: str) -> Optional[ManifestEntry]:
+        """The entry of the file generated by this rule from this entity, if any."""
+        return self._by_inputs.get((rule, entity))
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,10 +161,12 @@ def plan_writes(
         actions.append(plan_entry(path=path, action=action, reason=reason))
         if sha256 is None:
             continue
-        if recorded is None or recorded.sha256 != sha256 or recorded.inputs != artifact.inputs \
-                or recorded.ownership is not ownership or recorded.fragments != artifact.fragments:
+        if recorded is None or recorded.sha256 != sha256 or recorded.rule != artifact.rule \
+                or recorded.entity != artifact.entity or recorded.ownership is not ownership \
+                or recorded.fragments != artifact.fragments:
             recorded = manifest_entry(path=path, ownership=ownership, sha256=sha256,
-                                      inputs=artifact.inputs, fragments=artifact.fragments)
+                                      rule=artifact.rule, entity=artifact.entity,
+                                      fragments=artifact.fragments)
         entries.append(recorded)
     entries.sort(key=attrgetter("path"))
     return WritePlan(tuple(actions), Manifest(tuple(entries)))
@@ -220,8 +227,8 @@ def manifest_to_json(manifest: Manifest) -> str:
     lines = []
     for e in manifest.entries:
         line = f"[{quote(e.path)}, {_QUOTED[e.ownership]}, {quote(e.sha256)}"
-        if e.inputs:
-            line += f", {rules[e.inputs[:KEY_LENGTH]]}, {entities[e.inputs[KEY_LENGTH:]]}"
+        if e.rule:
+            line += f", {rules[e.rule]}, {entities[e.entity]}"
         if e.fragments:
             line += f", {json.dumps(_flat(e.fragments, entities), ensure_ascii=False)}"
         lines.append(line + "]")
@@ -243,12 +250,6 @@ def _strings(value: object, what: str) -> list[str]:
     return value
 
 
-def _at(table: list[str], index: object) -> str:
-    if type(index) is not int or not 0 <= index < len(table):
-        raise ValueError(f"index {index!r} is out of range")
-    return table[index]
-
-
 def _fragments(entities: list[str], flat: object) -> tuple[Fragment, ...]:
     """Fragments from their flat form: entity, loop attributes, start, end."""
     if type(flat) is not list or len(flat) % 4:
@@ -259,16 +260,15 @@ def _fragments(entities: list[str], flat: object) -> tuple[Fragment, ...]:
                      and 0 <= min(indices) and max(indices) < len(entities)
                      and 0 <= min(starts) and all(map(le, starts, ends))):
         raise ValueError("a fragment is not [entity, loop, start, end]")
-    return tuple(zip([entities[i] + loop for i, loop in zip(indices, loops)], starts, ends))
+    return tuple(zip([entities[i] for i in indices], loops, starts, ends))
 
 
 def _flat(fragments: tuple[Fragment, ...], entities: defaultdict[str, int]) -> list:
     """Fragments in their flat form, with each entity key as its index."""
-    keys, starts, ends = zip(*fragments)
+    keys, loops, starts, ends = zip(*fragments)
     flat: list = [None] * (4 * len(keys))
-    flat[0::4] = [entities[key[:KEY_LENGTH]] for key in keys]
-    flat[1::4] = [key[KEY_LENGTH:] for key in keys]
-    flat[2::4], flat[3::4] = starts, ends
+    flat[0::4] = [entities[key] for key in keys]
+    flat[1::4], flat[2::4], flat[3::4] = loops, starts, ends
     return flat
 
 
@@ -286,16 +286,16 @@ def _entries(rows: object, rules: list[str], entities: list[str]) -> list[Manife
         ownership = _OWNERSHIPS.get(owner)
         if ownership is None:
             raise ValueError(f"{owner!r} is not a valid Ownership")
-        inputs, fragments = "", ()
+        rule = entity = ""
+        fragments = ()
         if len(row) > 3:
-            rule, entity = row[3], row[4]
-            if type(rule) is not int or type(entity) is not int or rule < 0 or entity < 0:
+            if type(row[3]) is not int or type(row[4]) is not int or row[3] < 0 or row[4] < 0:
                 raise ValueError(f"entry #{number} names no rule or entity")
-            inputs = rules[rule] + entities[entity]  # IndexError where there is none
+            rule, entity = rules[row[3]], entities[row[4]]  # IndexError where there is none
             if len(row) > 5:
                 fragments = _fragments(entities, row[5])
-        entries.append(make(path=path, ownership=ownership, sha256=sha, inputs=inputs,
-                            fragments=fragments))
+        entries.append(make(path=path, ownership=ownership, sha256=sha, rule=rule,
+                            entity=entity, fragments=fragments))
     return entries
 
 

@@ -22,11 +22,12 @@ from typing import Callable, Mapping, Optional
 from . import atl
 from .loader import paused_gc
 from .model import ApplicationModel, Entity, _builder
-from .ownership import KEY_LENGTH, Fragment, ManifestEntry, Ownership, walk_files
+from .ownership import Fragment, ManifestEntry, Ownership, walk_files
 
 _PLACEHOLDER_RE = re.compile(r"\{entity\.([A-Za-z_][A-Za-z0-9_]*)\}")
 _PATH_FIELDS = ("name", "tableName")  # the entity text fields a path may read
 _BUILTIN_PACKS = Path(__file__).parent / "builtin_packs"
+KEY_LENGTH = 32  # hex digits of a key: the first 128 bits of a SHA-256
 
 
 class PackError(Exception):
@@ -59,8 +60,16 @@ class Artifact:
     path: str
     content: bytes
     ownership: Ownership
-    inputs: str = ""  # the key of everything its content depends on; "" if unknown
+    # the keys of what its content depends on: its rule's inputs, and the source
+    # of its entity or, for a per-model artifact, of the whole model; "" if unknown
+    rule: str = ""
+    entity: str = ""
     fragments: tuple[Fragment, ...] = ()  # of a template with a fragment loop: its iterations
+
+    @property
+    def inputs(self) -> str:
+        """The two keys as one: everything its content depends on."""
+        return self.rule + self.entity
 
 
 def builtin_pack_dir(name: str = "webstack") -> Path:
@@ -212,10 +221,10 @@ def _model_digest(model: ApplicationModel) -> str:
     return h.hexdigest()
 
 
-# Reuse(inputs, path): the manifest's entry for the file at `path` or, where
-# `path` is "", for the file generated from these inputs, and the bytes of that
-# file; None where there is no such entry or no such file
-Reuse = Callable[[str, str], Optional[tuple[ManifestEntry, bytes]]]
+# Reuse(rule, entity, path): the manifest's entry for the file at `path` or,
+# where `path` is "", for the file that rule generated from that entity, and
+# the bytes of that file; None where there is no such entry or no such file
+Reuse = Callable[[str, str, str], Optional[tuple[ManifestEntry, bytes]]]
 
 
 def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
@@ -225,15 +234,16 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
     model's defaultLanguage, then its first language. Content is UTF-8 with LF
     line endings; two artifacts with one path raise PathCollision.
 
-    Each artifact records the key of its inputs: the key of its rule's, then
-    the first KEY_LENGTH hex digits of the source digest of its entity or, for
-    a per-model artifact, of the whole model. A rule's inputs are sfgen's
-    sources, its template, flags, path, kind and ownership, the language, the
-    settings and the model's languages, and the whole model's source where a
-    per-entity template reads `model` or any `location`. A template view of an
-    entity reaches no other entity, and its default language through the
-    settings. Where `reuse` gives the file of an artifact with the same inputs,
-    its bytes are the content and it is not rendered.
+    Each artifact records the keys of its inputs: of its rule's, and of the
+    source of its entity or, for a per-model artifact, of the whole model; a
+    key is the first KEY_LENGTH hex digits of a digest. A rule's inputs are
+    sfgen's sources, its template, flags, path, kind and ownership, the
+    language, the settings and the model's languages, and the whole model's
+    source where a per-entity template reads `model` or any `location`. A
+    template view of an entity reaches no other entity, and its default
+    language through the settings. Where `reuse` gives the file of an artifact
+    with the same inputs, its path and bytes are the artifact's, and it is not
+    rendered.
 
     A per-model template with a fragment loop (atl.FragmentLoop) renders the
     text around the loop, and each iteration whose key the file's manifest
@@ -268,8 +278,8 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
             rule_key = "" if whole and not model_digest else \
                 _rule_key(rule, ast, lang, model, model_digest if whole else "")
             for entity, entity_view, key in active:
-                inputs = rule_key + key if rule_key and key else ""
-                kept = reuse(inputs, "") if reuse and inputs else None
+                known = bool(rule_key and key)
+                kept = reuse(rule_key, key, "") if reuse and known else None
                 path = _expand_path(rule.pathPattern, entity) if kept is None else kept[0].path
                 producer = number, entity
                 if producers.setdefault(path, producer) is not producer:
@@ -277,7 +287,8 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
                 content = _render(ast, {**context, "entity": entity_view}, path) \
                     if kept is None else kept[1]
                 artifacts.append(make(path=path, content=content, ownership=rule.ownership,
-                                      inputs=inputs, fragments=()))
+                                      rule=rule_key if known else "",
+                                      entity=key if known else "", fragments=()))
     return artifacts
 
 
@@ -295,17 +306,19 @@ def _per_model(rule: OutputRule, ast: atl.TemplateAst, context: Mapping[str, atl
     """The artifact of a per-model rule: the file as it is where its inputs are
     unchanged; else, for a template with a fragment loop, the file spliced from
     the iterations its entry lists and those rendered anew; else rendered."""
-    rule_key = _rule_key(rule, ast, context["lang"], model, "")
-    inputs = rule_key + model_digest[:KEY_LENGTH] if model_digest else ""
-    kept = reuse(inputs, path) if reuse and inputs else None
-    if kept is not None and kept[0].inputs == inputs:
-        return Artifact(path, kept[1], rule.ownership, inputs, kept[0].fragments)
+    # "" keys where the model has no source digest: its inputs are unknown
+    rule_key = _rule_key(rule, ast, context["lang"], model, "") if model_digest else ""
+    model_key = model_digest[:KEY_LENGTH]
+    kept = reuse(rule_key, model_key, path) if reuse and rule_key else None
+    if kept is not None and kept[0].rule == rule_key and kept[0].entity == model_key:
+        return Artifact(path, kept[1], rule.ownership, rule_key, model_key, kept[0].fragments)
     if ast.fragment is None:
-        return Artifact(path, _render(ast, context, path), rule.ownership, inputs)
+        return Artifact(path, _render(ast, context, path), rule.ownership, rule_key, model_key)
     entry, old = kept if kept is not None else (None, b"")
-    recorded = entry.fragments if entry and entry.inputs[:KEY_LENGTH] == rule_key else ()
+    recorded = entry.fragments if entry and entry.rule == rule_key else ()
     content, fragments = _render_fragments(ast, context, path, recorded, old)
-    return Artifact(path, content, rule.ownership, inputs, fragments if inputs else ())
+    return Artifact(path, content, rule.ownership, rule_key, model_key,
+                    fragments if rule_key else ())
 
 
 def _render(ast: atl.TemplateAst, context: Mapping[str, atl.Value], path: str) -> bytes:
@@ -324,11 +337,11 @@ def _render_fragments(ast: atl.TemplateAst, context: Mapping[str, atl.Value], pa
     `recorded` lists from the bytes `old`, and its iterations: none where the
     text holds a CR, since normalizing line ends could then join the ends of
     two iterations."""
-    spans = {fragment[0]: fragment for fragment in recorded}
-    keys: list[str] = []
+    spans = {fragment[:2]: fragment for fragment in recorded}
+    keys: list[tuple[str, str]] = []
 
     def kept(item: atl.ModelView, loop: str) -> Optional[Fragment]:
-        key = item.element.digest[:KEY_LENGTH] + loop
+        key = item.element.digest[:KEY_LENGTH], loop
         keys.append(key)
         return spans.get(key)
 
@@ -346,17 +359,17 @@ def _render_fragments(ast: atl.TemplateAst, context: Mapping[str, atl.Value], pa
     offset, run = len(data[0]), [0, 0]  # the run of `old` being copied
     for key, piece in zip(keys, pieces[1:-1]):
         if type(piece) is tuple:
-            _, start, end = piece
+            start, end = piece[2:]
             if start != run[1]:
                 data.append(old[run[0]:run[1]])
                 run[0] = start
             run[1] = end
-            fragments.append(piece if start == offset else (key, offset, offset + end - start))
+            fragments.append(piece if start == offset else (*key, offset, offset + end - start))
             offset += end - start
         else:
             data += [old[run[0]:run[1]], piece.encode("utf-8")]
             run = [0, 0]
-            fragments.append((key, offset, offset + len(data[-1])))
+            fragments.append((*key, offset, offset + len(data[-1])))
             offset += len(data[-1])
     data += [old[run[0]:run[1]], pieces[-1].encode("utf-8")]
     return b"".join(data), tuple(fragments)

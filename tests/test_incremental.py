@@ -523,21 +523,21 @@ def test_every_input_of_a_loaded_model_is_recorded(newsboard_model, webstack):
 
 
 def test_reuse_is_asked_for_each_artifact_with_its_inputs(newsboard_model, webstack):
-    """A per-entity artifact is asked for by its inputs, and takes its path from
-    the entry given; a per-model one is asked for by its path."""
+    """A per-entity artifact is asked for by its rule and entity, and takes its
+    path from the entry given; a per-model one is asked for by its path."""
     asked = []
 
-    def reuse(inputs, path):
-        asked.append((inputs, path))
+    def reuse(rule, entity, path):
+        asked.append((rule, entity, path))
         entry = ownership.ManifestEntry(path or f"kept/{len(asked)}", ownership.Ownership.ALWAYS,
-                                        "", inputs)
+                                        "", rule, entity)
         return entry, b"from disk"
 
     artifacts = packs.generate_all(newsboard_model, webstack, reuse=reuse)
     per_model = {rule.pathPattern for rule in webstack.outputs if rule.per == "model"}
-    assert asked == [(a.inputs, a.path if a.path in per_model else "") for a in artifacts]
+    assert asked == [(a.rule, a.entity, a.path if a.path in per_model else "") for a in artifacts]
     assert [a.path for a in artifacts if a.path not in per_model] == [
-        f"kept/{i}" for i, (_, path) in enumerate(asked, 1) if not path]
+        f"kept/{i}" for i, (_, _, path) in enumerate(asked, 1) if not path]
     assert all(a.content == b"from disk" for a in artifacts)
 
 

@@ -261,9 +261,9 @@ def test_manifest_json_format():
     rule, entity, model = "r" * 32, "e" * 32, "m" * 32
     manifest = Manifest(entries=(
         ManifestEntry("a.sql", Ownership.ALWAYS, digest(b"x")),
-        ManifestEntry("b.js", Ownership.ONCE, digest(b"y"), rule + entity),
-        ManifestEntry("c.sql", Ownership.ALWAYS, digest(b"z"), rule + model,
-                      ((entity + "true", 3, 9),)),
+        ManifestEntry("b.js", Ownership.ONCE, digest(b"y"), rule, entity),
+        ManifestEntry("c.sql", Ownership.ALWAYS, digest(b"z"), rule, model,
+                      ((entity, "true", 3, 9),)),
     ))
     text = manifest_to_json(manifest)
     assert text.endswith("\n") and "\r" not in text
@@ -277,15 +277,12 @@ def test_manifest_json_format():
 
 
 _texts = st.text(alphabet=st.characters(exclude_categories=("Cs",)), max_size=12)
-_keys = st.one_of(st.just(""), st.text(alphabet="0123456789abcdef", min_size=64, max_size=64),
-                  _texts)
-_fragments = st.lists(st.tuples(_keys, st.integers(0, 99), st.integers(0, 99)).map(
-    lambda f: (f[0], min(f[1:]), max(f[1:]))), max_size=3).map(tuple)
-
-
-# an entry with no inputs has no fragments
-_entries = st.tuples(_texts, st.sampled_from(Ownership), _texts, _keys, _fragments).map(
-    lambda e: e if e[3] else e[:4])
+_keys = st.one_of(st.text(alphabet="0123456789abcdef", min_size=32, max_size=32), _texts)
+_fragments = st.lists(st.tuples(_keys, _texts, st.integers(0, 99), st.integers(0, 99)).map(
+    lambda f: (*f[:2], min(f[2:]), max(f[2:]))), max_size=3).map(tuple)
+# an entry with no rule has no entity and no fragments
+_entries = st.tuples(_texts, st.sampled_from(Ownership), _texts, _keys, _keys, _fragments).map(
+    lambda e: e if e[3] else e[:3])
 
 
 @given(st.lists(_entries, max_size=6))
@@ -302,9 +299,10 @@ def test_manifest_json_is_what_json_dumps_writes(entries):
     for entry, row in zip(manifest.entries, payload["entries"], strict=True):
         assert json.dumps(row, ensure_ascii=False) in lines
         assert row[:3] == [entry.path, entry.ownership.value, entry.sha256]
-        assert (rules[row[3]] + entities[row[4]] if len(row) > 3 else "") == entry.inputs
+        assert ((rules[row[3]], entities[row[4]]) if len(row) > 3 else ("", "")) \
+            == (entry.rule, entry.entity)
         fragments = row[5] if len(row) > 5 else []
-        assert [(entities[fragments[i]] + fragments[i + 1], fragments[i + 2], fragments[i + 3])
+        assert [(entities[fragments[i]], *fragments[i + 1:i + 4])
                 for i in range(0, len(fragments), 4)] == list(entry.fragments)
     assert manifest_from_json(text) == manifest
 
