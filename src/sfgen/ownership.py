@@ -226,12 +226,14 @@ def manifest_to_json(manifest: Manifest) -> str:
     entities: defaultdict[str, int] = defaultdict(count().__next__)
     lines = []
     for e in manifest.entries:
-        line = f"[{quote(e.path)}, {_QUOTED[e.ownership]}, {quote(e.sha256)}"
-        if e.rule:
-            line += f", {rules[e.rule]}, {entities[e.entity]}"
-        if e.fragments:
-            line += f", {json.dumps(_flat(e.fragments, entities), ensure_ascii=False)}"
-        lines.append(line + "]")
+        head = f"{quote(e.path)}, {_QUOTED[e.ownership]}, {quote(e.sha256)}"
+        if not e.rule:
+            lines.append(f"[{head}]")
+        elif not e.fragments:
+            lines.append(f"[{head}, {rules[e.rule]}, {entities[e.entity]}]")
+        else:
+            fragments = json.dumps(_flat(e.fragments, entities), ensure_ascii=False)
+            lines.append(f"[{head}, {rules[e.rule]}, {entities[e.entity]}, {fragments}]")
     return (f'{{\n  "version": {MANIFEST_VERSION},\n'
             f'  "rules": {_lines(map(quote, rules))},\n'
             f'  "entities": {_lines(map(quote, entities))},\n'
