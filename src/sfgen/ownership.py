@@ -298,7 +298,18 @@ def _entries(rows: object, rules: list[str], entities: list[str]) -> list[Manife
                 fragments = _fragments(entities, row[5])
         entries.append(make(path=path, ownership=ownership, sha256=sha, rule=rule,
                             entity=entity, fragments=fragments))
+    # generate takes a reused file's path from its entry, so each must stay
+    # under the output root; checked once over every path, joined
+    if entries and _unsafe("/".join(entry.path for entry in entries)):
+        bad = next(entry.path for entry in entries if _unsafe(entry.path))
+        raise ValueError(f"entry path {bad!r} is not a normalized relative path")
     return entries
+
+
+def _unsafe(path: str) -> bool:
+    """Whether `path` is empty or absolute, or has an empty, '.' or '..' step."""
+    path = f"/{path}/"
+    return "//" in path or "/./" in path or "/../" in path
 
 
 def _old_entry(e: Mapping, version: int) -> ManifestEntry:

@@ -450,6 +450,19 @@ def test_a_version_2_manifest_reuses_nothing_and_is_rewritten(tmp_path, monkeypa
     rewritten_from_old_manifest(tmp_path, monkeypatch, 2)
 
 
+def test_a_manifest_path_outside_the_output_root_is_malformed(tmp_path):
+    """A reused file's path comes from its manifest entry, so an entry whose
+    path leaves the output root stops generate before any file is read."""
+    out = tmp_path / "out"
+    argv = ["generate", "--model", NEWSBOARD, "--pack", str(PACK), "--out", str(out)]
+    assert run(argv)[0] == 0
+    manifest = out / ownership.MANIFEST_FILENAME
+    manifest.write_text(manifest.read_text("utf-8").replace('"docs/Vest.md"', '"../outside.md"'),
+                        "utf-8")
+    assert run(argv) == (3, "", "error E_MANIFEST: malformed manifest: entry path "
+                                "'../outside.md' is not a normalized relative path\n")
+
+
 def test_an_edited_file_with_unchanged_inputs_is_a_conflict(tmp_path, monkeypatch):
     out = tmp_path / "out"
     argv = ["generate", "--model", NEWSBOARD, "--pack", str(PACK), "--out", str(out)]

@@ -281,7 +281,10 @@ _keys = st.one_of(st.text(alphabet="0123456789abcdef", min_size=32, max_size=32)
 _fragments = st.lists(st.tuples(_keys, _texts, st.integers(0, 99), st.integers(0, 99)).map(
     lambda f: (*f[:2], min(f[2:]), max(f[2:]))), max_size=3).map(tuple)
 # an entry with no rule has no entity and no fragments
-_entries = st.tuples(_texts, st.sampled_from(Ownership), _texts, _keys, _keys, _fragments).map(
+_steps = st.text(alphabet=st.characters(exclude_categories=("Cs",), exclude_characters="/"),
+                 min_size=1, max_size=5).filter(lambda step: step not in (".", ".."))
+_paths = st.lists(_steps, min_size=1, max_size=3).map("/".join)  # normalized, relative
+_entries = st.tuples(_paths, st.sampled_from(Ownership), _texts, _keys, _keys, _fragments).map(
     lambda e: e if e[3] else e[:3])
 
 
@@ -410,7 +413,9 @@ def test_load_missing_manifest_returns_none(tmp_path):
                                         '["a", "always", "00", 0, 0, [0, "x", 1]]',
                                         '["a", "always", "00", 0, 0, [0, 1, 2, 3]]',
                                         '["a", "always", "00", 0, 0, [1, "x", 1, 2]]',
-                                        '["a", "always", "00", 0, 0, {"x": 1}]')),
+                                        '["a", "always", "00", 0, 0, {"x": 1}]',
+                                        '["../a", "always", "00"]', '["/a", "always", "00"]',
+                                        '["a/./b", "always", "00"]', '["", "always", "00"]')),
                                   '{"version": 3, "rules": [1], "entities": [], "entries": []}',
                                   '{"version": 3, "rules": [], "entities": "e", "entries": []}',
                                   '{"version": 3, "rules": [], "entities": [], "entries": {}}'])
