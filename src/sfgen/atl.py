@@ -762,8 +762,8 @@ class _Codegen:
                        f"'for-loop expression is not a sequence')", " return t"]
 
     def iteration(self, body: Sequence[TplNode], loop: _Loop) -> None:
-        """The body of a loop as a function of its item, index and length; the
-        dict that reads `loop` as a value is built in it, not passed to it."""
+        """The body of a loop as a function of its item, index and length. Where
+        the body reads `loop` as a value, the function builds that dict itself."""
         self.block(body, 1)
         if loop.meta:
             k, loop.meta = loop.k, False
