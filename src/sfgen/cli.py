@@ -121,22 +121,11 @@ def _cmd_generate(args) -> int:
         content = on_disk[path] = ownership.read_file(prefix + path)
         return content
 
-    def reuse(rule: str, entity: str,
-              path: str) -> Optional[tuple[ownership.ManifestEntry, bytes]]:
-        entry = manifest.entry_of(path) if path else manifest.entry_for(rule, entity)
-        if entry is None:
-            return None
-        content = on_disk[entry.path] = ownership.read_file(prefix + entry.path)
-        return None if content is None else (entry, content)
-
     try:
         pack = packs.load_pack(packs.read_pack_dir(Path(args.pack)))
         manifest = ownership.load_manifest(out_root)
         artifacts = packs.generate_all(model, pack, lang=args.lang,
-                                       reuse=None if args.force or manifest is None else reuse)
-        for artifact in artifacts:
-            if artifact.path not in on_disk:
-                read(artifact.path)
+                                       manifest=None if args.force else manifest, read=read)
     except TemplateRuntimeError as exc:
         print(f"error E_TEMPLATE: {exc}", file=sys.stderr)
         return EXIT_TEMPLATE

@@ -80,18 +80,8 @@ class Manifest:
         # built from the last entry back, so the first entry for a path wins
         return {entry.path: entry for entry in reversed(self.entries)}
 
-    @cached_property
-    def _by_inputs(self) -> dict[tuple[str, str], ManifestEntry]:
-        # only the entry that entry_of gives for its path, which planning checks
-        return {(entry.rule, entry.entity): entry for entry in self._by_path.values()
-                if entry.rule}
-
     def entry_of(self, path: str) -> Optional[ManifestEntry]:
         return self._by_path.get(path)
-
-    def entry_for(self, rule: str, entity: str) -> Optional[ManifestEntry]:
-        """The entry of the file generated by this rule from this entity, if any."""
-        return self._by_inputs.get((rule, entity))
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,8 +288,8 @@ def _entries(rows: object, rules: list[str], entities: list[str]) -> list[Manife
                 fragments = _fragments(entities, row[5])
         entries.append(make(path=path, ownership=ownership, sha256=sha, rule=rule,
                             entity=entity, fragments=fragments))
-    # generate takes a reused file's path from its entry, so each must stay
-    # under the output root; checked once over every path, joined
+    # a path is read from outside, and names a file under the output root;
+    # checked once over every path, joined
     if entries and _unsafe("/".join(entry.path for entry in entries)):
         bad = next(entry.path for entry in entries if _unsafe(entry.path))
         raise ValueError(f"entry path {bad!r} is not a normalized relative path")

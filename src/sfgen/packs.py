@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Optional
 from . import atl
 from .loader import paused_gc
 from .model import ApplicationModel, Entity, _builder
-from .ownership import Fragment, ManifestEntry, Ownership, walk_files
+from .ownership import Fragment, Manifest, Ownership, walk_files
 
 _PLACEHOLDER_RE = re.compile(r"\{entity\.([A-Za-z_][A-Za-z0-9_]*)\}")
 _PATH_FIELDS = ("name", "tableName")  # the entity text fields a path may read
@@ -180,6 +180,21 @@ def _expand_path(pattern: str, entity: Entity) -> str:
     return normalized
 
 
+def _path_format(pattern: str) -> Optional[str]:
+    """`pattern` as a str.format string of the entity, or None where it is not
+    normalized. Where each path field of the entity is one whole path step
+    (_is_step), the string gives the path _expand_path gives, with no check."""
+    if posixpath.normpath(pattern) != pattern:
+        return None
+    return _PLACEHOLDER_RE.sub(r"{0.\1}", pattern)
+
+
+def _is_step(text: str) -> bool:
+    """Whether `text` is one whole path step: non-empty, with no '/', not '.',
+    and not starting with '..', which _expand_path takes for an escape."""
+    return bool(text) and "/" not in text and text != "." and not text.startswith("..")
+
+
 @cache
 def _sources_digest() -> bytes:
     """The SHA-256 of sfgen's own sources, so that an upgrade which may change
@@ -221,14 +236,9 @@ def _model_digest(model: ApplicationModel) -> str:
     return h.hexdigest()
 
 
-# Reuse(rule, entity, path): the manifest's entry for the file at `path` or,
-# where `path` is "", for the file that rule generated from that entity, and
-# the bytes of that file; None where there is no such entry or no such file
-Reuse = Callable[[str, str, str], Optional[tuple[ManifestEntry, bytes]]]
-
-
 def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
-                 reuse: Optional[Reuse] = None) -> list[Artifact]:
+                 manifest: Optional[Manifest] = None,
+                 read: Optional[Callable[[str], Optional[bytes]]] = None) -> list[Artifact]:
     """Render each output rule once per model, or once per active entity with
     `entity` bound, in rule order, then entity order. `lang` falls back to the
     model's defaultLanguage, then its first language. Content is UTF-8 with LF
@@ -241,23 +251,30 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
     language, the settings and the model's languages, and the whole model's
     source where a per-entity template reads `model` or any `location`. A
     template view of an entity reaches no other entity, and its default
-    language through the settings. Where `reuse` gives the file of an artifact
-    with the same inputs, its path and bytes are the artifact's, and it is not
-    rendered.
+    language through the settings.
 
-    A per-model template with a fragment loop (atl.FragmentLoop) renders the
-    text around the loop, and each iteration whose key the file's manifest
-    entry does not list; the other iterations are kept from the file's bytes.
-    Planning then checks that those bytes are the ones the manifest records:
-    content spliced from an edited file is a CONFLICT, and never written.
+    `read(path)` gives the bytes of the file at an artifact's path, or None
+    where there is none; each file is read once. Where the `manifest` entry at
+    that path holds the artifact's keys, the file's bytes are its content, and
+    it is not rendered. A per-model template with a fragment loop
+    (atl.FragmentLoop) whose entry has its rule's key renders the text around
+    the loop, and each iteration whose key the entry does not list; the other
+    iterations are kept from the file's bytes. Planning then checks that those
+    bytes are the ones the manifest records: content spliced from an edited
+    file is a CONFLICT, and never written.
     """
     lang = lang or model.settings.defaultLanguage or next(iter(model.languages), "")
     view = atl.ModelView(model, model)  # one view of the model serves every rule
     model_digest = _model_digest(model)
-    # each active entity, its view and its key ("" if it has no source digest)
-    active = [(entity, entity_view, entity.digest[:KEY_LENGTH])
+    # the units a rule renders, one per model or one per active entity: each
+    # its entity, view and key ("" if it has no source digest), and whether
+    # each of its path fields is one whole path step
+    whole_model = [(None, None, model_digest[:KEY_LENGTH], True)]
+    active = [(entity, entity_view, entity.digest[:KEY_LENGTH],
+               all(map(_is_step, [getattr(entity, name) for name in _PATH_FIELDS])))
               for entity, entity_view in zip(model.entities, view["entities"])
               if entity.isActive]
+    entry_of = manifest.entry_of if manifest is not None else {}.get
     make = _builder(Artifact)
     artifacts: list[Artifact] = []
     producers: dict[str, tuple[int, Optional[Entity]]] = {}  # path -> its rule and entity
@@ -266,29 +283,38 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
             ast = pack.templates[rule.template]
             context: dict[str, atl.Value] = {"model": view, "lang": lang,
                                              "flags": dict(rule.flags)}
-            if rule.per == "model":
-                path = posixpath.normpath(rule.pathPattern)
-                producer = number, None
-                if producers.setdefault(path, producer) is not producer:
-                    raise _collision(producers[path], producer, path)
-                artifacts.append(_per_model(rule, ast, context, path, model, model_digest, reuse))
-                continue
-            whole = "model" in ast.names or "location" in ast.steps
+            per_model = rule.per == "model"
+            whole = not per_model and ("model" in ast.names or "location" in ast.steps)
             # "" where the inputs are unknown: the model has no source digest
             rule_key = "" if whole and not model_digest else \
                 _rule_key(rule, ast, lang, model, model_digest if whole else "")
-            for entity, entity_view, key in active:
-                known = bool(rule_key and key)
-                kept = reuse(rule_key, key, "") if reuse and known else None
-                path = _expand_path(rule.pathPattern, entity) if kept is None else kept[0].path
+            form = _path_format(rule.pathPattern)
+            for entity, entity_view, key, steps in whole_model if per_model else active:
+                path = form.format(entity) if form and steps else \
+                    _expand_path(rule.pathPattern, entity)
                 producer = number, entity
                 if producers.setdefault(path, producer) is not producer:
                     raise _collision(producers[path], producer, path)
-                content = _render(ast, {**context, "entity": entity_view}, path) \
-                    if kept is None else kept[1]
+                old = read(path) if read else None
+                known = bool(rule_key and key)
+                entry = entry_of(path) if known and old is not None else None
+                try:
+                    if entry is not None and entry.rule == rule_key and entry.entity == key:
+                        content, fragments = old, entry.fragments
+                    elif per_model and ast.fragment is not None:
+                        recorded = entry.fragments if entry and entry.rule == rule_key else ()
+                        content, fragments = _render_fragments(ast, context, recorded,
+                                                               old or b"")
+                    else:
+                        content, fragments = _render(ast, context if per_model else
+                                                     {**context, "entity": entity_view}), ()
+                except atl.TemplateRuntimeError as exc:
+                    exc.args = (f"while rendering {path!r}: {exc}",)
+                    raise
                 artifacts.append(make(path=path, content=content, ownership=rule.ownership,
                                       rule=rule_key if known else "",
-                                      entity=key if known else "", fragments=()))
+                                      entity=key if known else "",
+                                      fragments=fragments if known else ()))
     return artifacts
 
 
@@ -300,37 +326,11 @@ def _collision(first: tuple[int, Optional[Entity]], second: tuple[int, Optional[
     return PathCollision(f"{producer(*first)} and {producer(*second)} both produce {path!r}")
 
 
-def _per_model(rule: OutputRule, ast: atl.TemplateAst, context: Mapping[str, atl.Value],
-               path: str, model: ApplicationModel, model_digest: str,
-               reuse: Optional[Reuse]) -> Artifact:
-    """The artifact of a per-model rule: the file as it is where its inputs are
-    unchanged; else, for a template with a fragment loop, the file spliced from
-    the iterations its entry lists and those rendered anew; else rendered."""
-    # "" keys where the model has no source digest: its inputs are unknown
-    rule_key = _rule_key(rule, ast, context["lang"], model, "") if model_digest else ""
-    model_key = model_digest[:KEY_LENGTH]
-    kept = reuse(rule_key, model_key, path) if reuse and rule_key else None
-    if kept is not None and kept[0].rule == rule_key and kept[0].entity == model_key:
-        return Artifact(path, kept[1], rule.ownership, rule_key, model_key, kept[0].fragments)
-    if ast.fragment is None:
-        return Artifact(path, _render(ast, context, path), rule.ownership, rule_key, model_key)
-    entry, old = kept if kept is not None else (None, b"")
-    recorded = entry.fragments if entry and entry.rule == rule_key else ()
-    content, fragments = _render_fragments(ast, context, path, recorded, old)
-    return Artifact(path, content, rule.ownership, rule_key, model_key,
-                    fragments if rule_key else ())
+def _render(ast: atl.TemplateAst, context: Mapping[str, atl.Value]) -> bytes:
+    return atl.render(ast, context).replace("\r\n", "\n").encode("utf-8")
 
 
-def _render(ast: atl.TemplateAst, context: Mapping[str, atl.Value], path: str) -> bytes:
-    try:
-        text = atl.render(ast, context)
-    except atl.TemplateRuntimeError as exc:
-        exc.args = (f"while rendering {path!r}: {exc}",)
-        raise
-    return text.replace("\r\n", "\n").encode("utf-8")
-
-
-def _render_fragments(ast: atl.TemplateAst, context: Mapping[str, atl.Value], path: str,
+def _render_fragments(ast: atl.TemplateAst, context: Mapping[str, atl.Value],
                       recorded: tuple[Fragment, ...],
                       old: bytes) -> tuple[bytes, tuple[Fragment, ...]]:
     """The content of a template with a fragment loop, keeping the iterations
@@ -345,15 +345,11 @@ def _render_fragments(ast: atl.TemplateAst, context: Mapping[str, atl.Value], pa
         keys.append(key)
         return spans.get(key)
 
-    try:
-        pieces = atl.render_fragments(ast, context, kept)
-        if any(type(piece) is str and "\r" in piece for piece in pieces):
-            if any(type(piece) is tuple for piece in pieces):
-                pieces = atl.render_fragments(ast, context, lambda item, loop: None)
-            return "".join(pieces).replace("\r\n", "\n").encode("utf-8"), ()
-    except atl.TemplateRuntimeError as exc:
-        exc.args = (f"while rendering {path!r}: {exc}",)
-        raise
+    pieces = atl.render_fragments(ast, context, kept)
+    if any(type(piece) is str and "\r" in piece for piece in pieces):
+        if any(type(piece) is tuple for piece in pieces):
+            pieces = atl.render_fragments(ast, context, lambda item, loop: None)
+        return "".join(pieces).replace("\r\n", "\n").encode("utf-8"), ()
     # the new content, with each run of kept iterations copied from `old` at once
     data, fragments = [pieces[0].encode("utf-8")], []
     offset, run = len(data[0]), [0, 0]  # the run of `old` being copied

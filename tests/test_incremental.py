@@ -67,8 +67,8 @@ def counting_renders(monkeypatch):
 def rendering_everything(monkeypatch):
     """Make every generate run render every artifact, as before reuse."""
     real = packs.generate_all
-    monkeypatch.setattr(packs, "generate_all",
-                        lambda model, pack, lang="", reuse=None: real(model, pack, lang))
+    monkeypatch.setattr(packs, "generate_all", lambda model, pack, lang="", manifest=None,
+                        read=None: real(model, pack, lang, read=read))
 
 
 # -- the document being edited --------------------------------------------------
@@ -288,6 +288,39 @@ class Workspace:
         template.write_bytes(text.replace(b"\r\n", b"\n") if b"\r\n" in text
                              else text.replace(b"\n", b"\r\n"))
 
+    # -- edits that move the paths of artifacts ------------------------------
+
+    def rename_entity(self):
+        """An entity's name and tableName change, so its per-entity paths move."""
+        name = f"Renamed{self.rng.randrange(10**6)}"
+        entity = self.rng.choice(self.entities)
+        self.set_attribute(entity, "name", name)
+        self.set_attribute(entity, "tableName", name)
+
+    def path_pattern(self):
+        """The docs rule's path reads the entity's tableName, or its name again."""
+        spec = json.loads((self.pack / "pack.json").read_text())
+        rule = spec["outputs"][8]
+        name, table = "docs/{entity.name}.md", "docs/{entity.tableName}.md"
+        rule["path"] = table if rule["path"] == name else name
+        (self.pack / "pack.json").write_text(json.dumps(spec, indent=2))
+
+    def move_manifest_entry(self):
+        """A file and its manifest entry move to a path that no rule produces."""
+        path = self.rng.choice([path for path in self.outputs() if not path.startswith("moved/")])
+        moved = f"moved/{self.rng.randrange(10**6)}.txt"
+
+        def move(out):
+            (out / "moved").mkdir(exist_ok=True)
+            (out / path).rename(out / moved)
+            manifest = out / ownership.MANIFEST_FILENAME
+            payload = json.loads(manifest.read_text("utf-8"))
+            for entry in payload["entries"]:
+                entry[0] = moved if entry[0] == path else entry[0]
+            manifest.write_text(json.dumps(payload), "utf-8")
+
+        self.each_tree(move)
+
     def loop_index(self):
         """A fragment body reads loop.index, or no longer does."""
         template = self.pack / "constraints.sql.atl"
@@ -302,7 +335,7 @@ EDITS = ["rename_field", "edit_text", "toggle_active", "add_field", "remove_fiel
          "flip_ownership", "hand_edit", "hand_edit_scaffold", "delete_output",
          "version_1_manifest", "version_2_manifest", "insert_entity", "delete_entity",
          "reorder_entities", "toggle_last_active", "hand_edit_per_model", "crlf_template",
-         "loop_index"]
+         "loop_index", "rename_entity", "path_pattern", "move_manifest_entry"]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -451,7 +484,7 @@ def test_a_version_2_manifest_reuses_nothing_and_is_rewritten(tmp_path, monkeypa
 
 
 def test_a_manifest_path_outside_the_output_root_is_malformed(tmp_path):
-    """A reused file's path comes from its manifest entry, so an entry whose
+    """An entry's path is read from outside the program, so an entry whose
     path leaves the output root stops generate before any file is read."""
     out = tmp_path / "out"
     argv = ["generate", "--model", NEWSBOARD, "--pack", str(PACK), "--out", str(out)]
@@ -522,9 +555,11 @@ def test_a_self_closing_entity_has_a_source_digest():
 
 def test_a_model_built_in_code_records_no_inputs(webstack):
     model = randmodels.random_model(random.Random(3), max_entities=3)
-    artifacts = packs.generate_all(model, webstack,
-                                   reuse=lambda *args: pytest.fail("asked to reuse"))
-    assert artifacts and all(a.inputs == "" for a in artifacts)
+    manifest = ownership.Manifest((ownership.ManifestEntry("docs/x.md", ownership.Ownership.ALWAYS,
+                                                           ""),))
+    artifacts = packs.generate_all(model, webstack, manifest=manifest,
+                                   read=lambda path: b"from disk")
+    assert artifacts and all(a.inputs == "" and a.content != b"from disk" for a in artifacts)
 
 
 def test_every_input_of_a_loaded_model_is_recorded(newsboard_model, webstack):
@@ -536,22 +571,25 @@ def test_every_input_of_a_loaded_model_is_recorded(newsboard_model, webstack):
 
 
 def test_reuse_is_asked_for_each_artifact_with_its_inputs(newsboard_model, webstack):
-    """A per-entity artifact is asked for by its rule and entity, and takes its
-    path from the entry given; a per-model one is asked for by its path."""
+    """Each artifact's file is read once, at its own path, and taken only where
+    the manifest entry at that path holds the artifact's keys."""
+    fresh = packs.generate_all(newsboard_model, webstack)
+    # entries with the keys of every other artifact, and of the artifact after
+    # it for the rest, each at its own artifact's path
+    entries = [ownership.ManifestEntry(a.path, a.ownership, "", *(
+        (a.rule, a.entity) if i % 2 else (b.rule, b.entity)))
+        for i, (a, b) in enumerate(zip(fresh, fresh[1:] + fresh[:1]))]
     asked = []
 
-    def reuse(rule, entity, path):
-        asked.append((rule, entity, path))
-        entry = ownership.ManifestEntry(path or f"kept/{len(asked)}", ownership.Ownership.ALWAYS,
-                                        "", rule, entity)
-        return entry, b"from disk"
+    def read(path):
+        asked.append(path)
+        return b"from disk"
 
-    artifacts = packs.generate_all(newsboard_model, webstack, reuse=reuse)
-    per_model = {rule.pathPattern for rule in webstack.outputs if rule.per == "model"}
-    assert asked == [(a.rule, a.entity, a.path if a.path in per_model else "") for a in artifacts]
-    assert [a.path for a in artifacts if a.path not in per_model] == [
-        f"kept/{i}" for i, (_, _, path) in enumerate(asked, 1) if not path]
-    assert all(a.content == b"from disk" for a in artifacts)
+    artifacts = packs.generate_all(newsboard_model, webstack,
+                                   manifest=ownership.Manifest(tuple(entries)), read=read)
+    assert asked == [a.path for a in fresh] == [a.path for a in artifacts]
+    assert [a.content == b"from disk" for a in artifacts] == [i % 2 == 1 for i in range(len(fresh))]
+    assert [a.inputs for a in artifacts] == [a.inputs for a in fresh]
 
 
 def test_a_template_reading_the_model_or_a_location_uses_the_whole_model():
@@ -571,7 +609,7 @@ def test_a_template_reading_the_model_or_a_location_uses_the_whole_model():
     def inputs(document):
         model, _ = loader.load_model(document.encode("utf-8"))
         return {a.path: a.inputs for a in packs.generate_all(
-            model, pack, reuse=lambda *args: None)}
+            model, pack, manifest=ownership.Manifest(), read=lambda path: None)}
 
     before = inputs(text)
     after = inputs(text.replace('\n<Entity name="B"', '\n\n<Entity name="B"'))

@@ -4,7 +4,7 @@ import gc
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from sfgen import atl, packs
 from sfgen.loader import load_model
@@ -282,6 +282,39 @@ def test_generate_all_restores_gc_state(newsboard_model, gc_enabled, template, o
         (gc.enable if was_enabled else gc.disable)()
 
 
+# -- a path compiled once per rule is the path expanded per entity -------------
+
+_PATH_TEXT = st.one_of(st.sampled_from(["", ".", "..", "/", "a/b", "a/", "..a", "a..", "Ünï"]),
+                       st.text(alphabet="./aé", max_size=4))
+_PIECE = st.sampled_from(["", "docs/", "a", ".md", "/", "./", "x//", "../", ".", "_", "é/"])
+_PLACEHOLDER = st.sampled_from(["{entity.name}", "{entity.tableName}"])
+
+
+@given(name=_PATH_TEXT, table=_PATH_TEXT,
+       parts=st.tuples(_PIECE, _PLACEHOLDER, _PIECE)
+       | st.tuples(_PIECE, _PLACEHOLDER, _PIECE, _PLACEHOLDER, _PIECE))
+def test_a_generated_path_is_the_expanded_path(name, table, parts):
+    """generate_all formats a normalized pattern where each path field is one
+    whole step; its paths and errors are _expand_path's."""
+    pattern = "".join(parts)
+    try:
+        pack = load_pack({"pack.json": json.dumps({"name": "p", "version": "1", "outputs": [
+            {"template": "t.atl", "path": pattern, "per": "entity", "ownership": "always"}]}),
+            "t.atl": ""})
+    except PackError:
+        assume(False)
+    entity = Entity(name=name, tableName=table, fields=(Field(name="ID", type=FieldType.INT),))
+    model = ApplicationModel(entities=(entity,))
+    try:
+        expected = packs._expand_path(pattern, entity)
+    except PackError as exc:
+        with pytest.raises(PackError) as raised:
+            generate_all(model, pack)
+        assert str(raised.value) == str(exc)
+    else:
+        assert [a.path for a in generate_all(model, pack)] == [expected]
+
+
 # -- api.json is valid JSON for every name ------------------------------------
 
 def _api_pack():
@@ -318,3 +351,4 @@ def test_api_json_parses_and_keeps_every_name(app, names):
         assert [e["path"] for e in entity["endpoints"]] == [
             f"/{name.lower()}", f"/{name.lower()}/{{id}}", f"/{name.lower()}",
             f"/{name.lower()}/{{id}}", f"/{name.lower()}/{{id}}"]
+
