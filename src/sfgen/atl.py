@@ -14,6 +14,7 @@ import json
 import operator
 import re
 from dataclasses import dataclass, field as dc_field, fields
+from html import escape
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from . import model as m
@@ -552,6 +553,17 @@ def _builtin_json_str(text: Value) -> str:
     return json.dumps(_as_text(text), ensure_ascii=False)[1:-1]
 
 
+# what js_str escapes: the quote and the backslash; the line terminators, which
+# a string literal cannot hold; and every other control character, as \uXXXX
+_JS_ESCAPES = {ord("'"): "\\'", ord("\\"): "\\\\",
+               **{c: f"\\u{c:04x}" for c in [*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029]}}
+
+
+def _builtin_js_str(text: Value) -> str:
+    """Text as the inside of a single-quoted JavaScript string literal."""
+    return _as_text(text).translate(_JS_ESCAPES)
+
+
 def _builtin_localized(node: Value, lang: Value, key: Value) -> str:
     if not isinstance(node, ModelView) \
             or not isinstance(node.element, (m.Entity, m.Field, m.Constraint)):
@@ -570,6 +582,8 @@ BUILTINS: dict[str, Callable[..., Value]] = {
     "coalesce": _builtin_coalesce,
     "localized": _builtin_localized,
     "json_str": _builtin_json_str,
+    "js_str": _builtin_js_str,
+    "html": lambda t: escape(_as_text(t)),
 }
 
 

@@ -355,6 +355,19 @@ def test_json_str_builtin():
         R("{{ json_str(items) }}", items=[1])
 
 
+def test_js_str_builtin():
+    assert R("'{{ js_str(s) }}'", s="It's \\ \n\r\x01\x7f\x85é\u2028\u2029") \
+        == "'It\\'s \\\\ \\u000a\\u000d\\u0001\\u007f\\u0085é\\u2028\\u2029'"
+    assert R("{{ js_str(n) }}|{{ js_str(t) }}|{{ js_str(x) }}", n=5, t=True, x=None) == "5|true|"
+
+
+def test_html_builtin():
+    assert R("<h1>{{ html(s) }}</h1>", s="&lt;b&gt; <i> \"it's\"") \
+        == "<h1>&amp;lt;b&amp;gt; &lt;i&gt; &quot;it&#x27;s&quot;</h1>"
+    with pytest.raises(TemplateRuntimeError, match="cannot render a list value as text"):
+        R("{{ html(items) }}", items=[1])
+
+
 def test_localized_builtin():
     entity = Entity(
         name="Fakultet", tableName="Fakultet",

@@ -1,14 +1,17 @@
 import contextlib
 import dataclasses
 import gc
+import html
 import json
+import re
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from sfgen import atl, packs
 from sfgen.loader import load_model
-from sfgen.model import ApplicationModel, ConstraintKind, Entity, Field, FieldType, Settings
+from sfgen.model import (ApplicationModel, Constraint, ConstraintKind, Entity, Field, FieldType,
+                         LocalizedText, RelationshipOp, Settings)
 from sfgen.ownership import Ownership
 from sfgen.packs import (
     PackError,
@@ -352,3 +355,70 @@ def test_api_json_parses_and_keeps_every_name(app, names):
             f"/{name.lower()}", f"/{name.lower()}/{{id}}", f"/{name.lower()}",
             f"/{name.lower()}/{{id}}", f"/{name.lower()}/{{id}}"]
 
+
+# -- validation.js and the HTML views keep every text -------------------------
+
+def _webstack_rules(*templates):
+    """webstack with only the rules of these templates."""
+    spec = json.loads((packs.builtin_pack_dir() / "pack.json").read_text("utf-8"))
+    spec["outputs"] = [rule for rule in spec["outputs"] if rule["template"] in templates]
+    return load_pack({"pack.json": json.dumps(spec), **{
+        name: (packs.builtin_pack_dir() / name).read_text("utf-8") for name in templates}})
+
+
+def _texts_model(texts):
+    """One entity per (display, plural, first, second, error) texts: a hidden
+    key, required fields A and B showing the first two, and a TwoFields
+    constraint on them with the error message."""
+    def text(value):
+        return LocalizedText((("English", value),))
+
+    key = Field(name="ID", type=FieldType.INT, isPK=True, isIdentity=True,
+                isShownInList=False, isShownInEdit=False)
+    return ApplicationModel(languages=("English",), entities=tuple(
+        Entity(name=f"E{i}", tableName=f"E{i}", displayNames=text(display),
+               pluralNames=text(plural),
+               fields=(key, Field(name="A", type=FieldType.INT, displayNames=text(first)),
+                       Field(name="B", type=FieldType.INT, displayNames=text(second))),
+               constraints=(Constraint(kind=ConstraintKind.TWO_FIELDS, kind_token="TwoFields",
+                                       relationship=RelationshipOp.LT, rel_token="lt",
+                                       cfields=("A", "B"), errorMessages=text(error)),))
+        for i, (display, plural, first, second, error) in enumerate(texts)))
+
+
+_TEXTS = st.lists(st.tuples(*[_HOSTILE] * 5), min_size=1, max_size=3)
+# a single-quoted JS string literal as js_str writes it: no raw quote,
+# backslash or line terminator, and only \', \\ and \uXXXX escapes
+_JS_FAIL = re.compile(r"validation\.fail\('((?:[^'\\\n\r\u2028\u2029]|\\u[0-9a-f]{4}|\\['\\])*)'\);")
+
+
+def _js_decode(body):
+    return re.sub(r"\\(u[0-9a-f]{4}|.)",
+                  lambda m: chr(int(m[1][1:], 16)) if len(m[1]) == 5 else m[1], body)
+
+
+@given(texts=_TEXTS)
+def test_validation_js_literals_decode_to_the_model_text(texts):
+    (validation,) = generate_all(_texts_model(texts), _webstack_rules("validation.js.atl"))
+    js = validation.content.decode("utf-8")
+    literals = [_js_decode(body) for body in _JS_FAIL.findall(js)]
+    assert js.count("validation.fail(") == len(literals)
+    assert literals == [text for _, _, first, second, error in texts
+                        for text in (error, first, second)]
+
+
+def _html_text(text):
+    """Text as an HTML parser reads it: CRLF and CR become LF, as the HTML
+    input stream is preprocessed."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+@given(texts=_TEXTS)
+def test_html_texts_unescape_to_the_model_text(texts):
+    views = generate_all(_texts_model(texts), _webstack_rules("edit.html.atl", "list.html.atl"))
+    found = [[html.unescape(_html_text(inner)) for inner in re.findall(
+        r"<(?:h1|label[^>]*|th)>(.*?)</(?:h1|label|th)>", view.content.decode("utf-8"), re.S)]
+        for view in views]
+    expected = [[display, first, second] for display, _, first, second, _ in texts] + [
+        [plural, first, second] for _, plural, first, second, _ in texts]
+    assert found == [[_html_text(text) for text in view] for view in expected]
