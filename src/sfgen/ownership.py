@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import count
 from operator import attrgetter, le
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
 from .model import _builder
 
@@ -76,12 +76,10 @@ class Manifest:
     version: int = MANIFEST_VERSION  # of the file it was read from
 
     @cached_property
-    def _by_path(self) -> dict[str, ManifestEntry]:
-        # built from the last entry back, so the first entry for a path wins
-        return {entry.path: entry for entry in reversed(self.entries)}
-
-    def entry_of(self, path: str) -> Optional[ManifestEntry]:
-        return self._by_path.get(path)
+    def entry_of(self) -> Callable[[str], Optional[ManifestEntry]]:
+        """entry_of(path): the entry for `path`, or None; the first, where the
+        manifest lists a path twice. One dict lookup, with no call around it."""
+        return {entry.path: entry for entry in reversed(self.entries)}.get
 
 
 @dataclass(frozen=True, slots=True)
@@ -288,8 +286,8 @@ def _entries(rows: object, rules: list[str], entities: list[str]) -> list[Manife
                 fragments = _fragments(entities, row[5])
         entries.append(make(path=path, ownership=ownership, sha256=sha, rule=rule,
                             entity=entity, fragments=fragments))
-    # a path is read from outside, and names a file under the output root;
-    # checked once over every path, joined
+    # each path comes from outside the program and must name a file under the
+    # output root; checked once over every path, joined
     if entries and _unsafe("/".join(entry.path for entry in entries)):
         bad = next(entry.path for entry in entries if _unsafe(entry.path))
         raise ValueError(f"entry path {bad!r} is not a normalized relative path")

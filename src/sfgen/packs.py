@@ -16,6 +16,7 @@ import posixpath
 import re
 from dataclasses import dataclass, field
 from functools import cache
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
@@ -180,13 +181,16 @@ def _expand_path(pattern: str, entity: Entity) -> str:
     return normalized
 
 
-def _path_format(pattern: str) -> Optional[str]:
-    """`pattern` as a str.format string of the entity, or None where it is not
-    normalized. Where each path field of the entity is one whole path step
-    (_is_step), the string gives the path _expand_path gives, with no check."""
-    if posixpath.normpath(pattern) != pattern:
-        return None
-    return _PLACEHOLDER_RE.sub(r"{0.\1}", pattern)
+def _path_format(pattern: str) -> tuple[str, Optional[Callable[[Entity], object]]]:
+    """Where `pattern` has placeholders, is normalized and does not start with
+    '.', a %-format string of it and the getter of the entity fields it reads;
+    else ("", None). Where each path field of the entity is one whole path step
+    (_is_step), they give the path _expand_path gives, with no check: no step
+    is then empty, '.' or '..', and the path does not start with '..'."""
+    fields = _PLACEHOLDER_RE.findall(pattern)
+    if not fields or pattern[0] == "." or posixpath.normpath(pattern) != pattern:
+        return "", None
+    return _PLACEHOLDER_RE.sub("%s", pattern.replace("%", "%%")), attrgetter(*fields)
 
 
 def _is_step(text: str) -> bool:
@@ -271,7 +275,7 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
     # each of its path fields is one whole path step
     whole_model = [(None, None, model_digest[:KEY_LENGTH], True)]
     active = [(entity, entity_view, entity.digest[:KEY_LENGTH],
-               all(map(_is_step, [getattr(entity, name) for name in _PATH_FIELDS])))
+               _is_step(entity.name) and _is_step(entity.tableName))  # the _PATH_FIELDS
               for entity, entity_view in zip(model.entities, view["entities"])
               if entity.isActive]
     entry_of = manifest.entry_of if manifest is not None else {}.get
@@ -288,9 +292,9 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
             # "" where the inputs are unknown: the model has no source digest
             rule_key = "" if whole and not model_digest else \
                 _rule_key(rule, ast, lang, model, model_digest if whole else "")
-            form = _path_format(rule.pathPattern)
+            form, fields = _path_format(rule.pathPattern)
             for entity, entity_view, key, steps in whole_model if per_model else active:
-                path = form.format(entity) if form and steps else \
+                path = form % fields(entity) if form and steps else \
                     _expand_path(rule.pathPattern, entity)
                 producer = number, entity
                 if producers.setdefault(path, producer) is not producer:

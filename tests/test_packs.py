@@ -6,7 +6,7 @@ import json
 import re
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from sfgen import atl, packs
 from sfgen.loader import load_model
@@ -287,15 +287,20 @@ def test_generate_all_restores_gc_state(newsboard_model, gc_enabled, template, o
 
 # -- a path compiled once per rule is the path expanded per entity -------------
 
-_PATH_TEXT = st.one_of(st.sampled_from(["", ".", "..", "/", "a/b", "a/", "..a", "a..", "Ünï"]),
-                       st.text(alphabet="./aé", max_size=4))
-_PIECE = st.sampled_from(["", "docs/", "a", ".md", "/", "./", "x//", "../", ".", "_", "é/"])
+_PATH_TEXT = st.one_of(st.sampled_from(["", ".", "..", "/", "a/b", "a/", "..a", ".a", "a..", "Ünï"]),
+                       st.text(alphabet="./aé", max_size=4),
+                       st.text(alphabet="aé_1", min_size=1, max_size=4))
+_PIECE = st.sampled_from(["", "docs/", "a", ".md", "/", "./", "x//", "../", ".", "_", "é/", "%s%"])
 _PLACEHOLDER = st.sampled_from(["{entity.name}", "{entity.tableName}"])
 
 
 @given(name=_PATH_TEXT, table=_PATH_TEXT,
        parts=st.tuples(_PIECE, _PLACEHOLDER, _PIECE)
        | st.tuples(_PIECE, _PLACEHOLDER, _PIECE, _PLACEHOLDER, _PIECE))
+@example(name="..a", table="t", parts=("", "{entity.name}", "/x"))  # escapes, by its text
+@example(name=".", table="t", parts=("docs/", "{entity.name}", ""))  # "docs"
+@example(name="a", table=".a", parts=(".", "{entity.tableName}", ""))  # "..a" escapes
+@example(name="a", table="t", parts=("x//", "{entity.name}", "%s%"))  # "x/a%s%"
 def test_a_generated_path_is_the_expanded_path(name, table, parts):
     """generate_all formats a normalized pattern where each path field is one
     whole step; its paths and errors are _expand_path's."""
