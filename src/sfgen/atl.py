@@ -770,10 +770,21 @@ class _Codegen:
         return None
 
     def items(self, node: ForNode) -> None:
+        self.sequence(node, " ")
+        self.lines.append(" return t")
+
+    def sequence(self, node: ForNode, pad: str) -> None:
+        """Bind t to the sequence of a loop, failing where it is not a list."""
         site = self.site(node.pos)
-        self.lines += [f" t = {self.expr(node.expr, 0)[0]}",
-                       f" if not isinstance(t, list): _fail({site}, "
-                       f"'for-loop expression is not a sequence')", " return t"]
+        self.lines += [f"{pad}t = {self.expr(node.expr, 0)[0]}",
+                       f"{pad}if not isinstance(t, list): "
+                       f"_fail({site}, 'for-loop expression is not a sequence')"]
+
+    @staticmethod
+    def loop_dict(k: int, pad: str) -> str:
+        """The line binding l<k>, the `loop` dict of loop k, at the start of its body."""
+        return f"{pad}l{k} = {{'index': i{k}, 'first': i{k} == 1, " \
+               f"'last': i{k} == n{k}, 'length': n{k}}}"
 
     def iteration(self, body: Sequence[TplNode], loop: _Loop) -> None:
         """The body of a loop as a function of its item, index and length. Where
@@ -782,8 +793,7 @@ class _Codegen:
         if loop.meta:
             k, loop.meta = loop.k, False
             loop.reads.update(_LOOP_ATTRS)
-            self.lines.insert(0, f" l{k} = {{'index': i{k}, 'first': i{k} == 1, "
-                                 f"'last': i{k} == n{k}, 'length': n{k}}}")
+            self.lines.insert(0, self.loop_dict(k, " "))
 
     def block(self, nodes: Sequence[TplNode], indent: int) -> None:
         pad, text, first = " " * indent, [], len(self.lines)
@@ -807,17 +817,13 @@ class _Codegen:
             elif type(node) is ForNode:
                 self.loops += 1
                 k, loop, outer = self.loops, _Loop(node.var, self.loops), self.scope
-                site = self.site(node.pos)
-                self.lines += [f"{pad}t = {self.expr(node.expr, 0)[0]}",
-                               f"{pad}if not isinstance(t, list): "
-                               f"_fail({site}, 'for-loop expression is not a sequence')",
-                               f"{pad}n{k} = len(t)", f"{pad}for i{k}, v{k} in enumerate(t, 1):"]
+                self.sequence(node, pad)
+                self.lines += [f"{pad}n{k} = len(t)", f"{pad}for i{k}, v{k} in enumerate(t, 1):"]
                 start, self.scope = len(self.lines), (*outer, loop)
                 self.block(node.body, indent + 1)
                 self.scope = outer
                 if loop.meta:
-                    self.lines.insert(start, f"{pad} l{k} = {{'index': i{k}, 'first': i{k} == 1, "
-                                             f"'last': i{k} == n{k}, 'length': n{k}}}")
+                    self.lines.insert(start, self.loop_dict(k, pad + " "))
             elif type(node) is IfNode:
                 for i, (cond, branch) in enumerate(node.branches):
                     self.lines.append(f"{pad}{'elif' if i else 'if'} {self.truth(cond, 0)}:")

@@ -86,6 +86,7 @@ E_CONSTRAINT_ARITY = "E_CONSTRAINT_ARITY"
 E_CONSTRAINT_FIELD = "E_CONSTRAINT_FIELD"
 E_CONSTRAINT_FAMILY = "E_CONSTRAINT_FAMILY"
 E_BAD_DEFAULT_LANG = "E_BAD_DEFAULT_LANG"
+E_BAD_IDENT = "E_BAD_IDENT"
 
 
 def _bool(raw: str) -> bool:
@@ -510,11 +511,24 @@ def _err(code: str, message: str, location, subject: str) -> Diagnostic:
     return Diagnostic(code, Severity.ERROR, message, location, subject)
 
 
+def _is_ident(name: str) -> bool:
+    """Whether `name` is an ASCII identifier, so that it is one whole path step
+    and a legal name in each generated language."""
+    return name.isascii() and name.isidentifier()
+
+
+def _not_ident(what: str, name: str, location, subject: str) -> Diagnostic:
+    return _err(E_BAD_IDENT, f"{what} '{name}' is not an identifier ([A-Za-z_][A-Za-z0-9_]*)",
+                location, subject)
+
+
 def _validate_field(field: Field, entity_names: set[str], subject: str) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     loc = field.location
     if not field.name:
         out.append(_err(E_MISSING_ATTR, "Field requires a 'name' attribute", loc, subject))
+    elif not _is_ident(field.name):
+        out.append(_not_ident("field name", field.name, loc, subject))
     if field.type_token is None:
         out.append(_err(E_MISSING_ATTR, "Field requires a 'type' attribute", loc, subject))
     elif field.type is None:
@@ -602,6 +616,8 @@ def validate_model(model: ApplicationModel) -> list[Diagnostic]:
         if not entity.name:
             out.append(_err(E_MISSING_ATTR, "Entity requires a 'name' attribute",
                             entity.location, subject))
+        elif not _is_ident(entity.name):
+            out.append(_not_ident("entity name", entity.name, entity.location, subject))
         elif entity.name in seen_names:
             out.append(_err(E_DUP_ENTITY, f"duplicate entity name '{entity.name}'",
                             entity.location, subject))
@@ -610,6 +626,8 @@ def validate_model(model: ApplicationModel) -> list[Diagnostic]:
         if not entity.tableName:
             out.append(_err(E_MISSING_ATTR, "Entity requires a 'tableName' attribute",
                             entity.location, subject))
+        elif not _is_ident(entity.tableName):
+            out.append(_not_ident("tableName", entity.tableName, entity.location, subject))
         elif entity.tableName in seen_tables:
             out.append(_err(E_DUP_TABLE, f"duplicate tableName '{entity.tableName}'",
                             entity.location, subject))

@@ -269,16 +269,3 @@ def localized_text(
         text = _structural_name(owner)
     return text
 
-
-def display_name(
-    owner: Entity | Field | Constraint, lang: str, default_lang: Optional[str] = None
-) -> str:
-    """Display text for `owner` in `lang`; total, never empty for named owners."""
-    return localized_text(owner, "display", lang, default_lang)
-
-
-def find_entity(model: ApplicationModel, name: str) -> Optional[Entity]:
-    for entity in model.entities:
-        if entity.name == name:
-            return entity
-    return None

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Optional
 from . import atl
 from .loader import paused_gc
 from .model import ApplicationModel, Entity, _builder
-from .ownership import Fragment, Manifest, Ownership, walk_files
+from .ownership import Fragment, Manifest, Ownership, _unsafe, walk_files
 
 _PLACEHOLDER_RE = re.compile(r"\{entity\.([A-Za-z_][A-Za-z0-9_]*)\}")
 _PATH_FIELDS = ("name", "tableName")  # the entity text fields a path may read
@@ -166,37 +166,14 @@ def load_pack(listing: Mapping[str, str]) -> TemplatePack:
     return TemplatePack(name=name, version=version, outputs=tuple(rules), templates=templates)
 
 
-def _expand_path(pattern: str, entity: Entity) -> str:
-    def substitute(match: re.Match) -> str:
-        attr = match.group(1)
-        value = getattr(entity, attr)
-        if not value:
-            raise PackError(f"path pattern {pattern!r}: entity attribute {attr!r} is empty")
-        return value
-
-    path = _PLACEHOLDER_RE.sub(substitute, pattern)
-    normalized = posixpath.normpath(path)
-    if normalized.startswith("..") or normalized.startswith("/"):
-        raise PackError(f"expanded path {path!r} escapes the output root")
-    return normalized
-
-
 def _path_format(pattern: str) -> tuple[str, Optional[Callable[[Entity], object]]]:
-    """Where `pattern` has placeholders, is normalized and does not start with
-    '.', a %-format string of it and the getter of the entity fields it reads;
-    else ("", None). Where each path field of the entity is one whole path step
-    (_is_step), they give the path _expand_path gives, with no check: no step
-    is then empty, '.' or '..', and the path does not start with '..'."""
+    """The pattern normalized and, where it has placeholders, as a %-format
+    string, with the getter of the entity fields it reads (else None)."""
+    pattern = posixpath.normpath(pattern)
     fields = _PLACEHOLDER_RE.findall(pattern)
-    if not fields or pattern[0] == "." or posixpath.normpath(pattern) != pattern:
-        return "", None
+    if not fields:
+        return pattern, None
     return _PLACEHOLDER_RE.sub("%s", pattern.replace("%", "%%")), attrgetter(*fields)
-
-
-def _is_step(text: str) -> bool:
-    """Whether `text` is one whole path step: non-empty, with no '/', not '.',
-    and not starting with '..', which _expand_path takes for an escape."""
-    return bool(text) and "/" not in text and text != "." and not text.startswith("..")
 
 
 @cache
@@ -271,11 +248,9 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
     view = atl.ModelView(model, model)  # one view of the model serves every rule
     model_digest = _model_digest(model)
     # the units a rule renders, one per model or one per active entity: each
-    # its entity, view and key ("" if it has no source digest), and whether
-    # each of its path fields is one whole path step
-    whole_model = [(None, None, model_digest[:KEY_LENGTH], True)]
-    active = [(entity, entity_view, entity.digest[:KEY_LENGTH],
-               _is_step(entity.name) and _is_step(entity.tableName))  # the _PATH_FIELDS
+    # its entity, view and key ("" if it has no source digest)
+    whole_model = [(None, None, model_digest[:KEY_LENGTH])]
+    active = [(entity, entity_view, entity.digest[:KEY_LENGTH])
               for entity, entity_view in zip(model.entities, view["entities"])
               if entity.isActive]
     entry_of = manifest.entry_of if manifest is not None else {}.get
@@ -293,10 +268,12 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
             rule_key = "" if whole and not model_digest else \
                 _rule_key(rule, ast, lang, model, model_digest if whole else "")
             form, fields = _path_format(rule.pathPattern)
-            for entity, entity_view, key, steps in whole_model if per_model else active:
-                path = form % fields(entity) if form and steps else \
-                    _expand_path(rule.pathPattern, entity)
+            for entity, entity_view, key in whole_model if per_model else active:
+                path = form % fields(entity) if fields else form
                 producer = number, entity
+                if _unsafe(path):
+                    raise PackError(f"{_producer(*producer)}: expanded path {path!r} is not "
+                                    "a normalized path under the output root")
                 if producers.setdefault(path, producer) is not producer:
                     raise _collision(producers[path], producer, path)
                 old = read(path) if read else None
@@ -325,9 +302,11 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
 def _collision(first: tuple[int, Optional[Entity]], second: tuple[int, Optional[Entity]],
                path: str) -> PathCollision:
     """The error for two producers, each a rule's number and entity, of `path`."""
-    def producer(number: int, entity: Optional[Entity]) -> str:
-        return f"output rule #{number}" + (f" for entity {entity.name!r}" if entity else "")
-    return PathCollision(f"{producer(*first)} and {producer(*second)} both produce {path!r}")
+    return PathCollision(f"{_producer(*first)} and {_producer(*second)} both produce {path!r}")
+
+
+def _producer(number: int, entity: Optional[Entity]) -> str:
+    return f"output rule #{number}" + (f" for entity {entity.name!r}" if entity else "")
 
 
 def _render(ast: atl.TemplateAst, context: Mapping[str, atl.Value]) -> bytes:

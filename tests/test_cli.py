@@ -197,6 +197,18 @@ def test_generate_invalid_model(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_name_that_is_not_an_identifier_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "bad.xml"
+    bad.write_text(Path(NEWSBOARD).read_text("utf-8").replace('name="Vest"', 'name="E x;"'),
+                   "utf-8")
+    assert main(["validate", str(bad)]) == 1
+    assert "E_BAD_IDENT at " in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["generate", "--model", str(bad), "--pack", PACK, "--out", str(out)]) == 1
+    assert "nothing generated" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_bad_pack(tmp_path, capsys):
     pack_dir = tmp_path / "pack"
     pack_dir.mkdir()

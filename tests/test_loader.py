@@ -158,6 +158,29 @@ def test_validator_codes_with_location(code, entity_xml, location):
     assert any(d.location is not None and d.location[0] == line for d in matching)
 
 
+_NOT_IDENT = "is not an identifier ([A-Za-z_][A-Za-z0-9_]*)"
+
+
+def test_names_must_be_identifiers():
+    # entity, table and field names become paths, JS names and SQL names; an
+    # empty name is only missing
+    doc = _wrap('\n<Entity name="E x;" tableName="a b]">\n'
+                '<Field name="a-b" type="int" isPK="true"/></Entity>\n'
+                '<Entity name="Ünï" tableName="U"><Field name="ID" type="int" isPK="true"/>'
+                '</Entity>\n'
+                '<Entity name="" tableName=""><Field name="" type="int" isPK="true"/></Entity>')
+    _, diagnostics = load_model(doc)
+    assert [(d.code, d.location, d.subject, d.message) for d in diagnostics] == [
+        (loader.E_BAD_IDENT, (2, 1), "Entity[E x;]", f"entity name 'E x;' {_NOT_IDENT}"),
+        (loader.E_BAD_IDENT, (2, 1), "Entity[E x;]", f"tableName 'a b]' {_NOT_IDENT}"),
+        (loader.E_BAD_IDENT, (3, 1), "Entity[E x;]/Field[a-b]", f"field name 'a-b' {_NOT_IDENT}"),
+        (loader.E_BAD_IDENT, (4, 1), "Entity[Ünï]", f"entity name 'Ünï' {_NOT_IDENT}"),
+        (loader.E_MISSING_ATTR, (5, 1), "Entity[]", "Entity requires a 'name' attribute"),
+        (loader.E_MISSING_ATTR, (5, 1), "Entity[]", "Entity requires a 'tableName' attribute"),
+        (loader.E_MISSING_ATTR, (5, 30), "Entity[]/Field[]", "Field requires a 'name' attribute")]
+    assert all(d.severity is Severity.ERROR for d in diagnostics)
+
+
 def test_bad_default_language():
     doc = (b'<xsource><Settings defaultLanguage="Klingon"/><EntityConfig>'
            + MINIMAL_ENTITY.encode() + b"</EntityConfig></xsource>")

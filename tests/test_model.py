@@ -16,9 +16,8 @@ from sfgen.model import (
     LocalizedText,
     Settings,
     build,
-    display_name,
     effective_columns,
-    find_entity,
+    localized_text,
 )
 from sfgen.ownership import ManifestEntry, PlanEntry
 from sfgen.packs import Artifact
@@ -73,41 +72,34 @@ def test_effective_columns_count_and_prefix(n_fields, is_logged):
 
 def test_display_name_paper_values():
     entity = _fakultet()
-    assert display_name(entity, "English") == "Faculty"
-    assert display_name(entity, "Macedonian") == "Факултет"
+    assert localized_text(entity, "display", "English") == "Faculty"
+    assert localized_text(entity, "display", "Macedonian") == "Факултет"
 
 
 def test_display_name_fallback_chain():
     entity = _fakultet()
     # absent language falls back to the default language
-    assert display_name(entity, "German", default_lang="English") == "Faculty"
+    assert localized_text(entity, "display", "German", default_lang="English") == "Faculty"
     # then to the first declared entry
-    assert display_name(entity, "German") == "Факултет"
+    assert localized_text(entity, "display", "German") == "Факултет"
     # then to the structural name
     bare = Entity(name="Bare", tableName="Bare")
-    assert display_name(bare, "German") == "Bare"
+    assert localized_text(bare, "display", "German") == "Bare"
 
 
 def test_display_name_total_and_nonempty():
     field = Field(name="strName")
-    assert display_name(field, "Nope") == "strName"
+    assert localized_text(field, "display", "Nope") == "strName"
     constraint = Constraint(kind=ConstraintKind.UNIQUE, kind_token="Unique")
-    assert display_name(constraint, "Nope") == "Unique"
+    assert localized_text(constraint, "display", "Nope") == "Unique"
 
 
 def test_display_name_attribute_fallback():
     field = Field(name="strName", displayNameAttr="Name (attr)")
-    assert display_name(field, "English") == "Name (attr)"
+    assert localized_text(field, "display", "English") == "Name (attr)"
     # Language children win over the attribute
     field = dataclasses.replace(field, displayNames=LocalizedText((("English", "Name"),)))
-    assert display_name(field, "English") == "Name"
-
-
-def test_find_entity():
-    model = ApplicationModel(entities=(_fakultet(),))
-    assert find_entity(model, "Fakultet") is model.entities[0]
-    assert find_entity(model, "Nope") is None
-    assert find_entity(ApplicationModel(), "Fakultet") is None
+    assert localized_text(field, "display", "English") == "Name"
 
 
 def test_types_are_immutable():

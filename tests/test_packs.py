@@ -3,16 +3,17 @@ import dataclasses
 import gc
 import html
 import json
+import posixpath
 import re
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from sfgen import atl, packs
-from sfgen.loader import load_model
+from sfgen.loader import load_model, validate_model
 from sfgen.model import (ApplicationModel, Constraint, ConstraintKind, Entity, Field, FieldType,
                          LocalizedText, RelationshipOp, Settings)
-from sfgen.ownership import Ownership
+from sfgen.ownership import Ownership, _unsafe
 from sfgen.packs import (
     PackError,
     PathCollision,
@@ -285,25 +286,26 @@ def test_generate_all_restores_gc_state(newsboard_model, gc_enabled, template, o
         (gc.enable if was_enabled else gc.disable)()
 
 
-# -- a path compiled once per rule is the path expanded per entity -------------
+# -- a generated path is the normalized pattern with the names substituted ---
 
-_PATH_TEXT = st.one_of(st.sampled_from(["", ".", "..", "/", "a/b", "a/", "..a", ".a", "a..", "Ünï"]),
-                       st.text(alphabet="./aé", max_size=4),
-                       st.text(alphabet="aé_1", min_size=1, max_size=4))
+_NAME = st.one_of(st.sampled_from(["", ".", "..", "..a", "/", "a//", "Ünï", "%s%", "a/b", ".a"]),
+                  st.text(alphabet="./aé%", max_size=4),
+                  st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True))
 _PIECE = st.sampled_from(["", "docs/", "a", ".md", "/", "./", "x//", "../", ".", "_", "é/", "%s%"])
 _PLACEHOLDER = st.sampled_from(["{entity.name}", "{entity.tableName}"])
 
 
-@given(name=_PATH_TEXT, table=_PATH_TEXT,
+@given(name=_NAME, table=_NAME,
        parts=st.tuples(_PIECE, _PLACEHOLDER, _PIECE)
        | st.tuples(_PIECE, _PLACEHOLDER, _PIECE, _PLACEHOLDER, _PIECE))
-@example(name="..a", table="t", parts=("", "{entity.name}", "/x"))  # escapes, by its text
-@example(name=".", table="t", parts=("docs/", "{entity.name}", ""))  # "docs"
-@example(name="a", table=".a", parts=(".", "{entity.tableName}", ""))  # "..a" escapes
+@example(name="..a", table="t", parts=("", "{entity.name}", "/x.md"))  # "..a/x.md"
+@example(name=".", table="t", parts=("docs/", "{entity.name}", ""))  # "docs/." is not normalized
+@example(name="a", table=".a", parts=(".", "{entity.tableName}", ""))  # "..a"
+@example(name="E", table="T", parts=(".", "{entity.tableName}", ""))  # ".T"
 @example(name="a", table="t", parts=("x//", "{entity.name}", "%s%"))  # "x/a%s%"
-def test_a_generated_path_is_the_expanded_path(name, table, parts):
-    """generate_all formats a normalized pattern where each path field is one
-    whole step; its paths and errors are _expand_path's."""
+def test_a_generated_path_is_the_normalized_pattern_with_names(name, table, parts):
+    """For names that validate, a path is the normalized pattern with the names
+    substituted; for any names, every path is safe or generate_all raises."""
     pattern = "".join(parts)
     try:
         pack = load_pack({"pack.json": json.dumps({"name": "p", "version": "1", "outputs": [
@@ -311,16 +313,24 @@ def test_a_generated_path_is_the_expanded_path(name, table, parts):
             "t.atl": ""})
     except PackError:
         assume(False)
-    entity = Entity(name=name, tableName=table, fields=(Field(name="ID", type=FieldType.INT),))
+    entity = Entity(name=name, tableName=table,
+                    fields=(Field(name="ID", type=FieldType.INT, type_token="int", isPK=True),))
     model = ApplicationModel(entities=(entity,))
+    expected = posixpath.normpath(pattern).replace("{entity.name}", name) \
+        .replace("{entity.tableName}", table)
     try:
-        expected = packs._expand_path(pattern, entity)
-    except PackError as exc:
-        with pytest.raises(PackError) as raised:
-            generate_all(model, pack)
-        assert str(raised.value) == str(exc)
-    else:
         assert [a.path for a in generate_all(model, pack)] == [expected]
+    except PackError:
+        assert validate_model(model), "names that validate give a safe path"
+    else:
+        assert not _unsafe(expected)
+
+
+def test_a_name_starting_with_two_dots_stays_under_the_root():
+    entity = Entity(name="..a", tableName="t", fields=(Field(name="ID", type=FieldType.INT),))
+    pack = _pack(("{entity.name}/x.md", "entity"))
+    assert [a.path for a in generate_all(ApplicationModel(entities=(entity,)), pack)] \
+        == ["..a/x.md"]
 
 
 # -- api.json is valid JSON for every name ------------------------------------
