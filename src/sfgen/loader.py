@@ -1,7 +1,9 @@
 """Binding of model documents to ApplicationModel, and model validation.
 
 `bind_model` binds each element while `Document.parse` reads it, so no
-document tree is built; it is the only way a model is bound. Only malformed
+document tree is built; it is the only way a model is bound. Each element's
+attributes are read by a function generated from its table, and a Language
+block's frame takes its texts with no frame of their own. Only malformed
 XML raises (ParseError). Binding is otherwise best-effort: it always returns a
 model plus the diagnostics collected on the way, so a single run can report
 every problem. Lexical issues (bad booleans, unknown attributes) are caught
@@ -23,6 +25,7 @@ from .model import (
     Caching,
     Constraint,
     ConstraintKind,
+    EMPTY_TEXT,
     Entity,
     Field,
     FieldType,
@@ -31,7 +34,7 @@ from .model import (
     RelationshipOp,
     SIZED_STRING_TYPES,
     Settings,
-    build,
+    _builder,
     comparison_family,
 )
 from .xmlsubset import Document
@@ -118,21 +121,52 @@ def _caching(raw: str) -> Caching:
     return caching
 
 
-# One table per element: each XML attribute it binds, with the attribute's rank
-# in the table and its rows. A row names a reader and, when it differs from the
-# attribute, the model keyword it binds. An element's attributes are read in
-# table order, each through its rows in order; a reader raises
-# ValueError(code, expected) for a value it cannot read.
-_Reads = tuple[tuple[str, Callable[[str], Any]], ...]
-_Table = dict[str, tuple[int, str, _Reads]]
+# One table per element: each XML attribute it binds, with its rows. A row
+# names a reader and, when it differs from the attribute, the model keyword it
+# binds. A reader raises ValueError(code, expected) for a value it cannot read.
+# Each table is generated into one function, as `model._builder` generates
+# builders: reader(binder, out, attributes, offset, subject) returns the model
+# keyword arguments read from an element's attributes. Unknown attributes,
+# found by one set test, are warned about first, in document order; the others
+# are read in table order, each through its rows in order, inline: a `str`
+# interned, a `_bool` as two compares. An attribute that is absent or cannot
+# be read is left out, so the model type's default applies.
+_Reader = Callable[["_Binder", list[Diagnostic], dict[str, str], int, str], dict[str, Any]]
 
 
-def _table(*rows: tuple) -> _Table:
+def _table(*rows: tuple) -> _Reader:
     reads: dict[str, list[tuple[str, Callable[[str], Any]]]] = {}
     for attr, read, *keyword in rows:
         reads.setdefault(attr, []).append((keyword[0] if keyword else attr, read))
-    return {attr: (rank, attr, tuple(attr_reads))
-            for rank, (attr, attr_reads) in enumerate(reads.items())}
+    namespace = {"known": frozenset(reads), "W_UNKNOWN_ATTR": W_UNKNOWN_ATTR,
+                 "WARNING": Severity.WARNING, "ERROR": Severity.ERROR}
+    lines = ["def reader(binder, out, attributes, offset, subject):",
+             "    if not attributes.keys() <= known:",
+             "        for attr in attributes:",
+             "            if attr not in known:",
+             "                binder.diag(out, W_UNKNOWN_ATTR, WARNING,"
+             " f\"unknown attribute '{attr}' ignored\", offset, subject, attr)",
+             "    kwargs, strings = {}, binder.strings"]
+    for attr, attr_reads in reads.items():
+        lines += [f"    if {attr!r} in attributes:", f"        raw = attributes[{attr!r}]"]
+        if str in (read for _, read in attr_reads):
+            lines.append("        raw = strings.setdefault(raw, raw)")
+        for keyword, read in attr_reads:
+            store = f"kwargs[{keyword!r}] = "
+            if read is str:
+                lines.append(f"        {store}raw")
+                continue
+            namespace[name := f"read{len(namespace)}"] = read
+            indent = "        "
+            if read is _bool:
+                lines += [f"        if raw == 'true': {store}True",
+                          f"        elif raw == 'false': {store}False", "        else:"]
+                indent += "    "
+            lines += [f"{indent}try: {store}{name}(raw)", f"{indent}except ValueError as exc:",
+                      f"{indent}    binder.diag(out, exc.args[0], ERROR, f\"attribute '{attr}'"
+                      f" must be {{exc.args[1]}}, got '{{raw}}'\", offset, subject, {attr!r})"]
+    exec("\n".join([*lines, "    return kwargs"]), namespace)
+    return namespace["reader"]
 
 
 _SETTINGS = _table(("appName", str), ("defaultLanguage", str), ("connectionStringName", str))
@@ -158,23 +192,25 @@ _CONSTRAINT = _table(
 )
 _NAME = _table(("name", str))  # Language and CField
 
+_build_entity, _build_field, _build_constraint, _build_text = map(
+    _builder, (Entity, Field, Constraint, LocalizedText))
+
 
 class _Binder:
-    """What binding a document produces, and the reading and reporting that
-    the frames of its elements share; the consumer of the document itself.
+    """What binding a document produces, and the reporting that the frames of
+    its elements share; the consumer of the document itself.
 
-    Each open element has a frame that consumes its content: it decides what
-    each child binds to, holds only what binding its element still needs, and
-    is dropped when the element closes. Frames refer to the binder and it to
-    none of them, so they form no cycle: reference counting frees them with
-    the collector paused.
+    Each open element but a text has a frame that consumes its content (a
+    Language block's frame its texts' too): it decides what each child binds
+    to, holds only what binding its element still needs, and is dropped when
+    the element closes. Frames refer to the binder and it to none of them, so
+    they form no cycle: reference counting frees them with the collector paused.
     """
 
     def __init__(self, document: Document) -> None:
         self.document = document  # for locations
-        # the first string read for each attribute value, which every later
-        # read of that value is replaced by: each name, type token and
-        # language name exists once per load, however many elements carry it
+        # each string attribute value as first read, to replace later reads of
+        # it: a name, type token or language name exists once per load
         self.strings: dict[str, str] = {}
         self.diagnostics: list[Diagnostic] = []
         self.languages: list[str] = []
@@ -212,38 +248,6 @@ class _Binder:
         self.diag(out, W_UNKNOWN_ELEM, Severity.WARNING,
                   message or f"unknown element '{tag}' ignored", offset, subject)
         return _IGNORED
-
-    def attributes(self, out: list[Diagnostic], attributes: dict[str, str], offset: int,
-                   table: _Table, subject: str) -> dict[str, Any]:
-        """Model keyword arguments read from an element's attributes through `table`.
-
-        Unknown attributes are warned about first, in document order; the
-        others are read in table order. An attribute that is absent or cannot
-        be read is left out, so the model type's default applies.
-        """
-        rows = []
-        for attr in attributes:
-            row = table.get(attr)
-            if row is None:
-                self.diag(out, W_UNKNOWN_ATTR, Severity.WARNING,
-                          f"unknown attribute '{attr}' ignored", offset, subject, attr)
-            else:
-                rows.append(row)
-        rows.sort()  # by rank, which no two rows share
-        kwargs: dict[str, Any] = {}
-        strings = self.strings
-        for _, attr, reads in rows:
-            raw = attributes[attr]
-            raw = strings.setdefault(raw, raw)
-            for keyword, read in reads:
-                try:
-                    kwargs[keyword] = read(raw)
-                except ValueError as exc:
-                    code, expected = exc.args
-                    self.diag(out, code, Severity.ERROR,
-                              f"attribute '{attr}' must be {expected}, got '{raw}'",
-                              offset, subject, attr)
-        return kwargs
 
 
 class _Frame:
@@ -286,8 +290,8 @@ class _Root(_Frame):
         self.seen.add(tag)
         if tag == "EntityConfig":
             return _EntityConfig(binder, self.entity_diagnostics)
-        binder.settings = Settings(**binder.attributes(
-            binder.diagnostics, attributes, offset, _SETTINGS, "Settings"))
+        binder.settings = Settings(**_SETTINGS(binder, binder.diagnostics, attributes, offset,
+                                               "Settings"))
         return _Settings(binder)
 
     def close(self, text: str, end: int) -> None:
@@ -339,7 +343,7 @@ class _Element(_Frame):
     its texts come from its Language blocks, and it is built when it closes."""
 
     __slots__ = ("binder", "pending", "subject", "kwargs", "texts")
-    table: _Table
+    read: _Reader  # of its table
     text_tags: tuple[str, ...]
 
     def __init__(self, binder: _Binder, pending: _Pending, subject: str,
@@ -347,12 +351,11 @@ class _Element(_Frame):
         self.binder = binder
         self.pending = pending
         self.subject = subject
-        self.kwargs = binder.attributes(pending.diagnostics, attributes, offset,
-                                        self.table, subject)
-        self.kwargs["location"] = binder.locate(offset)
-        # per text tag, language -> text; within one block the first text of a
-        # tag counts, and a later block of the same language replaces it
-        self.texts: dict[str, dict[str, str]] = {tag: {} for tag in self.text_tags}
+        self.kwargs = self.read(binder, pending.diagnostics, attributes, offset, subject)
+        self.kwargs["location"] = binder.document.location(offset)
+        # per text tag with a text, language -> text; in one block the first text
+        # of a tag counts, and a later block of the same language replaces it
+        self.texts: dict[str, dict[str, str]] = {}
 
     def child(self, tag: str, attributes: dict[str, str], offset: int) -> _Frame:
         if tag == "Language":
@@ -360,52 +363,51 @@ class _Element(_Frame):
         return self.binder.ignore(self.pending.diagnostics, tag, offset, self.subject)
 
     def localized(self, tag: str) -> LocalizedText:
-        return build(LocalizedText, entries=tuple(self.texts[tag].items()))
+        entries = self.texts.get(tag)
+        return _build_text(entries=tuple(entries.items())) if entries else EMPTY_TEXT
 
 
 class _Language(_Frame):
     """A Language block of an Entity, Field or Constraint: the texts of its
-    owner's text tags in the block's language."""
+    owner's text tags in the block's language. It consumes its texts' content
+    too, `tag` naming the open one, whose children are ignored."""
 
-    __slots__ = ("owner", "name", "offset", "taken")
+    __slots__ = ("owner", "name", "offset", "taken", "tag")
 
     def __init__(self, owner: _Element, attributes: dict[str, str], offset: int):
         self.owner = owner
-        self.name = owner.binder.attributes(owner.pending.diagnostics, attributes, offset,
-                                            _NAME, owner.subject).get("name", "")
+        self.name = _NAME(owner.binder, owner.pending.diagnostics, attributes, offset,
+                          owner.subject).get("name", "")
         if self.name:
             owner.pending.languages.append(self.name)
         self.offset = offset
-        self.taken: set[str] = set()
+        self.taken: tuple[str, ...] = ()  # the text tags read in this block
+        self.tag: Optional[str] = None
 
     def child(self, tag: str, attributes: dict[str, str], offset: int) -> _Frame:
         owner = self.owner
-        if tag not in owner.texts:
+        if self.tag is not None:
+            return _IGNORED
+        if tag not in owner.text_tags:
             return owner.binder.ignore(owner.pending.diagnostics, tag, offset, owner.subject)
         if tag in self.taken:
             return _IGNORED
-        self.taken.add(tag)
-        return _Text(self, tag)
-
-
-class _Text(_Frame):
-    """A DisplayName, PluralName or ErrorMessage in a Language block."""
-
-    __slots__ = ("block", "tag")
-
-    def __init__(self, block: _Language, tag: str):
-        self.block = block
+        self.taken += (tag,)
         self.tag = tag
+        return self
 
     def close(self, text: str, end: int) -> None:
-        block, owner = self.block, self.block.owner
-        entries = owner.texts[self.tag]
-        if block.name in entries:
+        tag, self.tag = self.tag, None
+        if tag is None:  # the block closes
+            return
+        owner = self.owner
+        entries = owner.texts.setdefault(tag, {})
+        if self.name in entries:
             owner.binder.diag(owner.pending.diagnostics, W_DUP_LANG, Severity.WARNING,
-                              f"duplicate {self.tag} for language '{block.name}'; last one wins",
-                              block.offset, owner.subject)
-            del entries[block.name]
-        entries[block.name] = text.strip()
+                              f"duplicate {tag} for language '{self.name}'; last one wins",
+                              self.offset, owner.subject)
+            del entries[self.name]
+        entries[self.name] = text.strip()
 
 
 class _Entity(_Element):
@@ -414,7 +416,7 @@ class _Entity(_Element):
     constraints'."""
 
     __slots__ = ("out", "offset", "for_fields", "for_constraints", "fields", "constraints")
-    table = _ENTITY
+    read = staticmethod(_ENTITY)
     text_tags = ("DisplayName", "PluralName")
 
     def __init__(self, binder: _Binder, out: list[Diagnostic], attributes: dict[str, str],
@@ -438,8 +440,8 @@ class _Entity(_Element):
     def close(self, text: str, end: int) -> None:
         binder = self.binder
         source = binder.document.text[self.offset:end]
-        binder.entities.append(build(
-            Entity, **self.kwargs, displayNames=self.localized("DisplayName"),
+        binder.entities.append(_build_entity(
+            **self.kwargs, displayNames=self.localized("DisplayName"),
             pluralNames=self.localized("PluralName"), fields=tuple(self.fields),
             constraints=tuple(self.constraints),
             digest=hashlib.sha256(source.encode("utf-8")).hexdigest()))
@@ -452,7 +454,7 @@ class _Entity(_Element):
 
 class _Field(_Element):
     __slots__ = ("entity",)
-    table = _FIELD
+    read = staticmethod(_FIELD)
     text_tags = ("DisplayName",)
 
     def __init__(self, entity: _Entity, attributes: dict[str, str], offset: int):
@@ -462,15 +464,15 @@ class _Field(_Element):
         self.entity = entity
 
     def close(self, text: str, end: int) -> None:
-        self.entity.fields.append(build(Field, **self.kwargs,
-                                        displayNames=self.localized("DisplayName")))
+        self.entity.fields.append(_build_field(**self.kwargs,
+                                               displayNames=self.localized("DisplayName")))
 
 
 class _Constraint(_Element):
     """A constraint's CFields are read after its other children."""
 
     __slots__ = ("entity", "cfields")
-    table = _CONSTRAINT
+    read = staticmethod(_CONSTRAINT)
     text_tags = ("ErrorMessage",)
 
     def __init__(self, entity: _Entity, attributes: dict[str, str], offset: int):
@@ -487,12 +489,10 @@ class _Constraint(_Element):
         return super().child(tag, attributes, offset)
 
     def close(self, text: str, end: int) -> None:
-        cfields = tuple(self.binder.attributes(self.pending.diagnostics, attributes, offset,
-                                               _NAME, self.subject).get("name", "")
-                        for attributes, offset in self.cfields)
-        self.entity.constraints.append(build(
-            Constraint, **self.kwargs, errorMessages=self.localized("ErrorMessage"),
-            cfields=cfields))
+        cfields = tuple(_NAME(self.binder, self.pending.diagnostics, attributes, offset,
+                              self.subject).get("name", "") for attributes, offset in self.cfields)
+        self.entity.constraints.append(_build_constraint(
+            **self.kwargs, errorMessages=self.localized("ErrorMessage"), cfields=cfields))
 
 
 def bind_model(document: Document) -> tuple[ApplicationModel, list[Diagnostic]]:
@@ -511,15 +511,24 @@ def _err(code: str, message: str, location, subject: str) -> Diagnostic:
     return Diagnostic(code, Severity.ERROR, message, location, subject)
 
 
-def _is_ident(name: str) -> bool:
-    """Whether `name` is an ASCII identifier, so that it is one whole path step
-    and a legal name in each generated language."""
-    return name.isascii() and name.isidentifier()
+# Reserved in JavaScript, strict code included, since a generated class body
+# is strict: an entity or field name that is one would name a class or member.
+_JS_RESERVED = frozenset("""await break case catch class const continue debugger default delete do
+    else enum export extends false finally for function if implements import in instanceof
+    interface let new null package private protected public return static super switch this
+    throw true try typeof var void while with yield eval arguments""".split())
 
 
-def _not_ident(what: str, name: str, location, subject: str) -> Diagnostic:
-    return _err(E_BAD_IDENT, f"{what} '{name}' is not an identifier ([A-Za-z_][A-Za-z0-9_]*)",
-                location, subject)
+def _bad_ident(what: str, name: str, location, subject: str, js=True) -> Optional[Diagnostic]:
+    """E_BAD_IDENT unless `name` is an ASCII identifier, so one whole path step
+    and a legal name in each generated language, and, if `js`, not reserved in JS."""
+    if not (name.isascii() and name.isidentifier()):
+        reason = "is not an identifier ([A-Za-z_][A-Za-z0-9_]*)"
+    elif js and name in _JS_RESERVED:
+        reason = "is a reserved word in JavaScript"
+    else:
+        return None
+    return _err(E_BAD_IDENT, f"{what} '{name}' {reason}", location, subject)
 
 
 def _validate_field(field: Field, entity_names: set[str], subject: str) -> list[Diagnostic]:
@@ -527,8 +536,8 @@ def _validate_field(field: Field, entity_names: set[str], subject: str) -> list[
     loc = field.location
     if not field.name:
         out.append(_err(E_MISSING_ATTR, "Field requires a 'name' attribute", loc, subject))
-    elif not _is_ident(field.name):
-        out.append(_not_ident("field name", field.name, loc, subject))
+    elif bad := _bad_ident("field name", field.name, loc, subject):
+        out.append(bad)
     if field.type_token is None:
         out.append(_err(E_MISSING_ATTR, "Field requires a 'type' attribute", loc, subject))
     elif field.type is None:
@@ -616,8 +625,8 @@ def validate_model(model: ApplicationModel) -> list[Diagnostic]:
         if not entity.name:
             out.append(_err(E_MISSING_ATTR, "Entity requires a 'name' attribute",
                             entity.location, subject))
-        elif not _is_ident(entity.name):
-            out.append(_not_ident("entity name", entity.name, entity.location, subject))
+        elif bad := _bad_ident("entity name", entity.name, entity.location, subject):
+            out.append(bad)
         elif entity.name in seen_names:
             out.append(_err(E_DUP_ENTITY, f"duplicate entity name '{entity.name}'",
                             entity.location, subject))
@@ -626,8 +635,8 @@ def validate_model(model: ApplicationModel) -> list[Diagnostic]:
         if not entity.tableName:
             out.append(_err(E_MISSING_ATTR, "Entity requires a 'tableName' attribute",
                             entity.location, subject))
-        elif not _is_ident(entity.tableName):
-            out.append(_not_ident("tableName", entity.tableName, entity.location, subject))
+        elif bad := _bad_ident("tableName", entity.tableName, entity.location, subject, js=False):
+            out.append(bad)
         elif entity.tableName in seen_tables:
             out.append(_err(E_DUP_TABLE, f"duplicate tableName '{entity.tableName}'",
                             entity.location, subject))

@@ -7,7 +7,8 @@ entities. DOCTYPE, CDATA, processing instructions, numeric character
 references and namespace prefixes are rejected with a located error.
 
 `Document.parse` is the one entry point: it reports each element to a
-`Consumer` as it opens and as it closes, and builds no tree.
+`Consumer` as it opens and as it closes, and builds no tree. A leaf, an
+element with no markup in it, is read in one regular-expression match.
 """
 
 from __future__ import annotations
@@ -23,21 +24,25 @@ _WS = r"[ \t\r\n]*"
 _S = r"[ \t\r\n]+"  # what must come before each attribute
 
 NAME_RE = re.compile(_NAME)
-ENTITY_RE = re.compile(r"&([A-Za-z]+);")
+REFERENCE_RE = re.compile(r"&(?:([A-Za-z]+);)?")  # group 1 is None if malformed
 PREDEFINED_ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 WHITESPACE_RE = re.compile(_WS)
 
-ATTRIBUTE_RE = re.compile(
-    _WS + "(" + _NAME + ")" + _NAME_END + _WS + "=" + _WS + "(?:\"([^\"<]*)\"|'([^'<]*)')")
+# An attribute's name, then (group 2) its value, which ends at the quote it starts after
+ATTRIBUTE_RE = re.compile(_WS + "(" + _NAME + ")" + _NAME_END + _WS + "=" + _WS
+                          + "[\"']((?<=\")[^\"<]*(?=\")|(?<=')[^'<]*(?='))[\"']")
 TAG_END_RE = re.compile(_WS + "(/?)>")
 # The text before the next markup, then a whole start tag with no '&' in its
-# attribute values (groups 2-4: name, attributes, '/' if it closes itself) or an
-# end tag (group 5: name). Where it does not match, repeats an attribute name or
-# closes another element, the step-by-step readers of `Document` run instead.
+# attribute values (groups 2-5: name, attributes, '/' if it closes itself, and
+# a leaf's text: a leaf is an element with no markup in it, read in one match
+# to its end tag) or an end tag (group 6: name). Where it does not match,
+# repeats an attribute name or closes another element, the step-by-step
+# readers of `Document` run instead.
 MARKUP_RE = re.compile(
-    "([^<]*)<(?:(" + _NAME + ")" + _NAME_END
+    "([^<]*)<(?:(?P<tag>" + _NAME + ")" + _NAME_END
     + "((?:" + _S + _NAME + _NAME_END + _WS + "=" + _WS + "(?:\"[^\"<&]*\"|'[^'<&]*'))*)"
-    + _WS + "(/?)>|/(" + _NAME + ")" + _NAME_END + _WS + ">)")
+    + _WS + "(?:(/)>|>(?:([^<]*)</(?P=tag)" + _WS + ">)?)|/(" + _NAME + ")" + _NAME_END
+    + _WS + ">)")
 
 
 class ParseError(Exception):
@@ -131,20 +136,19 @@ class Document:
             raise self.fail(f"namespace prefixes are not allowed in {what}", pos)
         return m.end()
 
+    def character_data(self, raw: str, pos: int) -> str:
+        """The character data `raw`, read at pos, with its references decoded."""
+        if "]]>" in raw:
+            raise self.fail("']]>' in character data", pos + raw.index("]]>"))
+        return self.decode_text(raw, pos) if "&" in raw else raw
+
     def decode_text(self, raw: str, pos: int) -> str:
-        out: list[str] = []
-        i = 0
-        while True:
-            amp = raw.find("&", i)
-            if amp < 0:
-                out.append(raw[i:])
-                return "".join(out)
-            out.append(raw[i:amp])
-            m = ENTITY_RE.match(raw, amp)
-            if m is None or m.group(1) not in PREDEFINED_ENTITIES:
-                raise self.fail("undefined or malformed entity reference", pos + amp)
-            out.append(PREDEFINED_ENTITIES[m.group(1)])
-            i = m.end()
+        """`raw`, read at pos, with each entity reference decoded."""
+        def decode(m: re.Match) -> str:
+            if m.group(1) not in PREDEFINED_ENTITIES:
+                raise self.fail("undefined or malformed entity reference", pos + m.start())
+            return PREDEFINED_ENTITIES[m.group(1)]
+        return REFERENCE_RE.sub(decode, raw)
 
     def read_attribute(self, pos: int, attributes: dict[str, str]) -> tuple[str, str, int]:
         """Read one attribute check by check; returns (name, value, end)."""
@@ -234,44 +238,46 @@ class Document:
         One loop with an explicit stack of the open elements, each with its
         tag, offset, text parts and consumer, so nesting depth is bounded by memory
         rather than by the interpreter's recursion limit. Each turn reads the
-        text before the next markup and that markup, with one MARKUP_RE match
-        where it can.
+        text before the next markup and that markup, a leaf element whole, with
+        one MARKUP_RE match where it can.
         """
         text = self.text
-        find = text.find
         startswith = text.startswith
         match_markup = MARKUP_RE.match
         find_attributes = ATTRIBUTE_RE.findall
         stack: list[tuple[str, int, list[str], Consumer]] = []
         parts: list[str] = []  # the text of the innermost open element
+        top = consumer  # the consumer of its content
         while True:
             m = match_markup(text, pos)
             if m is not None:
-                raw, tag, attributes, empty, close = m.groups()
-                lt = pos + len(raw)
+                raw, tag, attributes, empty, leaf, close = m.groups()
             else:
-                lt = find("<", pos)
+                leaf = None
+                lt = text.find("<", pos)
                 if lt < 0:
                     tag, offset, _, _ = stack[-1]
                     raise self.fail(f"unclosed element '{tag}'", offset)
                 raw = text[pos:lt]
             if raw:
-                if "]]>" in raw:
-                    raise self.fail("']]>' in character data", pos + raw.index("]]>"))
-                parts.append(self.decode_text(raw, pos) if "&" in raw else raw)
-                pos = lt
+                parts.append(self.character_data(raw, pos) if "&" in raw or "]]>" in raw
+                             else raw)
+                pos += len(raw)
 
             if m is not None:
                 end = m.end()
-                if tag is not None:
+                if tag is None:
+                    if not stack:
+                        self.read_start_tag(pos)  # raises: an end tag is no root
+                    if close != stack[-1][0]:
+                        end = self.read_end_tag(pos, stack[-1][0])
+                elif not attributes:
+                    attributes = {}
+                else:
                     pairs = find_attributes(attributes)
-                    attributes = {name: double or single for name, double, single in pairs}
-                    if len(attributes) < len(pairs):  # a repeated name
-                        tag, attributes, empty, end = self.read_start_tag(pos)
-                elif not stack:
-                    tag, attributes, empty, end = self.read_start_tag(pos)
-                elif close != stack[-1][0]:
-                    end = self.read_end_tag(pos, stack[-1][0])
+                    attributes = dict(pairs)
+                    if len(attributes) < len(pairs):
+                        self.read_start_tag(pos)  # raises: an attribute name repeats
             elif stack and startswith("</", pos):
                 tag, end = None, self.read_end_tag(pos, stack[-1][0])
             elif startswith("<!--", pos):
@@ -287,17 +293,19 @@ class Document:
                 tag, attributes, empty, end = self.read_start_tag(pos)
 
             if tag is None:  # an end tag
-                stack.pop()[3].close("".join(parts), end)
+                top.close("".join(parts), end)
+                stack.pop()
                 if not stack:
                     return end
-                parts = stack[-1][2]
+                _, _, parts, top = stack[-1]
             else:
-                child = (stack[-1][3] if stack else consumer).child(tag, attributes, pos)
-                if not empty:
+                child = top.child(tag, attributes, pos)
+                if not empty and leaf is None:
                     parts = []
+                    top = child
                     stack.append((tag, pos, parts, child))
                 else:
-                    child.close("", end)
+                    child.close(self.character_data(leaf, m.start(5)) if leaf else "", end)
                     if not stack:
                         return end
             pos = end

@@ -209,6 +209,19 @@ def test_a_name_that_is_not_an_identifier_is_an_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_name_reserved_in_javascript_is_an_error(tmp_path, capsys):
+    # 'class' is an identifier, but `class class extends class_Base` is no JS
+    bad = tmp_path / "reserved.xml"
+    bad.write_text(Path(NEWSBOARD).read_text("utf-8").replace('name="Vest"', 'name="class"'),
+                   "utf-8")
+    assert main(["validate", str(bad)]) == 1
+    assert "entity name 'class' is a reserved word in JavaScript" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["generate", "--model", str(bad), "--pack", PACK, "--out", str(out)]) == 1
+    assert "nothing generated" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_bad_pack(tmp_path, capsys):
     pack_dir = tmp_path / "pack"
     pack_dir.mkdir()

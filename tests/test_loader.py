@@ -181,6 +181,21 @@ def test_names_must_be_identifiers():
     assert all(d.severity is Severity.ERROR for d in diagnostics)
 
 
+def test_names_must_not_be_javascript_reserved_words():
+    # entity and field names become JS class and member names, in strict code;
+    # a table name is SQL only
+    doc = _wrap('\n<Entity name="class" tableName="class">\n'
+                '<Field name="arguments" type="int" isPK="true"/>'
+                '<Field name="Class" type="int"/><Field name="yield_" type="int"/></Entity>')
+    _, diagnostics = load_model(doc)
+    assert [(d.code, d.location, d.subject, d.message) for d in diagnostics] == [
+        (loader.E_BAD_IDENT, (2, 1), "Entity[class]",
+         "entity name 'class' is a reserved word in JavaScript"),
+        (loader.E_BAD_IDENT, (3, 1), "Entity[class]/Field[arguments]",
+         "field name 'arguments' is a reserved word in JavaScript")]
+    assert all(d.severity is Severity.ERROR for d in diagnostics)
+
+
 def test_bad_default_language():
     doc = (b'<xsource><Settings defaultLanguage="Klingon"/><EntityConfig>'
            + MINIMAL_ENTITY.encode() + b"</EntityConfig></xsource>")

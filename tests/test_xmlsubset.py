@@ -1,3 +1,5 @@
+import xml.parsers.expat
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -129,6 +131,15 @@ def test_disallowed_constructs(payload, needle):
         (b'<a x="&amp;"y="2"/>', 1, 13, "expected whitespace before attribute name"),
         (b"<a>]]></a>", 1, 4, "']]>' in character data"),
         (b"<a>x &amp; ]]></a>", 1, 12, "']]>' in character data"),
+        # the same checks in a leaf, an element whose start tag, text and end
+        # tag are read in one match
+        (b"<r><a>x]]></a></r>", 1, 8, "']]>' in character data"),
+        (b'<r>\n  <a x="&amp;">y]]></a></r>', 2, 17, "']]>' in character data"),
+        (b"<r><a>&bad;</a></r>", 1, 7, "undefined or malformed entity reference"),
+        (b'<r><a x="1" x="2">t</a></r>', 1, 13, "duplicate attribute 'x'"),
+        (b"<r><a>t</b></r>", 1, 11, "mismatched closing tag '</b>' for '<a>'"),
+        (b"<r><a>t</a:b></r>", 1, 10, "namespace prefixes are not allowed in closing tag name"),
+        (b"<r><a>t</a x></r>", 1, 12, "expected '>' after closing tag"),
     ],
 )
 def test_parse_errors_are_located(payload, line, column, reason):
@@ -272,3 +283,78 @@ def test_locations_match_offsets(document):
         assert node.location == _line_and_column(text, offset)
         assert node.attribute_locations == {
             name: _line_and_column(text, at) for name, at in attribute_offsets.items()}
+
+
+# Expat, the standard library's XML parser, as an oracle for the documents both
+# accept. Left out: '\r' anywhere, and tabs or newlines in attribute values.
+# Expat normalizes those (to '\n' and to spaces), and the subset does not yet:
+# the known line-end and attribute-value gaps of ROADMAP item 7.
+_ORACLE_TEXT = st.sampled_from(
+    ["t", " ", "\n", "\t", ">", "'", '"', "&amp;", "&lt;", "&gt;", "&quot;", "&apos;",
+     "<!-- c\n-->"])
+_ORACLE_VALUE = st.sampled_from(["v", " ", ">", "&amp;", "&lt;", "&gt;", "&quot;", "&apos;"])
+_ORACLE_SPACE = st.text(alphabet=" \t\n", max_size=2)
+
+
+@st.composite
+def _oracle_documents(draw):
+    """A well-formed ASCII document: leaves, self-closing tags, elements with
+    children and text, comments, and whitespace before each tag's '>'."""
+
+    def text() -> str:
+        return "".join(draw(st.lists(_ORACLE_TEXT, max_size=3)))
+
+    def element(depth: int) -> str:
+        tag = draw(_TAGS)
+        head = "<" + tag
+        for name in draw(st.lists(st.sampled_from(["k", "name", "x.y", "_z-9"]),
+                                  unique=True, max_size=3)):
+            quote = draw(st.sampled_from("\"'"))
+            value = "".join(draw(st.lists(_ORACLE_VALUE, max_size=3)))
+            value += "'\"".replace(quote, "") * draw(st.integers(0, 1))
+            head += (f"{draw(_ORACLE_SPACE.filter(bool))}{name}{draw(_ORACLE_SPACE)}="
+                     f"{draw(_ORACLE_SPACE)}{quote}{value}{quote}")
+        head += draw(_ORACLE_SPACE)
+        kind = "empty" if depth >= 3 else draw(st.sampled_from(["empty", "leaf", "parent"]))
+        if kind == "empty":
+            return head + "/>"
+        body = text()
+        if kind == "parent":
+            for _ in range(draw(st.integers(1, 3))):
+                body += element(depth + 1) + text()
+        return f"{head}>{body}</{tag}{draw(_ORACLE_SPACE)}>"
+
+    head = draw(st.sampled_from(["", "<?xml version='1.0'?>\n", "<!-- head -->\n"]))
+    return head + element(0) + draw(st.sampled_from(["", "\n", "<!-- tail -->\n"]))
+
+
+def _expat_events(text: str) -> list:
+    """(tag, attributes, (line, column) of '<', text) of each element, in
+    document order, as Expat reports them."""
+    parser = xml.parsers.expat.ParserCreate()
+    parser.ordered_attributes = True
+    events, open_ = [], []
+
+    def start(tag, attributes):
+        open_.append(len(events))
+        events.append([tag, list(zip(attributes[::2], attributes[1::2])),
+                       (parser.CurrentLineNumber, parser.CurrentColumnNumber + 1), ""])
+
+    def data(chars):
+        events[open_[-1]][3] += chars
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = lambda tag: open_.pop()
+    parser.CharacterDataHandler = data
+    parser.Parse(text.encode(), True)
+    return events
+
+
+@given(_oracle_documents())
+def test_parser_agrees_with_expat(text):
+    events, stack = [], [parse_tree(text.encode())]
+    while stack:  # preorder, children left to right
+        node = stack.pop()
+        events.append([node.tag, list(node.attributes.items()), node.location, node.text])
+        stack.extend(reversed(node.children))
+    assert events == _expat_events(text)
