@@ -66,19 +66,25 @@ def _cannot_read(path, exc: OSError) -> int:
     return EXIT_IO
 
 
-def _load_model(path: str):
+def _cannot_parse(exc: ParseError) -> int:
+    print(f"error E_PARSE at {exc.line}:{exc.column}: {exc.reason}", file=sys.stderr)
+    return EXIT_VALIDATION
+
+
+def _load_model(path: str, recorded=None, summaries=None):
     """Returns (model, diagnostics, exit_code); model is None on hard failure.
+    `recorded` and `summaries` are as for loader.load_document.
 
     The file's bytes are bound to no name, so they are freed once the Document
     has decoded them, before binding. Only reading the file raises OSError.
     """
     try:
-        model, diagnostics = loader.load_document(Document(Path(path).read_bytes()))
+        model, diagnostics = loader.load_document(Document(Path(path).read_bytes()),
+                                                  recorded, summaries)
     except OSError as exc:
         return None, [], _cannot_read(path, exc)
     except ParseError as exc:
-        print(f"error E_PARSE at {exc.line}:{exc.column}: {exc.reason}", file=sys.stderr)
-        return None, [], EXIT_VALIDATION
+        return None, [], _cannot_parse(exc)
     return model, diagnostics, EXIT_OK
 
 
@@ -103,16 +109,33 @@ def _cmd_validate(args) -> int:
     return EXIT_VALIDATION if errors else EXIT_OK
 
 
+def _recorded(manifest: Optional[ownership.Manifest]):
+    """The entity summaries of `manifest`, where this sfgen wrote them; else None."""
+    if manifest is None or manifest.sources != packs._sources_digest().hex():
+        return None
+    return manifest.summaries
+
+
 def _cmd_generate(args) -> int:
-    model, diagnostics, code = _load_model(args.model)
+    # the manifest is read first, so that the model's unchanged entities are
+    # not bound; its error is reported after the model's and the pack's
+    out_root = Path(args.out)
+    try:
+        manifest, manifest_error = ownership.load_manifest(out_root), None
+    except ownership.ManifestError as exc:
+        manifest, manifest_error = None, exc
+    summaries: dict[str, loader.Summary] = {}
+    model, diagnostics, code = _load_model(
+        args.model, None if args.force else _recorded(manifest), summaries)
     if model is None:
         return code
     errors, _ = _print_diagnostics(diagnostics)
     if errors:
         print(f"{errors} validation errors; nothing generated", file=sys.stderr)
         return EXIT_VALIDATION
+    if diagnostics:  # summaries are of clean loads only
+        summaries.clear()
 
-    out_root = Path(args.out)
     # an artifact's file is out_root / path, named as a str for speed
     prefix = "" if str(out_root) == "." else str(out_root).rstrip("/") + "/"
     on_disk: dict[str, Optional[bytes]] = {}  # each file read, None where there is none
@@ -123,7 +146,8 @@ def _cmd_generate(args) -> int:
 
     try:
         pack = packs.load_pack(packs.read_pack_dir(Path(args.pack)))
-        manifest = ownership.load_manifest(out_root)
+        if manifest_error is not None:
+            raise manifest_error
         artifacts = packs.generate_all(model, pack, lang=args.lang,
                                        manifest=None if args.force else manifest, read=read)
     except TemplateRuntimeError as exc:
@@ -137,8 +161,11 @@ def _cmd_generate(args) -> int:
         return EXIT_IO
     except OSError as exc:  # reading a pack or an output file
         return _cannot_read(exc.filename, exc)
+    except ParseError as exc:  # binding a stub whose source a forged summary named
+        return _cannot_parse(exc)
 
-    plan = ownership.plan_writes(artifacts, on_disk, manifest, force=args.force)
+    plan = ownership.plan_writes(artifacts, on_disk, manifest, force=args.force,
+                                 summaries=summaries, sources=packs._sources_digest().hex())
     conflicts = plan.conflicts()
 
     if args.dry_run:

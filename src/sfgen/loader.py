@@ -18,9 +18,11 @@ import gc
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 from .model import (
+    KEY_LENGTH,
+    SPAN_CONTENT,
     ApplicationModel,
     Caching,
     Constraint,
@@ -195,6 +197,11 @@ _NAME = _table(("name", str))  # Language and CField
 _build_entity, _build_field, _build_constraint, _build_text = map(
     _builder, (Entity, Field, Constraint, LocalizedText))
 
+# What a load records of an entity, by its key, so that a later load can take
+# the same source as a stub: the length of its source, the languages it
+# declares in binding order, and the entities its FK fields name.
+Summary = tuple[int, tuple[str, ...], tuple[str, ...]]
+
 
 class _Binder:
     """What binding a document produces, and the reporting that the frames of
@@ -207,7 +214,8 @@ class _Binder:
     they form no cycle: reference counting frees them with the collector paused.
     """
 
-    def __init__(self, document: Document) -> None:
+    def __init__(self, document: Document, recorded: Optional[Mapping[str, Summary]] = None,
+                 summaries: Optional[dict[str, Summary]] = None) -> None:
         self.document = document  # for locations
         # each string attribute value as first read, to replace later reads of
         # it: a name, type token or language name exists once per load
@@ -216,6 +224,8 @@ class _Binder:
         self.languages: list[str] = []
         self.settings = Settings()
         self.entities: list[Entity] = []
+        self.recorded = recorded  # the summaries of sources a clean load bound
+        self.summaries = summaries  # to fill with each entity's
 
     def model(self) -> tuple[ApplicationModel, list[Diagnostic]]:
         model = ApplicationModel(settings=self.settings, entities=tuple(self.entities),
@@ -241,6 +251,40 @@ class _Binder:
     def diag(self, out: list[Diagnostic], code: str, severity: Severity, message: str,
              offset: int, subject: str, attr: Optional[str] = None) -> None:
         out.append(Diagnostic(code, severity, message, self.locate(offset, attr), subject))
+
+    def declare(self, languages: Iterable[str]) -> None:
+        for name in languages:
+            if name not in self.languages:
+                self.languages.append(name)
+
+    def stub(self, attributes: dict[str, str], offset: int, out: list[Diagnostic]) -> int:
+        """Where the Entity element at offset has a recorded source, add its
+        stub and return the element's end; else 0.
+
+        Its source is taken to end at the first Entity end tag; a recorded one
+        is an element a clean load bound, and it is read the same wherever it
+        starts, so the element ends there too. Where a comment in the element
+        holds an Entity end tag, it has no recorded source, and is bound in full.
+        """
+        text = self.document.text
+        close = text.find("</Entity", offset)
+        end = text.find(">", close) + 1 if close >= 0 else 0
+        digest = hashlib.sha256(text[offset:end].encode("utf-8")).hexdigest()
+        key = digest[:KEY_LENGTH]
+        summary = self.recorded.get(key)
+        if summary is None or summary[0] != end - offset:
+            return 0
+        entity = _build_entity(**_ENTITY(self, out, attributes, offset,
+                                         f"Entity[{attributes.get('name', '')}]"),
+                               location=self.document.location(offset), digest=digest,
+                               span=_Span(self.document, offset, summary[2]))
+        for slot in SPAN_CONTENT:
+            object.__delattr__(entity, slot)
+        self.entities.append(entity)
+        self.declare(summary[1])
+        if self.summaries is not None:
+            self.summaries[key] = summary
+        return end
 
     def ignore(self, out: list[Diagnostic], tag: str, offset: int, subject: str,
                message: str = "") -> _Frame:
@@ -321,8 +365,10 @@ class _EntityConfig(_Frame):
         self.binder = binder
         self.out = out
 
-    def child(self, tag: str, attributes: dict[str, str], offset: int) -> _Frame:
+    def child(self, tag: str, attributes: dict[str, str], offset: int) -> _Frame | int:
         if tag == "Entity":
+            if self.binder.recorded and (end := self.binder.stub(attributes, offset, self.out)):
+                return end
             return _Entity(self.binder, self.out, attributes, offset)
         return self.binder.ignore(self.out, tag, offset, "EntityConfig")
 
@@ -440,16 +486,21 @@ class _Entity(_Element):
     def close(self, text: str, end: int) -> None:
         binder = self.binder
         source = binder.document.text[self.offset:end]
+        digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
+        fields = tuple(self.fields)
         binder.entities.append(_build_entity(
             **self.kwargs, displayNames=self.localized("DisplayName"),
-            pluralNames=self.localized("PluralName"), fields=tuple(self.fields),
-            constraints=tuple(self.constraints),
-            digest=hashlib.sha256(source.encode("utf-8")).hexdigest()))
+            pluralNames=self.localized("PluralName"), fields=fields,
+            constraints=tuple(self.constraints), digest=digest))
         for pending in (self.pending, self.for_fields, self.for_constraints):
             self.out += pending.diagnostics
-            for name in pending.languages:
-                if name not in binder.languages:
-                    binder.languages.append(name)
+            binder.declare(pending.languages)
+        if binder.summaries is not None:
+            languages = self.pending.languages + self.for_fields.languages \
+                + self.for_constraints.languages
+            binder.summaries[digest[:KEY_LENGTH]] = (
+                len(source), tuple(dict.fromkeys(languages)),
+                tuple(field.fkEntityName for field in fields if field.isFK))
 
 
 class _Field(_Element):
@@ -495,14 +546,42 @@ class _Constraint(_Element):
             **self.kwargs, errorMessages=self.localized("ErrorMessage"), cfields=cfields))
 
 
-def bind_model(document: Document) -> tuple[ApplicationModel, list[Diagnostic]]:
+class _Span:
+    """A stub's binder: it binds the Entity element at `offset` of `document`
+    in full. `targets` are the entities its FK fields name, from its summary."""
+
+    __slots__ = ("document", "offset", "targets")
+
+    def __init__(self, document: Document, offset: int, targets: tuple[str, ...]):
+        self.document = document
+        self.offset = offset
+        self.targets = targets
+
+    def __call__(self) -> Entity:
+        return bind_entity(self.document, self.offset)
+
+
+def bind_entity(document: Document, offset: int) -> Entity:
+    """The Entity element at `offset` of a document that was loaded, bound."""
+    binder = _Binder(document)
+    document.parse_element(offset, _EntityConfig(binder, binder.diagnostics))
+    return binder.entities[0]
+
+
+def bind_model(document: Document, recorded: Optional[Mapping[str, Summary]] = None,
+               summaries: Optional[dict[str, Summary]] = None,
+               ) -> tuple[ApplicationModel, list[Diagnostic]]:
     """Map a decoded document to an ApplicationModel, best-effort, binding
     each element while the document is parsed. Raises ParseError on malformed
     XML. Returns the model together with every lexical diagnostic; the model
     is usable (for further validation and reporting) even when errors are
     present.
+
+    An Entity element whose source has a summary in `recorded`, by its key, is
+    not read: it is a stub (see `Entity.span`), and its summary is taken as it
+    is. `summaries`, where given, gets the summary of each entity, by its key.
     """
-    binder = _Binder(document)
+    binder = _Binder(document, recorded, summaries)
     document.parse(binder)
     return binder.model()
 
@@ -642,6 +721,12 @@ def validate_model(model: ApplicationModel) -> list[Diagnostic]:
                             entity.location, subject))
         else:
             seen_tables[entity.tableName] = entity
+        if entity.span is not None:
+            # a stub: its source loaded clean, so only the names it refers to can be wrong
+            out.extend(_err(E_FK_TARGET, f"fkEntityName '{target}' does not name an entity",
+                            entity.location, subject)
+                       for target in entity.span.targets if target not in entity_names)
+            continue
 
         if not entity.fields:
             out.append(_err(E_NO_FIELDS, "Entity must declare at least one Field",
@@ -694,7 +779,9 @@ def load_model(data: bytes) -> tuple[ApplicationModel, list[Diagnostic]]:
     return load_document(Document(data))
 
 
-def load_document(document: Document) -> tuple[ApplicationModel, list[Diagnostic]]:
+def load_document(document: Document, recorded: Optional[Mapping[str, Summary]] = None,
+                  summaries: Optional[dict[str, Summary]] = None,
+                  ) -> tuple[ApplicationModel, list[Diagnostic]]:
     """Parse, bind and validate a decoded document. Raises ParseError on
     malformed XML.
 
@@ -702,8 +789,19 @@ def load_document(document: Document) -> tuple[ApplicationModel, list[Diagnostic
     its closing tag: memory is the model plus the document text. The model is
     acyclic, so the collector is paused: on large models its passes over the
     growing model took close to half the time.
+
+    `recorded` and `summaries` are as for bind_model; the summaries of a load
+    are to be recorded only where it gave no diagnostics. A stub's source
+    bound clean before, so a load with stubs finds a diagnostic wherever a
+    full load finds any, though not all of them, nor where: where it finds
+    one, the document is loaded again in full.
     """
     with paused_gc():
-        model, diagnostics = bind_model(document)
+        model, diagnostics = bind_model(document, recorded, summaries)
         diagnostics.extend(validate_model(model))
+        if diagnostics and any(entity.span is not None for entity in model.entities):
+            if summaries is not None:
+                summaries.clear()
+            model, diagnostics = bind_model(document, None, summaries)
+            diagnostics.extend(validate_model(model))
     return model, diagnostics

@@ -7,7 +7,9 @@ records the digest each file had when the generator last wrote it, which is
 what lets a later run tell "unchanged", "needs regeneration" and "hand-edited"
 apart, and the keys of the inputs it was generated from, which let a later run
 with the same inputs take the file, or some of its iterations, as they are
-instead of rendering them.
+instead of rendering them. It also records a summary of each entity of a model
+that loaded clean, which lets a later run take an unchanged entity as a stub
+instead of binding it (loader.Summary).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import os
 from collections import defaultdict
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import count
@@ -28,12 +30,15 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequenc
 from .model import _builder
 
 if TYPE_CHECKING:
+    from .loader import Summary
     from .packs import Artifact
 
 MANIFEST_FILENAME = ".sfgen-manifest.json"
 # 3 names each entry's rule and entity, and lists a spliced file's iterations;
-# a version-1 or version-2 manifest still loads, with no inputs, so reuses nothing
-MANIFEST_VERSION = 3
+# a version-1 or version-2 manifest still loads, with no inputs, so reuses
+# nothing. 4 adds the entity summaries, tagged with the sfgen sources that
+# wrote them; a version-3 manifest still loads, with none, so binds everything.
+MANIFEST_VERSION = 4
 
 # (entity, loop, start, end): one iteration of a fragment loop, at
 # file[start:end], keyed by its entity's key and the text of the loop
@@ -74,6 +79,10 @@ class ManifestEntry:
 class Manifest:
     entries: tuple[ManifestEntry, ...] = ()
     version: int = MANIFEST_VERSION  # of the file it was read from
+    # entity key -> its summary, from a load with no diagnostics by the sfgen
+    # whose sources digest (packs._sources_digest, in hex) is `sources`
+    summaries: Mapping[str, "Summary"] = field(default_factory=dict)
+    sources: str = ""
 
     @cached_property
     def entry_of(self) -> Callable[[str], Optional[ManifestEntry]]:
@@ -107,10 +116,13 @@ def plan_writes(
     existing: Mapping[str, Optional[bytes]],
     manifest: Optional[Manifest],
     force: bool = False,
+    summaries: Optional[Mapping[str, "Summary"]] = None,
+    sources: str = "",
 ) -> WritePlan:
     """Decide the per-file action for one regeneration, and the manifest that
     applying it leaves; pure, writes nothing. `existing` maps a path to its
-    bytes on disk; a path that maps to None, or is missing, has no file.
+    bytes on disk; a path that maps to None, or is missing, has no file. The
+    new manifest records `summaries`, tagged with `sources`.
 
     ONCE files that already exist are always skipped. ALWAYS files are only
     overwritten when the on-disk content is what the generator last wrote
@@ -157,7 +169,8 @@ def plan_writes(
                                       fragments=artifact.fragments)
         entries.append(recorded)
     entries.sort(key=attrgetter("path"))
-    return WritePlan(tuple(actions), Manifest(tuple(entries)))
+    return WritePlan(tuple(actions), Manifest(tuple(entries), summaries=summaries or {},
+                                              sources=sources))
 
 
 def _atomic_write(target: Path, content: bytes) -> None:
@@ -204,10 +217,12 @@ _QUOTED = {member: json.encoder.encode_basestring(member.value) for member in Ow
 
 def manifest_to_json(manifest: Manifest) -> str:
     """The manifest as JSON, always at MANIFEST_VERSION: the keys of its rules,
-    then of its entities, each once, then one entry per line. An entry is
-    [path, ownership, sha256], followed where it has inputs by the indices of
-    their rule and entity in those lists, and then by its fragments, flat:
-    entity, loop attributes, start and end of each iteration in turn."""
+    then of its entities, each once, then the sources tag and one summary per
+    line, [key, length, languages, FK targets], then one entry per line. An
+    entry is [path, ownership, sha256], followed where it has inputs by the
+    indices of their rule and entity in those lists, and then by its
+    fragments, flat: entity, loop attributes, start and end of each iteration
+    in turn."""
     quote = json.encoder.encode_basestring
     # key -> its index, given in the order keys are first seen
     rules: defaultdict[str, int] = defaultdict(count().__next__)
@@ -222,9 +237,14 @@ def manifest_to_json(manifest: Manifest) -> str:
         else:
             fragments = json.dumps(_flat(e.fragments, entities), ensure_ascii=False)
             lines.append(f"[{head}, {rules[e.rule]}, {entities[e.entity]}, {fragments}]")
+    summaries = [f"[{quote(key)}, {length}, [{', '.join(map(quote, languages))}], "
+                 f"[{', '.join(map(quote, targets))}]]"
+                 for key, (length, languages, targets) in manifest.summaries.items()]
     return (f'{{\n  "version": {MANIFEST_VERSION},\n'
             f'  "rules": {_lines(map(quote, rules))},\n'
             f'  "entities": {_lines(map(quote, entities))},\n'
+            f'  "sources": {quote(manifest.sources)},\n'
+            f'  "summaries": {_lines(summaries)},\n'
             f'  "entries": {_lines(lines)}\n}}\n')
 
 
@@ -294,6 +314,20 @@ def _entries(rows: object, rules: list[str], entities: list[str]) -> list[Manife
     return entries
 
 
+def _summaries(rows: object) -> dict[str, "Summary"]:
+    """The summaries of a version-4 manifest, by key."""
+    if type(rows) is not list:
+        raise TypeError("summaries must be a list")
+    summaries = {}
+    for row in rows:
+        if not (type(row) is list and len(row) == 4 and type(row[0]) is str
+                and type(row[1]) is int and row[1] > 0):
+            raise ValueError("a summary is not [key, length, languages, targets]")
+        summaries[row[0]] = (row[1], tuple(_strings(row[2], "languages")),
+                             tuple(_strings(row[3], "targets")))
+    return summaries
+
+
 def _unsafe(path: str) -> bool:
     """Whether `path` is empty or absolute, or has an empty, '.' or '..' step."""
     path = f"/{path}/"
@@ -317,14 +351,18 @@ def manifest_from_json(text: str) -> Manifest:
     try:
         payload = json.loads(text)
         version = payload["version"]
-        if type(version) is not int or version not in (1, 2, MANIFEST_VERSION):
+        if type(version) is not int or version not in (1, 2, 3, MANIFEST_VERSION):
             raise ValueError(f"unsupported manifest version {version!r}")
-        if version == MANIFEST_VERSION:
-            entries = _entries(payload["entries"], _strings(payload["rules"], "rules"),
-                               _strings(payload["entities"], "entities"))
-        else:
-            entries = [_old_entry(e, version) for e in payload["entries"]]
-        return Manifest(tuple(entries), version)
+        if version < 3:
+            return Manifest(tuple(_old_entry(e, version) for e in payload["entries"]), version)
+        entries = _entries(payload["entries"], _strings(payload["rules"], "rules"),
+                           _strings(payload["entities"], "entities"))
+        if version == 3:
+            return Manifest(tuple(entries), version)
+        sources = payload["sources"]
+        if type(sources) is not str:
+            raise TypeError("sources must be a string")
+        return Manifest(tuple(entries), version, _summaries(payload["summaries"]), sources)
     except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
         raise ManifestError(f"malformed manifest: {exc}") from exc
 

@@ -22,13 +22,12 @@ from typing import Callable, Mapping, Optional
 
 from . import atl
 from .loader import paused_gc
-from .model import ApplicationModel, Entity, _builder
+from .model import KEY_LENGTH, ApplicationModel, Entity, _builder
 from .ownership import Fragment, Manifest, Ownership, _unsafe, walk_files
 
 _PLACEHOLDER_RE = re.compile(r"\{entity\.([A-Za-z_][A-Za-z0-9_]*)\}")
 _PATH_FIELDS = ("name", "tableName")  # the entity text fields a path may read
 _BUILTIN_PACKS = Path(__file__).parent / "builtin_packs"
-KEY_LENGTH = 32  # hex digits of a key: the first 128 bits of a SHA-256
 
 
 class PackError(Exception):

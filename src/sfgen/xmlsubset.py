@@ -27,20 +27,22 @@ NAME_RE = re.compile(_NAME)
 REFERENCE_RE = re.compile(r"&(?:([A-Za-z]+);)?")  # group 1 is None if malformed
 PREDEFINED_ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 WHITESPACE_RE = re.compile(_WS)
+_VALUE_SPACES = str.maketrans("\t\n\r", "   ")
 
 # An attribute's name, then (group 2) its value, which ends at the quote it starts after
 ATTRIBUTE_RE = re.compile(_WS + "(" + _NAME + ")" + _NAME_END + _WS + "=" + _WS
                           + "[\"']((?<=\")[^\"<]*(?=\")|(?<=')[^'<]*(?='))[\"']")
 TAG_END_RE = re.compile(_WS + "(/?)>")
-# The text before the next markup, then a whole start tag with no '&' in its
-# attribute values (groups 2-5: name, attributes, '/' if it closes itself, and
-# a leaf's text: a leaf is an element with no markup in it, read in one match
-# to its end tag) or an end tag (group 6: name). Where it does not match,
-# repeats an attribute name or closes another element, the step-by-step
-# readers of `Document` run instead.
+# The text before the next markup, then a whole start tag with no '&', tab or
+# line end in its attribute values (groups 2-5: name, attributes, '/' if it
+# closes itself, and a leaf's text: a leaf is an element with no markup in it,
+# read in one match to its end tag) or an end tag (group 6: name). Where it
+# does not match, repeats an attribute name or closes another element, the
+# step-by-step readers of `Document` run instead.
 MARKUP_RE = re.compile(
     "([^<]*)<(?:(?P<tag>" + _NAME + ")" + _NAME_END
-    + "((?:" + _S + _NAME + _NAME_END + _WS + "=" + _WS + "(?:\"[^\"<&]*\"|'[^'<&]*'))*)"
+    + "((?:" + _S + _NAME + _NAME_END + _WS + "=" + _WS
+    + "(?:\"[^\"<&\t\n\r]*\"|'[^'<&\t\n\r]*'))*)"
     + _WS + "(?:(/)>|>(?:([^<]*)</(?P=tag)" + _WS + ">)?)|/(" + _NAME + ")" + _NAME_END
     + _WS + ">)")
 
@@ -56,9 +58,11 @@ class ParseError(Exception):
 class Consumer(Protocol):
     """What `Document.parse` reports an element's content to."""
 
-    def child(self, tag: str, attributes: dict[str, str], offset: int) -> Consumer:
+    def child(self, tag: str, attributes: dict[str, str], offset: int) -> Consumer | int:
         """A child element starts: its name, its attributes and the offset of
-        its '<'. Returns the consumer of the child's content."""
+        its '<'. Returns the consumer of the child's content or, where it takes
+        the whole element itself, the offset just past its end tag: parsing
+        goes on from there, and nothing in between is read."""
 
     def close(self, text: str, end: int) -> None:
         """The element ends: its character data, without its children's, and
@@ -151,7 +155,8 @@ class Document:
         return REFERENCE_RE.sub(decode, raw)
 
     def read_attribute(self, pos: int, attributes: dict[str, str]) -> tuple[str, str, int]:
-        """Read one attribute check by check; returns (name, value, end)."""
+        """Read one attribute check by check; returns (name, value, end), its
+        value with its references decoded and its whitespace normalized."""
         text = self.text
         name_pos = self.skip_whitespace(pos)
         if name_pos == pos and NAME_RE.match(text, pos):  # right after a value
@@ -173,14 +178,17 @@ class Document:
         raw = text[value_start:end]
         if "<" in raw:
             raise self.fail("'<' in attribute value", value_start + raw.index("<"))
-        return name, self.decode_text(raw, value_start), end + 1
+        # each tab and line end is a space, a CRLF one space (XML 1.0, 3.3.3)
+        value = self.decode_text(raw, value_start)
+        return name, value.replace("\r\n", " ").translate(_VALUE_SPACES), end + 1
 
     def read_start_tag(self, pos: int) -> tuple[str, dict[str, str], bool, int]:
         """Read the start tag at pos check by check; returns its name, its
         attributes, whether it closes itself, and its end.
 
         Runs only where MARKUP_RE cannot read it: one of the checks fails, an
-        attribute name repeats, or a value holds an entity reference to decode.
+        attribute name repeats, or a value holds an entity reference to decode,
+        a tab or a line end.
         """
         end = self.read_name(pos + 1, "element name")
         tag = self.text[pos + 1:end]
@@ -239,7 +247,8 @@ class Document:
         tag, offset, text parts and consumer, so nesting depth is bounded by memory
         rather than by the interpreter's recursion limit. Each turn reads the
         text before the next markup and that markup, a leaf element whole, with
-        one MARKUP_RE match where it can.
+        one MARKUP_RE match where it can. An element whose consumer takes it
+        whole is not read.
         """
         text = self.text
         startswith = text.startswith
@@ -300,12 +309,14 @@ class Document:
                 _, _, parts, top = stack[-1]
             else:
                 child = top.child(tag, attributes, pos)
-                if not empty and leaf is None:
+                if type(child) is int:  # the consumer took the element whole
+                    end = child
+                elif not empty and leaf is None:
                     parts = []
                     top = child
                     stack.append((tag, pos, parts, child))
                 else:
                     child.close(self.character_data(leaf, m.start(5)) if leaf else "", end)
-                    if not stack:
-                        return end
+                if not stack:
+                    return end
             pos = end

@@ -526,3 +526,112 @@ def test_a_command_runs_with_the_collector_paused(command, enabled, tmp_path):
         gc.callbacks.remove(record)
         (gc.enable if was_enabled else gc.disable)()
     assert collections == []
+
+
+# -- the manifest is read before the model, and its error reported after it ------
+
+@pytest.mark.parametrize("model,code,expected", [
+    ("<xsource>", 1, "error E_PARSE at 1:1: unclosed element 'xsource'\n"),
+    ('<xsource><EntityConfig><Entity name="E" tableName="E"/></EntityConfig></xsource>', 1,
+     None),
+    (None, 3, "error E_MANIFEST: malformed manifest: "),
+], ids=["parse-error", "validation-errors", "valid"])
+def test_a_malformed_manifest_is_reported_after_the_model(tmp_path, capsys, model, code,
+                                                         expected):
+    path = tmp_path / "model.xml"
+    if model is None:
+        shutil.copy(NEWSBOARD, path)
+    else:
+        path.write_text(model)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / ownership.MANIFEST_FILENAME).write_text('{"version": 4, "entries": "x"}')
+    assert main(["generate", "--model", str(path), "--pack", PACK, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if model is None:
+        assert err.startswith(expected) and err.count("\n") == 1
+    elif expected is not None:
+        assert err == expected
+    else:
+        assert "E_NO_FIELDS" in err and "E_MANIFEST" not in err
+
+
+def _loads(monkeypatch):
+    """The summaries given to each load, as loads happen."""
+    recorded, load = [], loader.load_document
+
+    def spy(document, *args):
+        recorded.append(args[0] if args else None)
+        return load(document, *args)
+
+    monkeypatch.setattr(loader, "load_document", spy)
+    return recorded
+
+
+def test_a_regeneration_takes_the_recorded_summaries(tmp_path, monkeypatch):
+    loads = _loads(monkeypatch)
+    assert generate(tmp_path / "out") == 0  # a cold run: no manifest
+    assert generate(tmp_path / "out") == 0
+    assert loads[0] is None and len(loads[1]) == 2
+
+
+def test_force_loads_in_full(tmp_path, monkeypatch):
+    assert generate(tmp_path / "out") == 0
+    loads = _loads(monkeypatch)
+    assert generate(tmp_path / "out", "--force") == 0
+    assert loads == [None]
+
+
+@pytest.mark.parametrize("argv", [["validate", NEWSBOARD], ["lint", "--model", NEWSBOARD]],
+                         ids=["validate", "lint"])
+def test_validate_and_lint_load_in_full(tmp_path, monkeypatch, argv):
+    assert generate(tmp_path) == 0
+    monkeypatch.chdir(tmp_path)  # beside a manifest, which they do not read
+    loads = _loads(monkeypatch)
+    assert main(argv) == 0
+    assert loads == [None]
+
+
+def test_a_forged_summary_defers_the_parse_error_of_its_source(tmp_path, monkeypatch, capsys):
+    """A summary forged for a malformed Entity element makes it a stub, so the
+    load reports nothing; binding it when its files are rendered reports the
+    error that loading it in full does, with the same exit code."""
+    out = tmp_path / "out"
+    assert generate(out) == 0
+    text = Path(NEWSBOARD).read_text("utf-8")
+    end = text.rindex("</Constraint>")
+    broken = tmp_path / "broken.xml"
+    broken.write_text(text[:end] + "</Field>" + text[end + len("</Constraint>"):], "utf-8")
+    argv = ["generate", "--model", str(broken), "--pack", PACK, "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    expected = capsys.readouterr()
+    assert expected.err.startswith("error E_PARSE at 59:14: mismatched closing tag")
+    source = broken.read_text("utf-8")
+    start = source.index('<Entity tableName="Vest"')
+    source = source[start:source.index("</Entity>", start) + len("</Entity>")]
+    manifest = out / ownership.MANIFEST_FILENAME
+    payload = json.loads(manifest.read_text("utf-8"))
+    payload["summaries"].append([ownership.digest(source.encode())[:32], len(source),
+                                 ["English"], ["Fakultet"]])
+    manifest.write_text(json.dumps(payload), "utf-8")
+    stubs, bind = [], loader.bind_entity
+    monkeypatch.setattr(loader, "bind_entity", lambda *args: stubs.append(args) or bind(*args))
+    assert main(argv) == 1
+    assert capsys.readouterr() == expected
+    assert len(stubs) == 1
+
+
+def test_a_warning_is_reported_on_every_run(tmp_path, capsys):
+    """A load with diagnostics records no summaries, so no entity of it is
+    a stub next time, and its warnings are reported again."""
+    model = tmp_path / "model.xml"
+    model.write_text(Path(NEWSBOARD).read_text("utf-8").replace(
+        '<Field name="Title"', '<Field frob="1" name="Title"'), "utf-8")
+    argv = ["generate", "--model", str(model), "--pack", PACK, "--out", str(tmp_path / "out")]
+    for _ in range(2):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "warning W_UNKNOWN_ATTR at 40:14 [Entity[Vest]/Field[Title]]" in out
+    payload = json.loads((tmp_path / "out" / ownership.MANIFEST_FILENAME).read_text("utf-8"))
+    assert payload["summaries"] == []

@@ -483,6 +483,76 @@ def test_a_version_2_manifest_reuses_nothing_and_is_rewritten(tmp_path, monkeypa
     rewritten_from_old_manifest(tmp_path, monkeypatch, 2)
 
 
+def counting_binds(monkeypatch):
+    """The number of Entity elements bound from the document as it is
+    parsed, and of stubs bound on a later read, as they happen."""
+    counts = {"parsed": 0, "stubs": 0}
+    parsed, stub = loader._Entity.__init__, loader.bind_entity
+
+    def counted_parse(*args):
+        counts["parsed"] += 1
+        parsed(*args)
+
+    def counted_stub(*args):
+        counts["stubs"] += 1
+        return stub(*args)
+
+    monkeypatch.setattr(loader._Entity, "__init__", counted_parse)
+    monkeypatch.setattr(loader, "bind_entity", counted_stub)
+    return counts
+
+
+def seeded_model(tmp_path, entities):
+    """A seeded random model of `entities` entities, written; its element tree."""
+    rng = random.Random(11)
+    root = randmodels.model_element(rng, randmodels.random_model(rng, force_size=(entities, 3)))
+    (tmp_path / "model.xml").write_text(randmodels.to_xml(root), "utf-8")
+    return root
+
+
+def test_a_one_entity_edit_binds_only_that_entity(tmp_path, monkeypatch):
+    """After a one-entity edit of a 200-entity model, generate binds that
+    entity's source and no other: the other 199 are stubs, and nothing that
+    the run does reads past what they hold."""
+    root = seeded_model(tmp_path, 200)
+    argv = ["generate", "--model", str(tmp_path / "model.xml"), "--pack", str(PACK),
+            "--out", str(tmp_path / "out")]
+    assert run(argv)[0] == 0
+    entity = root[2][1][2][100]
+    block = next(child for child in entity[2] if child[0] == "Language")
+    block[2][0][3] += " edited"  # the entity's DisplayName in one language
+    (tmp_path / "model.xml").write_text(randmodels.to_xml(root), "utf-8")
+    counts = counting_binds(monkeypatch)
+    code, out, _ = run(argv)
+    assert code == 0 and "OVERWRITE" in out
+    assert counts == {"parsed": 1, "stubs": 0}
+    monkeypatch.undo()
+    assert run([*argv[:-1], str(tmp_path / "fresh")])[0] == 0
+    assert read_tree(tmp_path / "out") == read_tree(tmp_path / "fresh")
+
+
+def test_a_version_3_manifest_reuses_by_its_keys_and_binds_everything(tmp_path, monkeypatch):
+    """A version-3 manifest has no entity summaries: every entity is bound
+    once, every artifact is still reused by its keys, and the manifest is
+    written again at version 4, as generating afresh writes it."""
+    seeded_model(tmp_path, 20)
+    out = tmp_path / "out"
+    argv = ["generate", "--model", str(tmp_path / "model.xml"), "--pack", str(PACK),
+            "--out", str(out)]
+    assert run(argv)[0] == 0
+    manifest = out / ownership.MANIFEST_FILENAME
+    current = manifest.read_text("utf-8")
+    payload = json.loads(current)
+    assert payload["version"] == 4 and len(payload["summaries"]) == 20
+    del payload["sources"], payload["summaries"]
+    manifest.write_text(json.dumps({**payload, "version": 3}), "utf-8")
+    counts, renders = counting_binds(monkeypatch), counting_renders(monkeypatch)
+    code, out_text, _ = run(argv)
+    assert code == 0 and "CREATE" not in out_text and "OVERWRITE" not in out_text
+    assert renders == [] and counts == {"parsed": 20, "stubs": 0}
+    assert manifest.read_text("utf-8") == current
+
+
 def test_a_manifest_path_outside_the_output_root_is_malformed(tmp_path):
     """An entry's path is read from outside the program, so an entry whose
     path leaves the output root stops generate before any file is read."""

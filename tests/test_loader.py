@@ -1,12 +1,15 @@
 import contextlib
+import copy
 import gc
+import json
 import random
+import re
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from sfgen import loader
+from sfgen import cli, loader, ownership, packs
 from sfgen.loader import Severity, bind_model, load_model, validate_model
 from sfgen.model import (
     ApplicationModel,
@@ -563,3 +566,168 @@ def test_binding_never_raises(root):
     # to_xml escapes '&', '<', '"' and the '>' of ']]>', so every drawn document is well-formed
     _, diagnostics = load_model(randmodels.to_xml(root).encode("utf-8"))
     assert all(isinstance(d, loader.Diagnostic) for d in diagnostics)
+
+
+# -- loading with the summaries of an earlier load: stubs ------------------------
+
+def _outcome(text, recorded=None):
+    """What loading `text` gives: its located ParseError, or its model with
+    every stub bound and the entities' digests, its diagnostics and the
+    summaries it records."""
+    summaries = {}
+    try:
+        model, diagnostics = loader.load_document(Document(text.encode()), recorded, summaries)
+    except ParseError as exc:
+        return exc.line, exc.column, exc.reason
+    return model, [e.digest for e in model.entities], diagnostics, summaries
+
+
+def _manifest_of(text, stale, rng):
+    """The entity summaries that generate would take from the manifest that
+    it wrote after loading `text`, made stale as `stale` says."""
+    summaries = {}
+    try:
+        _, diagnostics = loader.load_document(Document(text.encode()), None, summaries)
+    except ParseError:
+        diagnostics = None
+    if diagnostics != []:  # only a clean load's are recorded
+        summaries = {}
+    if stale == "length" and summaries:
+        key = rng.choice(sorted(summaries))
+        length, languages, targets = summaries[key]
+        summaries[key] = (length + rng.choice([-1, 1]), languages, targets)
+    sources = "0" * 64 if stale == "sources" else packs._sources_digest().hex()
+    payload = json.loads(ownership.manifest_to_json(
+        ownership.Manifest(summaries=summaries, sources=sources)))
+    if stale == "version 3":
+        payload = {"version": 3, "rules": [], "entities": [], "entries": []}
+    return cli._recorded(ownership.manifest_from_json(json.dumps(payload)))
+
+
+def _entities(root):
+    return root[2][1][2]
+
+
+def _rename(element, name, value):
+    element[1] = [(n, v) for n, v in element[1] if n != name] + [(name, value)]
+
+
+def _spans(text):
+    return [m.span() for m in re.finditer(r"<Entity\b.*?</Entity>", text, re.S)]
+
+
+def _tree_edit(edit, root, rng):
+    entities = _entities(root)
+    # an entity that an FK names, half the time where there is one
+    targets = {value for element in entities for field in element[2] if field[0] == "Field"
+               for name, value in field[1] if name == "fkEntityName"}
+    named = [element for element in entities if dict(element[1])["name"] in targets]
+    entity = rng.choice(named if named and rng.random() < 0.5 else entities)
+    if edit == "insert":
+        added = copy.deepcopy(entity)
+        name = f"Added{rng.randrange(10**6)}"
+        _rename(added, "name", name)
+        _rename(added, "tableName", name)
+        entities.insert(rng.randrange(len(entities) + 1), added)
+    elif edit == "delete" and len(entities) > 1:
+        entities.remove(entity)
+    elif edit == "reorder":
+        rng.shuffle(entities)
+    elif edit == "rename":
+        name = f"Renamed{rng.randrange(10**6)}"
+        _rename(entity, "name", name)
+        _rename(entity, "tableName", name)
+    elif edit == "rename_field":
+        field = rng.choice([child for child in entity[2] if child[0] == "Field"])
+        _rename(field, "name", dict(field[1])["name"] + "X")
+    elif edit == "empty_language":  # a Language block with no text declares its language
+        owners = [entity, *(child for child in entity[2] if child[0] == "Field")]
+        rng.choice(owners)[2].append(["Language", [("name", rng.choice(["Xx", "en", "mk"]))],
+                                      [], ""])
+    elif edit == "fk":
+        target = dict(rng.choice(entities)[1])["name"]
+        entity[2].append(["Field", [("name", f"Fk{rng.randrange(10**6)}"), ("type", "int"),
+                                    ("isFK", "true"), ("fkEntityName", target)], [], ""])
+
+
+def _text_edit(edit, text, rng):
+    start, end = rng.choice(_spans(text))
+    head_end = text.index(">", start) + 1
+    if edit == "blank_line":
+        return text[:start] + "\n" + text[start:]
+    if edit == "crlf":
+        return text.replace("\r\n", "\n").replace("\n", "\r\n")
+    if edit == "duplicate":
+        return text[:end] + text[start:end] + text[end:]
+    if edit == "comment":  # the span no longer ends at its first Entity end tag
+        return text[:head_end] + "<!-- </Entity> -->" + text[head_end:]
+    if edit == "bad_reference":
+        return text[:head_end] + "&bogus;" + text[head_end:]
+    return text
+
+
+_TREE_EDITS = ["insert", "delete", "reorder", "rename", "rename_field", "empty_language", "fk"]
+_TEXT_EDITS = ["blank_line", "crlf", "duplicate", "comment", "bad_reference"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32), earlier_crlf=st.booleans(),
+       earlier_edits=st.lists(st.sampled_from(["fk", "empty_language"]), max_size=3),
+       edits=st.lists(st.sampled_from(_TREE_EDITS + _TEXT_EDITS), max_size=3),
+       stale=st.sampled_from([None, None, "length", "sources", "version 3"]))
+def test_a_load_with_stubs_equals_a_full_load(seed, earlier_crlf, earlier_edits, edits, stale):
+    """For a document edited after an earlier one loaded, a load that takes
+    the earlier load's summaries from its manifest gives the diagnostics and,
+    once every stub is bound, the model and summaries of a full load, or the
+    same ParseError; also where the summaries are stale."""
+    rng = random.Random(seed)
+    root = randmodels.model_element(rng, randmodels.random_model(rng, max_entities=6,
+                                                                  max_fields=4))
+    for edit in earlier_edits:
+        _tree_edit(edit, root, rng)
+    earlier = randmodels.to_xml(root)
+    if earlier_crlf:
+        earlier = _text_edit("crlf", earlier, rng)
+    recorded = _manifest_of(earlier, stale, rng)
+    for edit in (edit for edit in edits if edit in _TREE_EDITS):
+        _tree_edit(edit, root, rng)
+    text = randmodels.to_xml(root)
+    if earlier_crlf:
+        text = _text_edit("crlf", text, rng)
+    for edit in (edit for edit in edits if edit in _TEXT_EDITS):
+        text = _text_edit(edit, text, rng)
+    assert _outcome(text, recorded) == _outcome(text)
+
+
+def test_a_stub_with_an_fk_to_a_renamed_entity_is_an_error():
+    """Fakultet is renamed and Vest is not edited: Vest's FK is checked from
+    its summary, and the load is done again in full to locate the error."""
+    data = (FIXTURES / "newsboard.xml").read_bytes()
+    summaries = {}
+    assert loader.load_document(Document(data), None, summaries)[1] == []
+    lines = data.split(b"\n")
+    lines[4] = lines[4].replace(b'"Fakultet"', b'"Faculty"')
+    renamed = b"\n".join(lines)
+    assert renamed.count(b'"Fakultet"') == 1  # Vest's fkEntityName
+    model, diagnostics = loader.load_document(Document(renamed), summaries)
+    assert [(d.code, d.location, d.subject) for d in diagnostics] == [
+        (loader.E_FK_TARGET, (52, 7), "Entity[Vest]/Field[FakultetID]")]
+    assert (model, diagnostics) == loader.load_document(Document(renamed))
+
+
+def test_an_unchanged_entity_is_a_stub_until_read(newsboard_model):
+    data = (FIXTURES / "newsboard.xml").read_bytes()
+    summaries = {}
+    full, diagnostics = loader.load_document(Document(data), None, summaries)
+    assert diagnostics == [] and len(summaries) == 2
+    edited = data.replace(b"<DisplayName>Faculty</DisplayName>",
+                          b"<DisplayName>Faculty board</DisplayName>", 1)
+    model, diagnostics = loader.load_document(Document(edited), summaries)
+    fakultet, vest = model.entities
+    assert diagnostics == [] and model.languages == full.languages
+    assert fakultet.span is None and vest.span is not None
+    assert (vest.name, vest.location, vest.digest) == (full.entities[1].name,
+                                                        full.entities[1].location,
+                                                        full.entities[1].digest)
+    assert vest.fields == full.entities[1].fields and vest.span is None
+    assert vest == full.entities[1] and model.entities[1] is vest

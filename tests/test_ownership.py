@@ -264,11 +264,15 @@ def test_manifest_json_format():
         ManifestEntry("b.js", Ownership.ONCE, digest(b"y"), rule, entity),
         ManifestEntry("c.sql", Ownership.ALWAYS, digest(b"z"), rule, model,
                       ((entity, "true", 3, 9),)),
-    ))
+    ), summaries={entity: (812, ("en", "fr"), ("Other",)), "k" * 32: (5, (), ())},
+        sources="s" * 64)
     text = manifest_to_json(manifest)
     assert text.endswith("\n") and "\r" not in text
     payload = json.loads(text)
-    assert payload == {"version": 3, "rules": [rule], "entities": [entity, model], "entries": [
+    assert payload == {"version": 4, "rules": [rule], "entities": [entity, model],
+                       "sources": "s" * 64,
+                       "summaries": [[entity, 812, ["en", "fr"], ["Other"]], ["k" * 32, 5, [], []]],
+                       "entries": [
         ["a.sql", "always", digest(b"x")],
         ["b.js", "once", digest(b"y"), 0, 0],
         ["c.sql", "always", digest(b"z"), 0, 1, [0, "true", 3, 9]],
@@ -286,19 +290,28 @@ _steps = st.text(alphabet=st.characters(exclude_categories=("Cs",), exclude_char
 _paths = st.lists(_steps, min_size=1, max_size=3).map("/".join)  # normalized, relative
 _entries = st.tuples(_paths, st.sampled_from(Ownership), _texts, _keys, _keys, _fragments).map(
     lambda e: e if e[3] else e[:3])
+_summaries = st.dictionaries(_keys, st.tuples(
+    st.integers(1, 10**6), st.lists(_texts, max_size=2).map(tuple),
+    st.lists(_texts, max_size=2).map(tuple)), max_size=3)
 
 
-@given(st.lists(_entries, max_size=6))
-def test_manifest_json_is_what_json_dumps_writes(entries):
-    """Each entry is on a line of its own, as json.dumps writes it; each rule's
-    and entity's key is listed once; and the manifest reads back as written."""
-    manifest = Manifest(entries=tuple(ManifestEntry(*entry) for entry in entries))
+@given(st.lists(_entries, max_size=6), _summaries, _texts)
+def test_manifest_json_is_what_json_dumps_writes(entries, summaries, sources):
+    """Each entry and summary is on a line of its own, as json.dumps writes
+    it; each rule's and entity's key is listed once; and the manifest reads
+    back as written."""
+    manifest = Manifest(entries=tuple(ManifestEntry(*entry) for entry in entries),
+                        summaries=summaries, sources=sources)
     text = manifest_to_json(manifest)
     payload = json.loads(text)
-    assert payload["version"] == 3
+    assert payload["version"] == 4 and payload["sources"] == sources
+    lines = {line.strip().rstrip(",") for line in text.split("\n")}
+    for (key, (length, languages, targets)), row in zip(summaries.items(), payload["summaries"],
+                                                        strict=True):
+        assert row == [key, length, list(languages), list(targets)]
+        assert json.dumps(row, ensure_ascii=False) in lines
     rules, entities = payload["rules"], payload["entities"]
     assert len(set(rules)) == len(rules) and len(set(entities)) == len(entities)
-    lines = {line.strip().rstrip(",") for line in text.split("\n")}
     for entry, row in zip(manifest.entries, payload["entries"], strict=True):
         assert json.dumps(row, ensure_ascii=False) in lines
         assert row[:3] == [entry.path, entry.ownership.value, entry.sha256]
@@ -315,7 +328,7 @@ def test_version_1_manifest_loads_with_no_inputs():
             '"inputs": "ignored"}]}')
     manifest = manifest_from_json(text)
     assert manifest == Manifest((ManifestEntry("a", Ownership.ONCE, "00", ""),), version=1)
-    assert manifest != Manifest(manifest.entries)  # so it is written again, at version 3
+    assert manifest != Manifest(manifest.entries)  # so it is written again, at version 4
 
 
 def test_unknown_ownership_keeps_its_message():
@@ -417,6 +430,14 @@ def test_load_missing_manifest_returns_none(tmp_path):
                                         '["../a", "always", "00"]', '["/a", "always", "00"]',
                                         '["a/./b", "always", "00"]', '["", "always", "00"]')),
                                   '{"version": 3, "rules": [1], "entities": [], "entries": []}',
+                                  '{"version": 4, "rules": [], "entities": [], "entries": []}',
+                                  *(f'{{"version": 4, "rules": [], "entities": [], "entries": [], '
+                                    f'"sources": {sources}, "summaries": {summaries}}}'
+                                    for sources, summaries in (
+                                        ('0', '[]'), ('""', '{}'), ('""', '[["k", 0, [], []]]'),
+                                        ('""', '[["k", 1, []]]'), ('""', '[["k", 1, "en", []]]'),
+                                        ('""', '[["k", 1, [], [1]]]'), ('""', '[[1, 1, [], []]]'),
+                                        ('""', '[["k", true, [], []]]'))),
                                   '{"version": 3, "rules": [], "entities": "e", "entries": []}',
                                   '{"version": 3, "rules": [], "entities": [], "entries": {}}'])
 def test_malformed_manifest_rejected(text):
