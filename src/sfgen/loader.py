@@ -721,12 +721,8 @@ def validate_model(model: ApplicationModel) -> list[Diagnostic]:
                             entity.location, subject))
         else:
             seen_tables[entity.tableName] = entity
-        if entity.span is not None:
-            # a stub: its source loaded clean, so only the names it refers to can be wrong
-            out.extend(_err(E_FK_TARGET, f"fkEntityName '{target}' does not name an entity",
-                            entity.location, subject)
-                       for target in entity.span.targets if target not in entity_names)
-            continue
+        if entity.span is not None and entity_names.issuperset(entity.span.targets):
+            continue  # a stub whose source loaded clean, and every entity it names exists
 
         if not entity.fields:
             out.append(_err(E_NO_FIELDS, "Entity must declare at least one Field",
@@ -792,16 +788,11 @@ def load_document(document: Document, recorded: Optional[Mapping[str, Summary]] 
 
     `recorded` and `summaries` are as for bind_model; the summaries of a load
     are to be recorded only where it gave no diagnostics. A stub's source
-    bound clean before, so a load with stubs finds a diagnostic wherever a
-    full load finds any, though not all of them, nor where: where it finds
-    one, the document is loaded again in full.
+    bound clean before, so only an FK to an entity the model lacks can make it
+    wrong: validation binds such a stub in place and checks it in full, and
+    the load gives the diagnostics of a full load.
     """
     with paused_gc():
         model, diagnostics = bind_model(document, recorded, summaries)
         diagnostics.extend(validate_model(model))
-        if diagnostics and any(entity.span is not None for entity in model.entities):
-            if summaries is not None:
-                summaries.clear()
-            model, diagnostics = bind_model(document, None, summaries)
-            diagnostics.extend(validate_model(model))
     return model, diagnostics

@@ -78,7 +78,6 @@ class ManifestEntry:
 @dataclass(frozen=True)
 class Manifest:
     entries: tuple[ManifestEntry, ...] = ()
-    version: int = MANIFEST_VERSION  # of the file it was read from
     # entity key -> its summary, from a load with no diagnostics by the sfgen
     # whose sources digest (packs._sources_digest, in hex) is `sources`
     summaries: Mapping[str, "Summary"] = field(default_factory=dict)
@@ -354,15 +353,15 @@ def manifest_from_json(text: str) -> Manifest:
         if type(version) is not int or version not in (1, 2, 3, MANIFEST_VERSION):
             raise ValueError(f"unsupported manifest version {version!r}")
         if version < 3:
-            return Manifest(tuple(_old_entry(e, version) for e in payload["entries"]), version)
+            return Manifest(tuple(_old_entry(e, version) for e in payload["entries"]))
         entries = _entries(payload["entries"], _strings(payload["rules"], "rules"),
                            _strings(payload["entities"], "entities"))
         if version == 3:
-            return Manifest(tuple(entries), version)
+            return Manifest(tuple(entries))
         sources = payload["sources"]
         if type(sources) is not str:
             raise TypeError("sources must be a string")
-        return Manifest(tuple(entries), version, _summaries(payload["summaries"]), sources)
+        return Manifest(tuple(entries), _summaries(payload["summaries"]), sources)
     except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
         raise ManifestError(f"malformed manifest: {exc}") from exc
 

@@ -197,8 +197,7 @@ def _rule_key(rule: OutputRule, ast: atl.TemplateAst, lang: str, model: Applicat
               model_digest: str) -> str:
     """The key of the inputs that every artifact of `rule` shares."""
     h = hashlib.sha256(_sources_digest())
-    for part in (ast.source, rule.per, rule.pathPattern, rule.ownership.value, lang,
-                 repr(model.settings), repr(model.languages),
+    for part in (ast.source, rule.per, rule.ownership.value, lang, repr(model.settings),
                  json.dumps(rule.flags, sort_keys=True, ensure_ascii=False, default=repr),
                  model_digest):
         _update(h, part)
@@ -227,11 +226,11 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
     Each artifact records the keys of its inputs: of its rule's, and of the
     source of its entity or, for a per-model artifact, of the whole model; a
     key is the first KEY_LENGTH hex digits of a digest. A rule's inputs are
-    sfgen's sources, its template, flags, path, kind and ownership, the
-    language, the settings and the model's languages, and the whole model's
-    source where a per-entity template reads `model` or any `location`. A
-    template view of an entity reaches no other entity, and its default
-    language through the settings.
+    sfgen's sources, its template, flags, kind and ownership, the language and
+    the settings, and the whole model's source where a per-entity template
+    reads `model` or any `location`. A template view of an entity reaches no
+    other entity, and its default language through the settings; the model's
+    languages come from the entities' sources, and an entry is found by path.
 
     `read(path)` gives the bytes of the file at an artifact's path, or None
     where there is none; each file is read once. Where the `manifest` entry at
@@ -317,8 +316,9 @@ def _render_fragments(ast: atl.TemplateAst, context: Mapping[str, atl.Value],
                       old: bytes) -> tuple[bytes, tuple[Fragment, ...]]:
     """The content of a template with a fragment loop, keeping the iterations
     `recorded` lists from the bytes `old`, and its iterations: none where the
-    text holds a CR, since normalizing line ends could then join the ends of
-    two iterations."""
+    content holds a CR, since normalizing line ends could then join the ends
+    of two iterations. Kept iterations hold no CR, and no UTF-8 sequence
+    holds a CR or LF byte, so the bytes normalized are a whole render's."""
     spans = {fragment[:2]: fragment for fragment in recorded}
     keys: list[tuple[str, str]] = []
 
@@ -328,26 +328,20 @@ def _render_fragments(ast: atl.TemplateAst, context: Mapping[str, atl.Value],
         return spans.get(key)
 
     pieces = atl.render_fragments(ast, context, kept)
-    if any(type(piece) is str and "\r" in piece for piece in pieces):
-        if any(type(piece) is tuple for piece in pieces):
-            pieces = atl.render_fragments(ast, context, lambda item, loop: None)
-        return "".join(pieces).replace("\r\n", "\n").encode("utf-8"), ()
-    # the new content, with each run of kept iterations copied from `old` at once
     data, fragments = [pieces[0].encode("utf-8")], []
-    offset, run = len(data[0]), [0, 0]  # the run of `old` being copied
+    offset = len(data[0])
     for key, piece in zip(keys, pieces[1:-1]):
         if type(piece) is tuple:
             start, end = piece[2:]
-            if start != run[1]:
-                data.append(old[run[0]:run[1]])
-                run[0] = start
-            run[1] = end
+            data.append(old[start:end])
             fragments.append(piece if start == offset else (*key, offset, offset + end - start))
             offset += end - start
         else:
-            data += [old[run[0]:run[1]], piece.encode("utf-8")]
-            run = [0, 0]
+            data.append(piece.encode("utf-8"))
             fragments.append((*key, offset, offset + len(data[-1])))
             offset += len(data[-1])
-    data += [old[run[0]:run[1]], pieces[-1].encode("utf-8")]
-    return b"".join(data), tuple(fragments)
+    data.append(pieces[-1].encode("utf-8"))
+    content = b"".join(data)
+    if b"\r" in content:
+        return content.replace(b"\r\n", b"\n"), ()
+    return content, tuple(fragments)

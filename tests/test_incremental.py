@@ -431,6 +431,32 @@ def test_a_one_entity_edit_renders_one_iteration_of_each_fragment_loop(tmp_path,
     assert read_tree(out) == read_tree(tmp_path / "fresh")
 
 
+def test_a_rendered_iteration_with_a_cr_is_normalized_with_the_kept_ones(tmp_path, monkeypatch):
+    """Where a rendered iteration holds a CR, the spliced file, kept Vest
+    included, has its line ends normalized as a whole render's, and lists no
+    iterations; the template is rendered once."""
+    pack, model = tmp_path / "pack", tmp_path / "model.xml"
+    pack.mkdir()
+    (pack / "names.atl").write_text("head\n{% for e in model.entities %}{{ e.name }}: "
+                                    "{{ localized(e, lang, 'display') }}\n{% endfor %}tail\n")
+    (pack / "pack.json").write_text(json.dumps({"name": "p", "version": "1", "outputs": [
+        {"template": "names.atl", "path": "names.txt", "per": "model", "ownership": "always"}]}))
+    data = Path(NEWSBOARD).read_bytes()
+    model.write_bytes(data)
+    out = tmp_path / "out"
+    argv = ["generate", "--model", str(model), "--pack", str(pack), "--out", str(out)]
+    assert run(argv)[0] == 0
+    model.write_bytes(data.replace(b"<DisplayName>Faculty</DisplayName>",
+                                   b"<DisplayName>Fac\r\nulty\rX</DisplayName>", 1))
+    renders = counting_renders(monkeypatch)
+    assert run(argv)[0] == 0
+    assert renders == ["names.atl"]
+    monkeypatch.undo()
+    assert run([*argv[:-1], str(tmp_path / "fresh")])[0] == 0
+    assert read_tree(out) == read_tree(tmp_path / "fresh")
+    assert b"Fac\nulty\rX\nVest: News item\n" in (out / "names.txt").read_bytes()
+
+
 def test_no_change_regeneration_writes_no_manifest(tmp_path, monkeypatch):
     out = tmp_path / "out"
     argv = ["generate", "--model", NEWSBOARD, "--pack", str(PACK), "--out", str(out)]

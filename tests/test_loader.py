@@ -700,8 +700,9 @@ def test_a_load_with_stubs_equals_a_full_load(seed, earlier_crlf, earlier_edits,
 
 
 def test_a_stub_with_an_fk_to_a_renamed_entity_is_an_error():
-    """Fakultet is renamed and Vest is not edited: Vest's FK is checked from
-    its summary, and the load is done again in full to locate the error."""
+    """Fakultet is renamed and Vest is not edited: Vest's summary names
+    Fakultet, so Vest is bound where it is, and its error is located as in a
+    full load."""
     data = (FIXTURES / "newsboard.xml").read_bytes()
     summaries = {}
     assert loader.load_document(Document(data), None, summaries)[1] == []
@@ -712,6 +713,31 @@ def test_a_stub_with_an_fk_to_a_renamed_entity_is_an_error():
     model, diagnostics = loader.load_document(Document(renamed), summaries)
     assert [(d.code, d.location, d.subject) for d in diagnostics] == [
         (loader.E_FK_TARGET, (52, 7), "Entity[Vest]/Field[FakultetID]")]
+    assert (model, diagnostics) == loader.load_document(Document(renamed))
+
+
+def test_only_a_stub_naming_a_missing_entity_is_bound(monkeypatch):
+    """A is renamed: of the stubs B and C, only B's FK names A, so only B is
+    bound, in place, and the model is bound once, with a full load's
+    diagnostics."""
+    text = ('<xsource><Settings appName="P"/><EntityConfig>\n'
+            '<Entity name="A" tableName="A"><Field name="ID" type="int" isPK="true"/></Entity>\n'
+            '<Entity name="B" tableName="B"><Field name="ID" type="int" isPK="true"/>\n'
+            '  <Field name="AID" type="int" isFK="true" fkEntityName="A"/></Entity>\n'
+            '<Entity name="C" tableName="C"><Field name="ID" type="int" isPK="true"/>\n'
+            '  <Field name="BID" type="int" isFK="true" fkEntityName="B"/></Entity>\n'
+            '</EntityConfig></xsource>')
+    summaries = {}
+    assert loader.load_document(Document(text.encode()), None, summaries)[1] == []
+    renamed = text.replace('name="A" tableName="A"', 'name="Z" tableName="Z"').encode()
+    binds, bind = [], loader.bind_model
+    monkeypatch.setattr(loader, "bind_model", lambda *args: binds.append(args) or bind(*args))
+    model, diagnostics = loader.load_document(Document(renamed), summaries)
+    assert len(binds) == 1
+    assert [entity.span is None for entity in model.entities] == [True, True, False]
+    assert [(d.code, d.location, d.subject) for d in diagnostics] == [
+        (loader.E_FK_TARGET, (4, 3), "Entity[B]/Field[AID]")]
+    monkeypatch.undo()
     assert (model, diagnostics) == loader.load_document(Document(renamed))
 
 
