@@ -116,9 +116,11 @@ TplNode = Union[TextNode, OutputNode, ForNode, IfNode]
 class TemplateAst:
     name: str
     nodes: tuple[TplNode, ...]
-    # the nodes compiled to one Python function of (context, append), once, by
-    # parse_template, and the template positions its runtime errors refer to
-    compiled: Callable[[dict, Callable[[str], None]], None] = dc_field(repr=False, compare=False)
+    # the nodes compiled to one Python function of (context, append, mark), once,
+    # by parse_template, and the template positions its runtime errors refer to.
+    # Where mark is given, a fragment loop calls mark(item, loop) before each
+    # iteration, skipping it where that returns true, and mark(None, '') after it.
+    compiled: Callable[..., None] = dc_field(repr=False, compare=False)
     sites: tuple[Pos, ...] = dc_field(repr=False, compare=False)
     # what rendering can read: the source, the context names read, and every
     # attribute named by a path step
@@ -134,12 +136,9 @@ class FragmentLoop:
     of a template, where its body reads no context name but `lang` and `flags`,
     and no `location`. An iteration's text then depends only on its item, the
     values of the loop attributes in `reads`, `lang`, `flags` and the settings
-    (through `localized`), so it can be rendered, or kept, on its own."""
+    (through `localized`), so it can be rendered, or kept, on its own: the
+    template's function marks where each iteration starts (TemplateAst.compiled)."""
     reads: tuple[str, ...]  # the loop attributes its body reads, in _LOOP_ATTRS order
-    before: Callable[[dict, Callable[[str], None]], None]  # the text before the loop
-    items: Callable[[dict], list]  # the sequence it iterates
-    body: Callable[..., None]  # (ctx, append, item, index, length): one iteration
-    after: Callable[[dict, Callable[[str], None]], None]  # the text after the loop
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +399,9 @@ def parse_template(source: str, name: str) -> TemplateAst:
     byte-exactly except where trim markers apply."""
     nodes, _ = _Parser(source, name).block(0)
     gen = _Codegen()
-    fragment = gen.template(nodes)
+    reads = gen.template(nodes)
     compiled = gen.finish()
-    if fragment is not None:
-        reads, slots = fragment
-        fragment = FragmentLoop(reads, *(gen.namespace[f"r{slot}"] for slot in slots))
+    fragment = None if reads is None else FragmentLoop(reads)
     return TemplateAst(name, nodes, compiled, tuple(gen.sites), source,
                        frozenset(gen.context_names), frozenset(gen.steps), fragment)
 
@@ -601,10 +598,6 @@ _SPLIT = 12
 _INLINE_STEPS = 4  # path steps inlined; a longer path runs _steps
 _LOOP_ATTRS = {"index": ("i{}", int), "first": ("(i{} == 1)", bool),
                "last": ("(i{0} == n{0})", bool), "length": ("n{}", int)}
-# the text of each loop attribute of iteration i of n, as output renders it
-_LOOP_TEXTS: dict[str, Callable[[int, int], str]] = {
-    "index": lambda i, n: str(i), "first": lambda i, n: "true" if i == 1 else "false",
-    "last": lambda i, n: "true" if i == n else "false", "length": lambda i, n: str(n)}
 _ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _UNKNOWN = object()  # the value of a context name the context lacks
 # what a fragment loop iterates, and the context names its body may read
@@ -709,6 +702,8 @@ class _Codegen:
         self.names: dict[str, str] = {}  # its context names -> the locals c<n> holding them
         self.context_names: set[str] = set()  # of every function
         self.steps: set[str] = set()  # the attribute of every path step
+        self.candidate: Optional[ForNode] = None  # the loop that may be a fragment loop
+        self.fragment: Optional[tuple[str, ...]] = None  # the loop attributes its body reads
 
     def site(self, pos: Pos) -> int:
         self.sites.append(pos)
@@ -732,68 +727,15 @@ class _Codegen:
         exec(compile("\n".join(self.defs), "<atl>", "exec"), self.namespace)
         return self.namespace["r0"]
 
-    def template(self, nodes: Sequence[TplNode]) -> Optional[tuple[tuple[str, ...], list[int]]]:
-        """Generate r0, the template's function. Where the template has a
-        top-level `for` over the model's entities, r0 calls one function for
-        the text before it, one for its sequence, one per iteration and one for
-        the text after it. Where that loop is a fragment loop, returns the loop
-        attributes its body reads and the numbers of those four functions."""
-        at = next((i for i, node in enumerate(nodes) if type(node) is ForNode
-                   and type(node.expr) is Path and node.expr.names in _FRAGMENT_SEQUENCES), None)
-        if at is None:
-            self.define("ctx, append", lambda: self.block(nodes, 1))
-            return None
-        return self.define("ctx, append",
-                           lambda: self.split(nodes[:at], nodes[at], nodes[at + 1:]))[1]
-
-    def split(self, before: Sequence[TplNode], node: ForNode,
-              after: Sequence[TplNode]) -> Optional[tuple[tuple[str, ...], list[int]]]:
-        slots = [len(self.defs)]
-        call_before = self.define("ctx, append", lambda: self.block(before, 1))[0]
-        slots.append(len(self.defs))
-        call_items = self.define("ctx", lambda: self.items(node))[0]
-        self.loops += 1
-        # what the body reads is gathered apart, then added to what the rest reads
-        loop, names, steps = _Loop(node.var, self.loops), self.context_names, self.steps
-        self.scope, self.context_names, self.steps = (loop,), set(), set()
-        slots.append(len(self.defs))
-        call_body = self.define("ctx, append", lambda: self.iteration(node.body, loop))[0]
-        body_names, body_steps, self.scope = self.context_names, self.steps, ()
-        self.context_names, self.steps = names | body_names, steps | body_steps
-        slots.append(len(self.defs))
-        call_after = self.define("ctx, append", lambda: self.block(after, 1))[0]
-        k = loop.k
-        self.lines += [f" {call_before}", f" t = {call_items}", f" n{k} = len(t)",
-                       f" for i{k}, v{k} in enumerate(t, 1):", f"  {call_body}", f" {call_after}"]
-        if body_names <= _FRAGMENT_NAMES and "location" not in body_steps:
-            return tuple(attr for attr in _LOOP_ATTRS if attr in loop.reads), slots
-        return None
-
-    def items(self, node: ForNode) -> None:
-        self.sequence(node, " ")
-        self.lines.append(" return t")
-
-    def sequence(self, node: ForNode, pad: str) -> None:
-        """Bind t to the sequence of a loop, failing where it is not a list."""
-        site = self.site(node.pos)
-        self.lines += [f"{pad}t = {self.expr(node.expr, 0)[0]}",
-                       f"{pad}if not isinstance(t, list): "
-                       f"_fail({site}, 'for-loop expression is not a sequence')"]
-
-    @staticmethod
-    def loop_dict(k: int, pad: str) -> str:
-        """The line binding l<k>, the `loop` dict of loop k, at the start of its body."""
-        return f"{pad}l{k} = {{'index': i{k}, 'first': i{k} == 1, " \
-               f"'last': i{k} == n{k}, 'length': n{k}}}"
-
-    def iteration(self, body: Sequence[TplNode], loop: _Loop) -> None:
-        """The body of a loop as a function of its item, index and length. Where
-        the body reads `loop` as a value, the function builds that dict itself."""
-        self.block(body, 1)
-        if loop.meta:
-            k, loop.meta = loop.k, False
-            loop.reads.update(_LOOP_ATTRS)
-            self.lines.insert(0, self.loop_dict(k, " "))
+    def template(self, nodes: Sequence[TplNode]) -> Optional[tuple[str, ...]]:
+        """Generate r0, the template's function. Where its first top-level `for`
+        over the model's entities is a fragment loop, each iteration of that
+        loop starts with a call of mark, and the loop ends with one; returns
+        the loop attributes its body reads, else None."""
+        self.candidate = next((node for node in nodes if type(node) is ForNode and type(
+            node.expr) is Path and node.expr.names in _FRAGMENT_SEQUENCES), None)
+        self.define("ctx, append, mark=None", lambda: self.block(nodes, 1))
+        return self.fragment
 
     def block(self, nodes: Sequence[TplNode], indent: int) -> None:
         pad, text, first = " " * indent, [], len(self.lines)
@@ -817,13 +759,24 @@ class _Codegen:
             elif type(node) is ForNode:
                 self.loops += 1
                 k, loop, outer = self.loops, _Loop(node.var, self.loops), self.scope
-                self.sequence(node, pad)
-                self.lines += [f"{pad}n{k} = len(t)", f"{pad}for i{k}, v{k} in enumerate(t, 1):"]
+                site = self.site(node.pos)  # t is the sequence, which must be a list
+                self.lines += [f"{pad}t = {self.expr(node.expr, 0)[0]}",
+                               f"{pad}if not isinstance(t, list): "
+                               f"_fail({site}, 'for-loop expression is not a sequence')",
+                               f"{pad}n{k} = len(t)", f"{pad}for i{k}, v{k} in enumerate(t, 1):"]
                 start, self.scope = len(self.lines), (*outer, loop)
+                names, steps = self.context_names, self.steps
+                if node is self.candidate:  # what its body reads is gathered apart
+                    self.context_names, self.steps = set(), set()
                 self.block(node.body, indent + 1)
                 self.scope = outer
                 if loop.meta:
-                    self.lines.insert(start, self.loop_dict(k, pad + " "))
+                    self.lines.insert(start, f"{pad} l{k} = {{'index': i{k}, 'first': i{k} == 1, "
+                                             f"'last': i{k} == n{k}, 'length': n{k}}}")
+                if node is self.candidate:
+                    if self.context_names <= _FRAGMENT_NAMES and "location" not in self.steps:
+                        self.mark(loop, start, pad)
+                    self.context_names, self.steps = names | self.context_names, steps | self.steps
             elif type(node) is IfNode:
                 for i, (cond, branch) in enumerate(node.branches):
                     self.lines.append(f"{pad}{'elif' if i else 'if'} {self.truth(cond, 0)}:")
@@ -833,6 +786,18 @@ class _Codegen:
                     self.block(node.else_body, indent + 1)
         if len(self.lines) == first:
             self.lines.append(f"{pad}pass")
+
+    def mark(self, loop: _Loop, start: int, pad: str) -> None:
+        """Make fragment loop `loop`, whose body starts at line `start`, call
+        mark with each item and the text of the loop attributes its body
+        reads, as output renders them, comma-separated; and once after it."""
+        reads = self.fragment = tuple(attr for attr in _LOOP_ATTRS
+                                      if loop.meta or attr in loop.reads)
+        key = " + ',' + ".join(f"str({value.format(loop.k)})" if kind is int else
+                               f"('true' if {value.format(loop.k)} else 'false')"
+                               for value, kind in map(_LOOP_ATTRS.get, reads)) or "''"
+        self.lines.insert(start, f"{pad} if mark is not None and mark(v{loop.k}, {key}): continue")
+        self.lines.append(f"{pad}if mark is not None: mark(None, '')")
 
     def truth(self, node: Expr, depth: int) -> str:
         value, kind = self.expr(node, depth)
@@ -899,14 +864,19 @@ class _Codegen:
         return value, kind
 
 
-def render(ast: TemplateAst, context: Mapping[str, Value]) -> str:
-    """Evaluate a template over a context; deterministic and side-effect free."""
-    out: list[str] = []
+def _run(ast: TemplateAst, context: Mapping[str, Value], append: Callable[[str], None],
+         mark: Optional[Callable[[ModelView, str], bool]] = None) -> None:
     try:
-        ast.compiled(dict(context), out.append)
+        ast.compiled(dict(context), append, mark)
     except _Failure as exc:
         site, reason = exc.args
         raise TemplateRuntimeError(ast.name, *ast.sites[site], reason) from None
+
+
+def render(ast: TemplateAst, context: Mapping[str, Value]) -> str:
+    """Evaluate a template over a context; deterministic and side-effect free."""
+    out: list[str] = []
+    _run(ast, context, out.append)
     return "".join(out)
 
 
@@ -916,30 +886,26 @@ def render_fragments(ast: TemplateAst, context: Mapping[str, Value],
     the loop, one piece per iteration, then the text after it. Joined, the
     pieces are what render() returns. An iteration is rendered only where
     kept(item, loop) is None; anything else stands as its piece. `loop` is the
-    text of the loop attributes its body reads, comma-separated."""
-    loop, ctx, out = ast.fragment, dict(context), []
-    body, texts = loop.body, [_LOOP_TEXTS[name] for name in loop.reads]
-    text = texts[0] if len(texts) == 1 else lambda i, n: ",".join([t(i, n) for t in texts])
-    try:
-        loop.before(ctx, out.append)
-        pieces = ["".join(out)]
-        items = loop.items(ctx)
-        n = len(items)
-        for i, item in enumerate(items, 1):
-            piece = kept(item, text(i, n) if texts else "")
-            if piece is None:
-                out.clear()
-                body(ctx, out.append, item, i, n)
-                piece = "".join(out)
+    text of the loop attributes its body reads, comma-separated. The pieces are
+    cut from one render where the template's function marks an iteration."""
+    out: list[str] = []
+    pieces: list[Any] = []
+    rendered = True  # whether the text since the last mark is a piece: not a kept one
+
+    def mark(item: Optional[ModelView], loop: str) -> bool:
+        nonlocal rendered
+        if rendered:
+            pieces.append("".join(out))
+            out.clear()
+        piece = None if item is None else kept(item, loop)
+        rendered = piece is None
+        if not rendered:
             pieces.append(piece)
-        out.clear()
-        loop.after(ctx, out.append)
-    except _Failure as exc:
-        site, reason = exc.args
-        raise TemplateRuntimeError(ast.name, *ast.sites[site], reason) from None
+        return not rendered
+
+    _run(ast, context, out.append, mark)
     pieces.append("".join(out))
     return pieces
-
 
 
 def eval_expr(expr: Union[Expr, str], env: Mapping[str, Value], name: str = "<expr>") -> Value:

@@ -4,7 +4,7 @@ render, at which output paths, with which ownership.
 A pack directory holds `pack.json` and the templates it references. Generation
 expands each output rule (once per model, or once per active entity), renders
 the template and yields deterministic UTF-8 artifacts. Each artifact carries
-the key of its inputs, so that a later run can take an artifact whose inputs
+the keys of its inputs, so that a later run can take an artifact whose inputs
 are unchanged from disk instead of rendering it.
 """
 
@@ -66,11 +66,6 @@ class Artifact:
     entity: str = ""
     fragments: tuple[Fragment, ...] = ()  # of a template with a fragment loop: its iterations
 
-    @property
-    def inputs(self) -> str:
-        """The two keys as one: everything its content depends on."""
-        return self.rule + self.entity
-
 
 def builtin_pack_dir(name: str = "webstack") -> Path:
     """Directory of a pack bundled with the package."""
@@ -98,6 +93,8 @@ def _check_path_pattern(rule_index: int, rule: OutputRule) -> None:
     where = f"output rule #{rule_index} ({pattern!r})"
     if not pattern or pattern.startswith(("/", "\\")) or re.match(r"[A-Za-z]:", pattern):
         raise PackError(f"{where}: path must be relative")
+    if "\0" in pattern:
+        raise PackError(f"{where}: path must not contain a NUL character")
     if ".." in pattern.split("/"):
         raise PackError(f"{where}: path must not escape the output root")
     if rule.per == "model" and _PLACEHOLDER_RE.search(pattern):
@@ -236,11 +233,11 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
     where there is none; each file is read once. Where the `manifest` entry at
     that path holds the artifact's keys, the file's bytes are its content, and
     it is not rendered. A per-model template with a fragment loop
-    (atl.FragmentLoop) whose entry has its rule's key renders the text around
-    the loop, and each iteration whose key the entry does not list; the other
-    iterations are kept from the file's bytes. Planning then checks that those
-    bytes are the ones the manifest records: content spliced from an edited
-    file is a CONFLICT, and never written.
+    (atl.FragmentLoop) whose entry has its rule's key is rendered once, and
+    skips each iteration whose key the entry lists: that iteration is kept
+    from the file's bytes. Planning then checks that those bytes are the ones
+    the manifest records: content spliced from an edited file is a CONFLICT,
+    and never written.
     """
     lang = lang or model.settings.defaultLanguage or next(iter(model.languages), "")
     view = atl.ModelView(model, model)  # one view of the model serves every rule

@@ -11,6 +11,7 @@ name goes through; nothing changes at run time.
 
 import contextlib
 import dataclasses
+import itertools
 
 from sfgen import atl
 from sfgen import model as m
@@ -55,14 +56,25 @@ class ReadChecker:
                 return render(ast, context)
 
         def checked_fragments(ast, context, kept):
-            body = ast.fragment.body
+            compiled = ast.compiled
 
-            def checked_body(ctx, append, item, i, n):
-                with checker.render(item.element, f"{ast.name} iteration {i}"):
-                    body(ctx, append, item, i, n)
+            def checked_compiled(ctx, append, mark):
+                iterations, rendering = itertools.count(1), contextlib.ExitStack()
 
-            fragment = dataclasses.replace(ast.fragment, body=checked_body)
-            return render_fragments(dataclasses.replace(ast, fragment=fragment), context, kept)
+                def checked_mark(item, loop):
+                    rendering.close()  # the iteration before, if any, ends here
+                    skip = mark(item, loop)
+                    i = next(iterations)
+                    if item is not None and not skip:
+                        rendering.enter_context(
+                            checker.render(item.element, f"{ast.name} iteration {i}"))
+                    return skip
+
+                with rendering:
+                    compiled(ctx, append, checked_mark)
+
+            return render_fragments(dataclasses.replace(ast, compiled=checked_compiled),
+                                    context, kept)
 
         monkeypatch.setattr(atl.ModelView, "__getitem__", getitem, raising=False)
         monkeypatch.setattr(atl, "render", checked_render)

@@ -253,6 +253,9 @@ def test_path_through_null_propagates():
 def test_field_access_into_scalar_errors():
     with pytest.raises(TemplateRuntimeError, match="cannot access"):
         R("{{ a.b }}", a=42)
+    with pytest.raises(TemplateRuntimeError) as exc:  # a path longer than _INLINE_STEPS
+        eval_expr("a.b.c.d.e.name", {"a": {"b": {"c": 3}}})
+    assert str(exc.value) == "<expr>:1:1: cannot access '.d' on int value"
 
 
 def test_unknown_name_errors():
@@ -310,6 +313,22 @@ def test_boolean_operators_short_circuit():
     assert eval_expr("true or nosuch.x", {"nosuch": 3}) is True
     assert eval_expr("false and nosuch.x", {"nosuch": 3}) is False
     assert eval_expr("not false", {}) is True
+
+
+@pytest.mark.parametrize("expr, env, value", [
+    # paths of more than _INLINE_STEPS steps, through dicts into a view, or into Null
+    ("a.b.c.d.e.name", lambda e, f, g: {"a": {"b": {"c": {"d": {"e": e}}}}}, "Fakultet"),
+    ("a.b.c.d.e.name", lambda e, f, g: {"a": {"b": {"c": None}}}, None),
+    # views are equal where their elements are, and always true
+    ("e.pk == f.pk", lambda e, f, g: {"e": e, "f": f}, True),
+    ("e.pk == g.pk", lambda e, f, g: {"e": e, "g": g}, False),
+    ("not e.pk", lambda e, f, g: {"e": e}, False),
+])
+def test_eval_views_and_long_paths(newsboard_model, expr, env, value):
+    """`env` is given two views of Fakultet and one of Vest."""
+    fakultet, vest = newsboard_model.entities
+    views = [atl.ModelView(entity, newsboard_model) for entity in (fakultet, fakultet, vest)]
+    assert eval_expr(expr, env(*views)) == value
 
 
 def test_string_literals_both_quotes():

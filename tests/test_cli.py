@@ -394,6 +394,17 @@ def test_generate_output_rule_value_not_a_string(tmp_path, key):
     assert "Traceback" not in result.stderr
 
 
+def test_generate_output_rule_path_with_a_nul(tmp_path):
+    pack = json.loads(Path(PACK, "pack.json").read_text("utf-8"))
+    pack["outputs"][0]["path"] = "sql/001\u0000tables.sql"
+    result = _generate_with_pack_file(tmp_path, "pack.json", json.dumps(pack))
+    assert result.returncode == 4
+    assert ("error E_PACK: output rule #1 ('sql/001\\x00tables.sql'): path must not contain "
+            "a NUL character") in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_stats_table_and_json(tmp_path, capsys):
     out = tmp_path / "out"
     assert generate(out) == 0

@@ -457,6 +457,55 @@ def test_a_rendered_iteration_with_a_cr_is_normalized_with_the_kept_ones(tmp_pat
     assert b"Fac\nulty\rX\nVest: News item\n" in (out / "names.txt").read_bytes()
 
 
+def one_rule_pack(directory, template):
+    """A pack in `directory` whose one rule renders `template` to t.txt, per model."""
+    directory.mkdir()
+    (directory / "t.atl").write_text(template, "utf-8")
+    (directory / "pack.json").write_text(json.dumps({"name": "p", "version": "1", "outputs": [
+        {"template": "t.atl", "path": "t.txt", "per": "model", "ownership": "always"}]}))
+    return directory
+
+
+def test_a_loop_whose_body_reads_the_model_renders_whole(tmp_path, newsboard_model):
+    pack = packs.load_pack(packs.read_pack_dir(one_rule_pack(tmp_path / "pack", (
+        "{% for e in model.entities %}{{ e.name }} of {{ count(model.entities) }}\n"
+        "{% endfor %}end\n"))))
+    assert pack.templates["t.atl"].fragment is None
+    [artifact] = packs.generate_all(newsboard_model, pack)
+    assert (artifact.content, artifact.fragments) == (b"Fakultet of 2\nVest of 2\nend\n", ())
+
+
+def test_a_body_that_reads_loop_keys_its_iterations_by_every_loop_attribute(tmp_path,
+                                                                             newsboard_model):
+    pack = one_rule_pack(tmp_path / "pack", "{% for e in model.entities %}{{ e.name }} "
+                                            "{{ count(loop) }} {{ loop.last }}\n{% endfor %}")
+    [artifact] = packs.generate_all(newsboard_model, packs.load_pack(packs.read_pack_dir(pack)))
+    assert artifact.content == b"Fakultet 4 false\nVest 4 true\n"
+    assert [loop for _, loop, _, _ in artifact.fragments] == ["1,true,false,2", "2,false,true,2"]
+    # swapped, each entity has the other's loop attributes
+    text = Path(NEWSBOARD).read_text("utf-8")
+    (a, b), (c, d) = [m.span() for m in re.finditer(r"<Entity\b.*?</Entity>", text, re.S)]
+    model = tmp_path / "model.xml"
+    model.write_text(text, "utf-8")
+    argv = ["generate", "--model", str(model), "--pack", str(pack), "--out", str(tmp_path / "out")]
+    assert run(argv)[0] == 0
+    model.write_text(text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:], "utf-8")
+    assert run(argv)[0] == 0
+    assert run([*argv[:-1], str(tmp_path / "fresh")])[0] == 0
+    assert read_tree(tmp_path / "out") == read_tree(tmp_path / "fresh")
+    assert (tmp_path / "out/t.txt").read_bytes() == b"Vest 4 false\nFakultet 4 true\n"
+
+
+def test_a_runtime_error_in_a_fragment_loop_is_located(tmp_path, newsboard_model):
+    pack = packs.load_pack(packs.read_pack_dir(one_rule_pack(
+        tmp_path / "pack", "{% for e in model.entities %}{{ lower(e) }}{% endfor %}")))
+    assert pack.templates["t.atl"].fragment is not None
+    with pytest.raises(atl.TemplateRuntimeError) as error:
+        packs.generate_all(newsboard_model, pack)
+    assert str(error.value) == ("while rendering 't.txt': t.atl:1:33: lower(): cannot render "
+                                "a ModelView value as text")
+
+
 def test_no_change_regeneration_writes_no_manifest(tmp_path, monkeypatch):
     out = tmp_path / "out"
     argv = ["generate", "--model", NEWSBOARD, "--pack", str(PACK), "--out", str(out)]
@@ -655,15 +704,17 @@ def test_a_model_built_in_code_records_no_inputs(webstack):
                                                            ""),))
     artifacts = packs.generate_all(model, webstack, manifest=manifest,
                                    read=lambda path: b"from disk")
-    assert artifacts and all(a.inputs == "" and a.content != b"from disk" for a in artifacts)
+    assert artifacts and all(a.rule + a.entity == "" and a.content != b"from disk"
+                             for a in artifacts)
 
 
 def test_every_input_of_a_loaded_model_is_recorded(newsboard_model, webstack):
-    english = [a.inputs for a in packs.generate_all(newsboard_model, webstack, lang="English")]
+    english = [a.rule + a.entity
+               for a in packs.generate_all(newsboard_model, webstack, lang="English")]
     assert all(len(inputs) == 64 for inputs in english)
     assert len(set(english)) == len(english)
     macedonian = packs.generate_all(newsboard_model, webstack, lang="Macedonian")
-    assert not set(english) & {a.inputs for a in macedonian}
+    assert not set(english) & {a.rule + a.entity for a in macedonian}
 
 
 def test_reuse_is_asked_for_each_artifact_with_its_inputs(newsboard_model, webstack):
@@ -685,7 +736,7 @@ def test_reuse_is_asked_for_each_artifact_with_its_inputs(newsboard_model, webst
                                    manifest=ownership.Manifest(tuple(entries)), read=read)
     assert asked == [a.path for a in fresh] == [a.path for a in artifacts]
     assert [a.content == b"from disk" for a in artifacts] == [i % 2 == 1 for i in range(len(fresh))]
-    assert [a.inputs for a in artifacts] == [a.inputs for a in fresh]
+    assert [a.rule + a.entity for a in artifacts] == [a.rule + a.entity for a in fresh]
 
 
 def test_a_template_reading_the_model_or_a_location_uses_the_whole_model():
@@ -704,7 +755,7 @@ def test_a_template_reading_the_model_or_a_location_uses_the_whole_model():
 
     def inputs(document):
         model, _ = loader.load_model(document.encode("utf-8"))
-        return {a.path: a.inputs for a in packs.generate_all(
+        return {a.path: a.rule + a.entity for a in packs.generate_all(
             model, pack, manifest=ownership.Manifest(), read=lambda path: None)}
 
     before = inputs(text)

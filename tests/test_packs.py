@@ -64,7 +64,9 @@ def test_unparsable_template():
                                   "x/{entity.nmae}.md", "x/{entity.fields}.md",
                                   # braces that enclose no placeholder
                                   "docs/{ entity.name }.md", "docs/{model.name}.md",
-                                  "docs/{entity.name.md", "docs/entity.name}.md"])
+                                  "docs/{entity.name.md", "docs/entity.name}.md",
+                                  # a NUL, which no file name holds
+                                  "docs/\\u0000{entity.name}.md"])
 def test_bad_path_patterns(path):
     listing = dict(MINIMAL_PACK)
     listing["pack.json"] = MINIMAL_PACK["pack.json"].replace("docs/{entity.name}.md", path)
