@@ -13,9 +13,11 @@ from __future__ import annotations
 import json
 import operator
 import re
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass, field as dc_field, fields, is_dataclass
+from enum import EnumMeta
 from html import escape
-from typing import Any, Callable, Mapping, Optional, Sequence, Union
+from typing import (Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union, get_args,
+                    get_origin, get_type_hints)
 
 from . import model as m
 
@@ -139,6 +141,7 @@ class FragmentLoop:
     (through `localized`), so it can be rendered, or kept, on its own: the
     template's function marks where each iteration starts (TemplateAst.compiled)."""
     reads: tuple[str, ...]  # the loop attributes its body reads, in _LOOP_ATTRS order
+    names: frozenset[str]  # the context names its body reads
 
 
 # ---------------------------------------------------------------------------
@@ -390,124 +393,100 @@ def _is_name(token: str) -> bool:
     return token[0].isalpha() or token[0] == "_"  # names are the only such tokens
 
 
-def parse_expr(source: str, name: str = "<expr>") -> Expr:
-    return _Parser(source, name).expr(0, len(source))
-
-
 def parse_template(source: str, name: str) -> TemplateAst:
     """Parse ATL source into an immutable AST; literal text is preserved
     byte-exactly except where trim markers apply."""
     nodes, _ = _Parser(source, name).block(0)
     gen = _Codegen()
-    reads = gen.template(nodes)
+    fragment = gen.template(nodes)
     compiled = gen.finish()
-    fragment = None if reads is None else FragmentLoop(reads)
     return TemplateAst(name, nodes, compiled, tuple(gen.sites), source,
                        frozenset(gen.context_names), frozenset(gen.steps), fragment)
 
 
 # ---------------------------------------------------------------------------
-# values
+# values: templates read the bound model. NAMES gives each model class the names
+# a step reads of its elements, and any other name reads as Null. The compiler
+# types steps from it, and _step reads it for a value of a type not known then.
 
-class ModelView(dict):
-    """Read-only template view of one model element; path steps read it as a dict.
-
-    Each attribute is computed on first access and stored: a derived sequence
-    from _COMPUTED, or the element's attribute with enums as tokens, tuples as
-    lists, model elements as views and absent names as Null. A view never refers
-    to the view that made it, so reference counting frees a tree of views."""
-
-    __slots__ = ("element", "model", "owner")
-
-    def __init__(self, element: Any, model: Optional[m.ApplicationModel] = None,
-                 owner: Optional[m.Entity] = None):
-        self.element = element
-        self.model = model  # for localized()'s default language
-        self.owner = owner  # the entity that declares a field or constraint
-
-    def __missing__(self, name: str) -> Any:
-        compute = _COMPUTED.get((type(self.element), name))
-        if compute is not None:
-            value = compute(self)
-        elif name in _FIELDS.get(type(self.element), ()):
-            value = getattr(self.element, name)
-            if type(value) not in _PLAIN_TYPES:
-                value = self._convert(value)
-        else:
-            value = None  # not a field: a dunder, a method or a misspelling
-        self[name] = value
-        return value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ModelView) and self.element == other.element
-
-    __ne__ = object.__ne__  # the inverse of __eq__, not dict's comparison
-
-    def _convert(self, value: Any) -> Any:
-        kind = type(value)
-        if kind in _TOKEN_TYPES:
-            return value.value
-        if kind is tuple:
-            return [self._convert(v) for v in value]
-        if kind in _VIEWED_TYPES:
-            owner = self.element if type(self.element) is m.Entity else self.owner
-            return ModelView(value, self.model, owner)
-        return value
+class Name(NamedTuple):
+    cls: Optional[type] = None  # the model class of the value, or of its items
+    read: Optional[Callable[[Any, dict, Any], Any]] = None  # (element, ctx, owner); None: getattr
 
 
-_PLAIN_TYPES = frozenset({str, int, bool, type(None)})
-_TOKEN_TYPES = frozenset({m.FieldType, m.RelationshipOp, m.ConstraintKind, m.Caching})
-_VIEWED_TYPES = frozenset({m.Entity, m.Field, m.Constraint, m.ColumnSpec, m.Settings,
-                           m.LocalizedText, m.ApplicationModel})
-# the attributes a view reads from its element, besides those in _COMPUTED
-# (an entity's source digest is not compared, so not part of its value)
-_FIELDS = {cls: frozenset(f.name for f in fields(cls) if f.compare) for cls in _VIEWED_TYPES}
+_NULL = Name(read=lambda *_: None)
+# context keys that no template name can spell: the default language `localized`
+# falls back to, and the memo of computed names that the renders given it share
+DEFAULT_LANGUAGE, MEMO = "@defaultLanguage", "@memo"
 
 
-def _constraint_fields(view: ModelView) -> list[Optional[ModelView]]:
-    by_name = {f.name: f for f in view.owner.fields} if view.owner else {}
-    return [view._convert(by_name.get(name)) for name in view.element.cfields]
+def _fields_of(cls: type) -> dict[str, Name]:
+    """The compared fields of a model class (not an entity's digest), an enum as its token."""
+    names, hints = {}, get_type_hints(cls)
+    for name in (f.name for f in fields(cls) if f.compare):
+        hint = get_args(hints[name])[0] if get_origin(hints[name]) is Union else hints[name]
+        item = get_args(hint)[0] if get_origin(hint) is tuple else hint
+        names[name] = Name(read=lambda e, _, __, a=name: getattr(getattr(e, a), "value", None)) \
+            if type(item) is EnumMeta else Name(item if is_dataclass(item) else None)
+    return names
 
 
-def _update_columns(view: ModelView) -> list[ModelView]:
-    pk_names = {f.name for f in view.element.fields if f.isPK}
-    return [c for c in view["insert_columns"] if c.element.name not in pk_names]
+def _computed(cls: Optional[type], compute: Callable, owned: bool = False) -> Name:
+    """The name compute(element, owner, ctx) gives, once per element (and owner) per memo."""
+    def read(element: Any, ctx: dict, owner: Any) -> Any:
+        memo, key = ctx[MEMO], (id(element), compute, id(owner) if owned else 0)
+        if key not in memo:  # which holds the element and owner, so no id is reused
+            memo[key] = element, owner, compute(element, owner if owned else None, ctx)
+        return memo[key][2]
+    return Name(cls, read)
 
 
-_COMPUTED: dict[tuple[type, str], Callable[[ModelView], Any]] = {
-    (m.ApplicationModel, "active_entities"):
-        lambda v: [e for e in v["entities"] if e.element.isActive],
-    (m.Entity, "columns"): lambda v: v._convert(m.effective_columns(v.element)),
-    (m.Entity, "pk"): lambda v: next((f for f in v["fields"] if f.element.isPK), None),
-    (m.Entity, "insert_columns"):
-        lambda v: [c for c in v["columns"] if not c.element.identity],
-    (m.Entity, "update_columns"): _update_columns,
-    (m.Entity, "edit_fields"): lambda v: [f for f in v["fields"] if f.element.isShownInEdit],
-    (m.Entity, "list_fields"): lambda v: [f for f in v["fields"] if f.element.isShownInList],
-    (m.Entity, "required_fields"):
-        lambda v: [f for f in v["fields"] if f.element.isShownInEdit
-                   and not f.element.nullable and not f.element.isIdentity],
-    (m.Entity, "unique_constraints"):
-        lambda v: [c for c in v["constraints"] if c.element.kind is m.ConstraintKind.UNIQUE],
-    (m.Entity, "twofields_constraints"):
-        lambda v: [c for c in v["constraints"] if c.element.kind is m.ConstraintKind.TWO_FIELDS],
-    (m.Constraint, "fields"): _constraint_fields,
-    (m.Constraint, "first_field"): lambda v: v["fields"][0] if v["fields"] else None,
-    (m.Constraint, "second_field"):
-        lambda v: v["fields"][1] if len(v["fields"]) > 1 else None,
-    (m.Constraint, "nullable"):
-        lambda v: any(f.element.nullable for f in v["fields"] if f is not None),
+def _where(seq: str, cls: type, test: Callable[[Any], bool]) -> Name:
+    return _computed(cls, lambda e, _, ctx: tuple(filter(test, _step(e, seq, 0, ctx))))
+
+
+def _update_columns(entity: m.Entity, _: Any, ctx: dict) -> tuple:
+    pk_names = {f.name for f in entity.fields if f.isPK}
+    return tuple(c for c in _step(entity, "insert_columns", 0, ctx) if c.name not in pk_names)
+
+
+_COMPUTED = {
+    m.ApplicationModel: {"active_entities": _where("entities", m.Entity, lambda e: e.isActive)},
+    m.Entity: {
+        "columns": _computed(m.ColumnSpec, lambda e, _, ctx: m.effective_columns(e)),
+        "pk": _computed(m.Field, lambda e, _, ctx: next((f for f in e.fields if f.isPK), None)),
+        "insert_columns": _where("columns", m.ColumnSpec, lambda c: not c.identity),
+        "update_columns": _computed(m.ColumnSpec, _update_columns),
+        "edit_fields": _where("fields", m.Field, lambda f: f.isShownInEdit),
+        "list_fields": _where("fields", m.Field, lambda f: f.isShownInList),
+        "required_fields": _where("fields", m.Field, lambda f: f.isShownInEdit
+                                  and not f.nullable and not f.isIdentity),
+        "unique_constraints": _where("constraints", m.Constraint,
+                                     lambda c: c.kind is m.ConstraintKind.UNIQUE),
+        "twofields_constraints": _where("constraints", m.Constraint,
+                                        lambda c: c.kind is m.ConstraintKind.TWO_FIELDS),
+    },
+    m.Constraint: {  # each field a constraint names, found among its owner's; else None
+        "fields": _computed(m.Field, lambda c, o, ctx: tuple(map(({f.name: f for f in o.fields}
+                            if type(o) is m.Entity else {}).get, c.cfields)), owned=True),
+        "first_field": _computed(m.Field, lambda c, o, ctx: next(
+            iter(_step(c, "fields", 0, ctx, o)), None), owned=True),
+        "second_field": _computed(m.Field, lambda c, o, ctx: next(
+            iter(_step(c, "fields", 0, ctx, o)[1:]), None), owned=True),
+        "nullable": _computed(None, lambda c, o, ctx: any(
+            f.nullable for f in _step(c, "fields", 0, ctx, o) if f is not None), owned=True),
+    },
 }
+NAMES = {cls: {**_fields_of(cls), **_COMPUTED.get(cls, {})} for cls in (  # class -> name -> Name
+    m.ApplicationModel, m.Settings, m.Entity, m.Field, m.Constraint, m.ColumnSpec, m.LocalizedText)}
 
-Value = Union[None, bool, int, str, list, dict]
+Value = Any  # Null (None), a bool, int, str, list, tuple or dict, or a model element
 
 
 def truthy(value: Value) -> bool:
     if value is None or value is True or value is False:
         return value is True
-    if isinstance(value, ModelView):
-        return True
-    return bool(value) if isinstance(value, (int, str, list, dict)) else True
+    return bool(value) if isinstance(value, (int, str, list, tuple, dict)) else True
 
 
 # ---------------------------------------------------------------------------
@@ -521,22 +500,20 @@ def sql_operator(rel: Union[str, m.RelationshipOp]) -> str:
     }[token]
 
 
-def compare_kind(field: Union[m.Field, ModelView]) -> str:
+def compare_kind(field: m.Field) -> str:
     """Comparison family of a field: "dates" for date/datetime, else "strings"."""
-    obj = field.element if isinstance(field, ModelView) else field
-    return m.comparison_family(obj.type)
+    return m.comparison_family(field.type)
 
 
-def sql_type(column: Union[m.ColumnSpec, ModelView]) -> str:
+def sql_type(column: Union[m.ColumnSpec, m.Field]) -> str:
     """DDL type of a column: bare token, with parenthesized length for sized strings."""
-    obj = column.element if isinstance(column, ModelView) else column
-    if obj.length is not None:
-        return f"{obj.type.value}({obj.length})"
-    return obj.type.value
+    if column.length is not None:
+        return f"{column.type.value}({column.length})"
+    return column.type.value
 
 
 def _builtin_count(seq: Value) -> int:
-    if isinstance(seq, ModelView) or not isinstance(seq, (list, str, dict)):
+    if not isinstance(seq, (list, tuple, str, dict)):
         raise TypeError("count() expects a sequence")
     return len(seq)
 
@@ -561,12 +538,10 @@ def _builtin_js_str(text: Value) -> str:
     return _as_text(text).translate(_JS_ESCAPES)
 
 
-def _builtin_localized(node: Value, lang: Value, key: Value) -> str:
-    if not isinstance(node, ModelView) \
-            or not isinstance(node.element, (m.Entity, m.Field, m.Constraint)):
+def _builtin_localized(default_lang: Optional[str], node: Value, lang: Value, key: Value) -> str:
+    if not isinstance(node, (m.Entity, m.Field, m.Constraint)):
         raise TypeError("localized() expects an entity, field or constraint")
-    default_lang = node.model.settings.defaultLanguage if node.model else None
-    return m.localized_text(node.element, str(key), str(lang), default_lang)
+    return m.localized_text(node, str(key), str(lang), default_lang)
 
 
 BUILTINS: dict[str, Callable[..., Value]] = {
@@ -595,7 +570,7 @@ BUILTINS: dict[str, Callable[..., Value]] = {
 # next level goes into a function of its own; within CPython's limits on
 # nested loops (20), indentation (100) and parentheses (200).
 _SPLIT = 12
-_INLINE_STEPS = 4  # path steps inlined; a longer path runs _steps
+_INLINE_STEPS = 4  # path steps inlined; a longer path runs _steps, then its last step
 _LOOP_ATTRS = {"index": ("i{}", int), "first": ("(i{} == 1)", bool),
                "last": ("(i{0} == n{0})", bool), "length": ("n{}", int)}
 _ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
@@ -613,8 +588,12 @@ def _fail(site: int, reason: str) -> Value:
     raise _Failure(site, reason)
 
 
-def _step(value: Value, attr: str, site: int) -> Value:
-    """One path step on a value that is not a ModelView."""
+def _step(value: Value, attr: str, site: int, ctx: dict, owner: Value = None) -> Value:
+    """A path step on a value of a type not known when compiling; `owner` as for path."""
+    names = NAMES.get(type(value))
+    if names is not None:  # a dunder, a method or a misspelling reads as Null
+        name = names.get(attr, _NULL)
+        return getattr(value, attr) if name.read is None else name.read(value, ctx, owner)
     if value is None:
         return None  # Null propagates through the rest of the path
     if isinstance(value, dict):
@@ -622,9 +601,9 @@ def _step(value: Value, attr: str, site: int) -> Value:
     raise _Failure(site, f"cannot access '.{attr}' on {type(value).__name__} value")
 
 
-def _steps(value: Value, attrs: tuple[str, ...], site: int) -> Value:
+def _steps(value: Value, attrs: tuple[str, ...], site: int, ctx: dict, owner: Value) -> Value:
     for attr in attrs:
-        value = value[attr] if type(value) is ModelView else _step(value, attr, site)
+        value, owner = _step(value, attr, site, ctx, owner), None
     return value
 
 
@@ -655,7 +634,7 @@ def _call(site: int, name: str, func: Callable[..., Value], *args: Value) -> Val
 
 
 def _as_text(value: Value) -> str:
-    """A value as output renders it; TypeError for a view, a list or a dict."""
+    """A value as output renders it; TypeError for an element, list, tuple or dict."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -672,20 +651,23 @@ def _to_text(value: Value, site: int) -> str:
         raise _Failure(site, str(exc)) from None
 
 
-_RUNTIME = {"_MV": ModelView, "_U": _UNKNOWN, "_fail": _fail, "_step": _step, "_steps": _steps,
-            "_eq": _values_equal, "_order": _order, "_call": _call, "_to_text": _to_text,
-            "_truthy": truthy}
+_RUNTIME = {"_U": _UNKNOWN, "_SEQ": (list, tuple), "_fail": _fail, "_step": _step,
+            "_steps": _steps, "_eq": _values_equal, "_order": _order, "_call": _call,
+            "_to_text": _to_text, "_truthy": truthy,
+            **{cls.__name__: cls for cls in NAMES}}
 
 
 @dataclass
 class _Loop:
-    """An enclosing for: its variable, and its number k in the locals it binds,
-    v<k>, i<k>, n<k> and, where its body reads `loop` as a value, the dict l<k>;
-    and the attributes its body reads of `loop`."""
+    """An enclosing for: its variable, its number k in the locals it binds (v<k>,
+    i<k>, n<k>, l<k> where its body reads `loop` as a value, o<k>: see path), the
+    attributes its body reads of `loop`, and the model class of its items if known."""
     var: str
     k: int
     meta: bool = False
+    owner: bool = False
     reads: set[str] = dc_field(default_factory=set)
+    cls: Optional[type] = None
 
 
 class _Codegen:
@@ -703,7 +685,7 @@ class _Codegen:
         self.context_names: set[str] = set()  # of every function
         self.steps: set[str] = set()  # the attribute of every path step
         self.candidate: Optional[ForNode] = None  # the loop that may be a fragment loop
-        self.fragment: Optional[tuple[str, ...]] = None  # the loop attributes its body reads
+        self.fragment: Optional[FragmentLoop] = None
 
     def site(self, pos: Pos) -> int:
         self.sites.append(pos)
@@ -717,7 +699,7 @@ class _Codegen:
         self.defs.append("")
         built = build()
         args = ", ".join([params, *(f"{kind}{loop.k}" for loop in self.scope
-                                    for kind in "vinl"[:3 + loop.meta])])
+                                    for kind in "vin" + "l" * loop.meta + "o" * loop.owner)])
         prologue = [f" {local} = ctx.get({name!r}, _U)" for name, local in self.names.items()]
         self.defs[slot] = "\n".join([f"def r{slot}({args}):", *prologue, *self.lines])
         self.lines, self.names = outer
@@ -727,11 +709,11 @@ class _Codegen:
         exec(compile("\n".join(self.defs), "<atl>", "exec"), self.namespace)
         return self.namespace["r0"]
 
-    def template(self, nodes: Sequence[TplNode]) -> Optional[tuple[str, ...]]:
+    def template(self, nodes: Sequence[TplNode]) -> Optional[FragmentLoop]:
         """Generate r0, the template's function. Where its first top-level `for`
         over the model's entities is a fragment loop, each iteration of that
         loop starts with a call of mark, and the loop ends with one; returns
-        the loop attributes its body reads, else None."""
+        that loop, else None."""
         self.candidate = next((node for node in nodes if type(node) is ForNode and type(
             node.expr) is Path and node.expr.names in _FRAGMENT_SEQUENCES), None)
         self.define("ctx, append, mark=None", lambda: self.block(nodes, 1))
@@ -759,9 +741,9 @@ class _Codegen:
             elif type(node) is ForNode:
                 self.loops += 1
                 k, loop, outer = self.loops, _Loop(node.var, self.loops), self.scope
-                site = self.site(node.pos)  # t is the sequence, which must be a list
-                self.lines += [f"{pad}t = {self.expr(node.expr, 0)[0]}",
-                               f"{pad}if not isinstance(t, list): "
+                site = self.site(node.pos)  # t is the sequence, which must be a list or tuple
+                self.lines += [f"{pad}t = {self.expr(node.expr, 0, loop)[0]}",
+                               f"{pad}if not isinstance(t, _SEQ): "
                                f"_fail({site}, 'for-loop expression is not a sequence')",
                                f"{pad}n{k} = len(t)", f"{pad}for i{k}, v{k} in enumerate(t, 1):"]
                 start, self.scope = len(self.lines), (*outer, loop)
@@ -791,8 +773,8 @@ class _Codegen:
         """Make fragment loop `loop`, whose body starts at line `start`, call
         mark with each item and the text of the loop attributes its body
         reads, as output renders them, comma-separated; and once after it."""
-        reads = self.fragment = tuple(attr for attr in _LOOP_ATTRS
-                                      if loop.meta or attr in loop.reads)
+        reads = tuple(attr for attr in _LOOP_ATTRS if loop.meta or attr in loop.reads)
+        self.fragment = FragmentLoop(reads, frozenset(self.context_names))
         key = " + ',' + ".join(f"str({value.format(loop.k)})" if kind is int else
                                f"('true' if {value.format(loop.k)} else 'false')"
                                for value, kind in map(_LOOP_ATTRS.get, reads)) or "''"
@@ -807,20 +789,23 @@ class _Codegen:
             return f"bool({value})"
         return f"(t if type(t := {value}) is bool else _truthy(t))"
 
-    def expr(self, node: Expr, depth: int) -> tuple[str, Optional[type]]:
-        """The source of an expression, and the type of its value where that is known."""
+    def expr(self, node: Expr, depth: int,
+             seq: Optional[_Loop] = None) -> tuple[str, Optional[type]]:
+        """The source of an expression, and the type of its value where known."""
         if depth == _SPLIT:
             return self.define("ctx", lambda: self.returns(node))
         if type(node) is Lit:
             return repr(node.value), type(node.value)
         if type(node) is Path:
-            return self.path(node)
+            return self.path(node, seq)
         if type(node) is Call:
             func, site = BUILTINS.get(node.func), self.site(node.pos)
             if func is None:
                 return f"_fail({site}, {f'unknown function {node.func!r}'!r})", None
             self.namespace[f"f_{node.func}"] = func
             args = "".join(", " + self.expr(arg, depth + 1)[0] for arg in node.args)
+            if node.func == "localized":  # which reads no name of the template's
+                args = f", ctx.get({DEFAULT_LANGUAGE!r})" + args
             return f"_call({site}, {node.func!r}, f_{node.func}{args})", None
         if type(node) is Unary:
             return f"(not {self.truth(node.operand, depth + 1)})", bool
@@ -837,8 +822,12 @@ class _Codegen:
         self.lines.append(f" return {value}")
         return kind
 
-    def path(self, node: Path) -> tuple[str, Optional[type]]:
-        head, attrs, site, kind = node.names[0], node.names[1:], self.site(node.pos), None
+    def path(self, node: Path, seq: Optional[_Loop] = None) -> tuple[str, Optional[type]]:
+        """The source of a path, and the type of its value where known. A step on
+        a value of a known model class reads it directly, behind a test of its type.
+        Where it is the sequence of loop `seq`, o<k> holds what its last step reads."""
+        head, attrs, site = node.names[0], node.names[1:], self.site(node.pos)
+        kind, cls, owner = None, None, "None"  # owner: o<k> of the head's loop, if any
         self.steps.update(attrs)
         # a name is the innermost for's variable, `loop` its loop, else a context name
         loop = self.scope[-1] if head == "loop" and self.scope else \
@@ -848,8 +837,9 @@ class _Codegen:
             local = self.names.setdefault(head, f"c{len(self.names)}")
             reason = f"unknown name {head!r}"
             value = f"({local} if {local} is not _U else _fail({site}, {reason!r}))"
+            cls = {"model": m.ApplicationModel, "entity": m.Entity}.get(head)  # the typed roots
         elif head != "loop":
-            value = f"v{loop.k}"
+            value, cls, owner = f"v{loop.k}", loop.cls, f"o{loop.k}" if loop.owner else owner
         elif attrs and attrs[0] in _LOOP_ATTRS:
             loop.reads.add(attrs[0])
             (value, kind), attrs = _LOOP_ATTRS[attrs[0]], attrs[1:]
@@ -857,17 +847,30 @@ class _Codegen:
         else:
             loop.meta, value = True, f"l{loop.k}"
         if len(attrs) > _INLINE_STEPS:
-            return f"_steps({value}, {attrs!r}, {site})", None
-        for attr in attrs:
-            value, kind = (f"(t[{attr!r}] if type(t := {value}) is _MV "
-                           f"else _step(t, {attr!r}, {site}))"), None
+            value = f"_steps({value}, {attrs[:-1]!r}, {site}, ctx, {owner})"
+            attrs, cls, owner = attrs[-1:], None, "None"
+        for i, attr in enumerate(attrs, 1):
+            if seq is not None and i == len(attrs):
+                seq.owner, value = True, f"(o{seq.k} := {value})"
+            name = NAMES[cls].get(attr, _NULL) if cls else None
+            if name is None:
+                value = f"_step({value}, {attr!r}, {site}, ctx, {owner})"
+            else:  # as _step reads it, behind a test of the class
+                self.namespace[f"{cls.__name__}_{attr}"] = name.read
+                read = "None" if name is _NULL else f"t.{attr}" if name.read is None \
+                    else f"{cls.__name__}_{attr}(t, ctx, {owner})"
+                value = (f"({read} if type(t := {value}) is {cls.__name__} "
+                         f"else _step(t, {attr!r}, {site}, ctx, {owner}))")
+            kind, cls, owner = None, name and name.cls, "None"
+        if seq is not None:
+            seq.cls = cls
         return value, kind
 
 
-def _run(ast: TemplateAst, context: Mapping[str, Value], append: Callable[[str], None],
-         mark: Optional[Callable[[ModelView, str], bool]] = None) -> None:
+def _run(ast: TemplateAst, context: Mapping[str, Value], append: Optional[Callable[[str], None]],
+         mark: Optional[Callable[[Any, str], bool]] = None) -> Value:
     try:
-        ast.compiled(dict(context), append, mark)
+        return ast.compiled({MEMO: {}, **context}, append, mark)  # a memo, unless it shares one
     except _Failure as exc:
         site, reason = exc.args
         raise TemplateRuntimeError(ast.name, *ast.sites[site], reason) from None
@@ -881,7 +884,7 @@ def render(ast: TemplateAst, context: Mapping[str, Value]) -> str:
 
 
 def render_fragments(ast: TemplateAst, context: Mapping[str, Value],
-                     kept: Callable[[ModelView, str], Any]) -> list[Any]:
+                     kept: Callable[[Any, str], Any]) -> list[Any]:
     """The output of a template with a fragment loop as pieces: the text before
     the loop, one piece per iteration, then the text after it. Joined, the
     pieces are what render() returns. An iteration is rendered only where
@@ -892,7 +895,7 @@ def render_fragments(ast: TemplateAst, context: Mapping[str, Value],
     pieces: list[Any] = []
     rendered = True  # whether the text since the last mark is a piece: not a kept one
 
-    def mark(item: Optional[ModelView], loop: str) -> bool:
+    def mark(item: Any, loop: str) -> bool:
         nonlocal rendered
         if rendered:
             pieces.append("".join(out))
@@ -911,11 +914,7 @@ def render_fragments(ast: TemplateAst, context: Mapping[str, Value],
 def eval_expr(expr: Union[Expr, str], env: Mapping[str, Value], name: str = "<expr>") -> Value:
     """Evaluate a single expression (parsed on the fly when given as text)."""
     if isinstance(expr, str):
-        expr = parse_expr(expr, name)
+        expr = _Parser(expr, name).expr(0, len(expr))
     gen = _Codegen()
-    gen.expr(expr, _SPLIT)  # r0(ctx) returns the value
-    try:
-        return gen.finish()(dict(env))
-    except _Failure as exc:
-        site, reason = exc.args
-        raise TemplateRuntimeError(name, *gen.sites[site], reason) from None
+    gen.define("ctx, append, mark", lambda: gen.returns(expr))  # r0 returns the value
+    return _run(TemplateAst(name, (), gen.finish(), tuple(gen.sites)), env, None)

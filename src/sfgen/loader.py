@@ -21,6 +21,7 @@ from enum import Enum
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 from .model import (
+    AUDIT_COLUMNS,
     KEY_LENGTH,
     SPAN_CONTENT,
     ApplicationModel,
@@ -78,6 +79,7 @@ E_BAD_REL = "E_BAD_REL"
 E_BAD_CONSTRAINT_KIND = "E_BAD_CONSTRAINT_KIND"
 E_DUP_ENTITY = "E_DUP_ENTITY"
 E_DUP_TABLE = "E_DUP_TABLE"
+E_DUP_FIELD = "E_DUP_FIELD"
 E_NO_FIELDS = "E_NO_FIELDS"
 E_NO_PK = "E_NO_PK"
 E_MULTI_PK = "E_MULTI_PK"
@@ -686,8 +688,16 @@ def _validate_constraint(constraint: Constraint, entity: Entity, subject: str) -
     return out
 
 
+def _duplicate(what: str, name: str, first: str) -> str:
+    if name == first:
+        return f"duplicate {what} '{name}'"
+    return f"duplicate {what} '{name}': it differs from '{first}' only in case"
+
+
 def validate_model(model: ApplicationModel) -> list[Diagnostic]:
-    """Check every semantic rule; an empty result means the model is valid."""
+    """Check every semantic rule; an empty result means the model is valid.
+    Names are compared case-folded, as SQL Server's default collation and the
+    macOS and Windows file systems compare them."""
     out: list[Diagnostic] = []
 
     default_lang = model.settings.defaultLanguage
@@ -697,8 +707,8 @@ def validate_model(model: ApplicationModel) -> list[Diagnostic]:
                         None, "Settings"))
 
     entity_names = {entity.name for entity in model.entities}  # what an FK may target
-    seen_names: dict[str, Entity] = {}
-    seen_tables: dict[str, Entity] = {}
+    seen_names: dict[str, str] = {}  # each name case-folded -> the first such name
+    seen_tables: dict[str, str] = {}
     for entity in model.entities:
         subject = f"Entity[{entity.name}]"
         if not entity.name:
@@ -706,21 +716,21 @@ def validate_model(model: ApplicationModel) -> list[Diagnostic]:
                             entity.location, subject))
         elif bad := _bad_ident("entity name", entity.name, entity.location, subject):
             out.append(bad)
-        elif entity.name in seen_names:
-            out.append(_err(E_DUP_ENTITY, f"duplicate entity name '{entity.name}'",
-                            entity.location, subject))
+        elif (folded := entity.name.casefold()) in seen_names:
+            out.append(_err(E_DUP_ENTITY, _duplicate("entity name", entity.name,
+                                                     seen_names[folded]), entity.location, subject))
         else:
-            seen_names[entity.name] = entity
+            seen_names[folded] = entity.name
         if not entity.tableName:
             out.append(_err(E_MISSING_ATTR, "Entity requires a 'tableName' attribute",
                             entity.location, subject))
         elif bad := _bad_ident("tableName", entity.tableName, entity.location, subject, js=False):
             out.append(bad)
-        elif entity.tableName in seen_tables:
-            out.append(_err(E_DUP_TABLE, f"duplicate tableName '{entity.tableName}'",
-                            entity.location, subject))
+        elif (folded := entity.tableName.casefold()) in seen_tables:
+            out.append(_err(E_DUP_TABLE, _duplicate("tableName", entity.tableName,
+                                                    seen_tables[folded]), entity.location, subject))
         else:
-            seen_tables[entity.tableName] = entity
+            seen_tables[folded] = entity.tableName
         if entity.span is not None and entity_names.issuperset(entity.span.targets):
             continue  # a stub whose source loaded clean, and every entity it names exists
 
@@ -744,8 +754,24 @@ def validate_model(model: ApplicationModel) -> list[Diagnostic]:
                 out.append(_err(E_IDENTITY_NOT_PK, "identity field must be the primary key",
                                 field.location, f"{subject}/Field[{field.name}]"))
 
+        # each field is a column of its name, and a logged entity's table has the audit columns
+        audit = {c.name.casefold(): c.name for c in AUDIT_COLUMNS} if entity.isLogged else {}
+        seen_fields: dict[str, str] = {}
         for field in entity.fields:
-            out.extend(_validate_field(field, entity_names, f"{subject}/Field[{field.name}]"))
+            field_subject = f"{subject}/Field[{field.name}]"
+            out.extend(_validate_field(field, entity_names, field_subject))
+            folded = field.name.casefold()
+            if not folded:
+                continue  # a missing name
+            if folded in audit:
+                message = (f"field name '{field.name}' is the name of the audit column "
+                           f"'{audit[folded]}' of a logged entity")
+            elif folded in seen_fields:
+                message = _duplicate("field name", field.name, seen_fields[folded])
+            else:
+                seen_fields[folded] = field.name
+                continue
+            out.append(_err(E_DUP_FIELD, message, field.location, field_subject))
         for i, constraint in enumerate(entity.constraints, start=1):
             out.extend(_validate_constraint(constraint, entity, f"{subject}/Constraint[{i}]"))
     return out

@@ -235,8 +235,15 @@ class ColumnSpec:
     identity: bool = False
 
 
+#: the columns a logged entity's table has after its fields
+AUDIT_COLUMNS = (
+    ColumnSpec(name="changedAt", type=FieldType.DATETIME, nullable=False),
+    ColumnSpec(name="changedBy", type=FieldType.VARCHAR, length=50, nullable=False),
+)
+
+
 def effective_columns(entity: Entity) -> tuple[ColumnSpec, ...]:
-    """Declared fields as table columns, plus the audit pair when the entity is logged."""
+    """Declared fields as table columns, plus the audit columns when the entity is logged."""
     columns = [
         ColumnSpec(
             name=f.name,
@@ -249,10 +256,7 @@ def effective_columns(entity: Entity) -> tuple[ColumnSpec, ...]:
         for f in entity.fields
     ]
     if entity.isLogged:
-        columns.append(ColumnSpec(name="changedAt", type=FieldType.DATETIME, nullable=False))
-        columns.append(
-            ColumnSpec(name="changedBy", type=FieldType.VARCHAR, length=50, nullable=False)
-        )
+        columns.extend(AUDIT_COLUMNS)
     return tuple(columns)
 
 

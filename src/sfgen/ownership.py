@@ -371,7 +371,8 @@ _READ_SIZE = 1 << 16
 
 def read_file(path: str) -> Optional[bytes]:
     """The bytes of the file at `path`, or None if there is none. Any other
-    failure raises OSError with `path` as its filename.
+    failure raises OSError with `path` as its filename: a file where a
+    directory of the path goes, NotADirectoryError.
 
     One read takes a file of under _READ_SIZE bytes whole: a read that returns
     fewer bytes than asked is taken as the end of the file, as it is for a
@@ -380,7 +381,7 @@ def read_file(path: str) -> Optional[bytes]:
     """
     try:
         fd = os.open(path, os.O_RDONLY)
-    except (FileNotFoundError, NotADirectoryError):
+    except FileNotFoundError:
         return None
     try:
         data = os.read(fd, _READ_SIZE)

@@ -218,15 +218,16 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
     """Render each output rule once per model, or once per active entity with
     `entity` bound, in rule order, then entity order. `lang` falls back to the
     model's defaultLanguage, then its first language. Content is UTF-8 with LF
-    line endings; two artifacts with one path raise PathCollision.
+    line endings. Two artifacts with one path, or one whose path is a directory
+    of another's, raise PathCollision before any file is read or rendered.
 
     Each artifact records the keys of its inputs: of its rule's, and of the
     source of its entity or, for a per-model artifact, of the whole model; a
     key is the first KEY_LENGTH hex digits of a digest. A rule's inputs are
     sfgen's sources, its template, flags, kind and ownership, the language and
     the settings, and the whole model's source where a per-entity template
-    reads `model` or any `location`. A template view of an entity reaches no
-    other entity, and its default language through the settings; the model's
+    reads `model` or any `location`. No name of an entity reaches another
+    (atl.NAMES), and `localized` reads the settings' default language; the model's
     languages come from the entities' sources, and an entry is found by path.
 
     `read(path)` gives the bytes of the file at an artifact's path, or None
@@ -240,37 +241,45 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
     and never written.
     """
     lang = lang or model.settings.defaultLanguage or next(iter(model.languages), "")
-    view = atl.ModelView(model, model)  # one view of the model serves every rule
     model_digest = _model_digest(model)
     # the units a rule renders, one per model or one per active entity: each
-    # its entity, view and key ("" if it has no source digest)
-    whole_model = [(None, None, model_digest[:KEY_LENGTH])]
-    active = [(entity, entity_view, entity.digest[:KEY_LENGTH])
-              for entity, entity_view in zip(model.entities, view["entities"])
+    # its entity and key ("" if it has no source digest)
+    whole_model = [(None, model_digest[:KEY_LENGTH])]
+    active = [(entity, entity.digest[:KEY_LENGTH]) for entity in model.entities
               if entity.isActive]
+    # every rule's units with their paths, each checked before anything is rendered
+    expanded: list[tuple[OutputRule, list[tuple[Optional[Entity], str, str]]]] = []
+    producers: dict[str, tuple[int, Optional[Entity]]] = {}  # path -> its rule and entity
+    for number, rule in enumerate(pack.outputs, start=1):
+        form, fields = _path_format(rule.pathPattern)
+        units = []
+        for entity, key in whole_model if rule.per == "model" else active:
+            path = form % fields(entity) if fields else form
+            producer = number, entity
+            if _unsafe(path):
+                raise PackError(f"{_producer(*producer)}: expanded path {path!r} is not "
+                                "a normalized path under the output root")
+            if producers.setdefault(path, producer) is not producer:
+                raise _collision(producers[path], producer, path)
+            units.append((entity, key, path))
+        expanded.append((rule, units))
+    _check_directories(producers)
+
+    shared = {atl.DEFAULT_LANGUAGE: model.settings.defaultLanguage, atl.MEMO: {}}  # by every render
     entry_of = manifest.entry_of if manifest is not None else {}.get
     make = _builder(Artifact)
     artifacts: list[Artifact] = []
-    producers: dict[str, tuple[int, Optional[Entity]]] = {}  # path -> its rule and entity
-    with paused_gc():  # the views and artifacts are acyclic
-        for number, rule in enumerate(pack.outputs, start=1):
+    with paused_gc():  # the memo and artifacts are acyclic
+        for rule, units in expanded:
             ast = pack.templates[rule.template]
-            context: dict[str, atl.Value] = {"model": view, "lang": lang,
-                                             "flags": dict(rule.flags)}
+            context: dict[str, atl.Value] = {"model": model, "lang": lang,
+                                             "flags": dict(rule.flags), **shared}
             per_model = rule.per == "model"
             whole = not per_model and ("model" in ast.names or "location" in ast.steps)
             # "" where the inputs are unknown: the model has no source digest
             rule_key = "" if whole and not model_digest else \
                 _rule_key(rule, ast, lang, model, model_digest if whole else "")
-            form, fields = _path_format(rule.pathPattern)
-            for entity, entity_view, key in whole_model if per_model else active:
-                path = form % fields(entity) if fields else form
-                producer = number, entity
-                if _unsafe(path):
-                    raise PackError(f"{_producer(*producer)}: expanded path {path!r} is not "
-                                    "a normalized path under the output root")
-                if producers.setdefault(path, producer) is not producer:
-                    raise _collision(producers[path], producer, path)
+            for entity, key, path in units:
                 old = read(path) if read else None
                 known = bool(rule_key and key)
                 entry = entry_of(path) if known and old is not None else None
@@ -283,7 +292,7 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
                                                                old or b"")
                     else:
                         content, fragments = _render(ast, context if per_model else
-                                                     {**context, "entity": entity_view}), ()
+                                                     {**context, "entity": entity}), ()
                 except atl.TemplateRuntimeError as exc:
                     exc.args = (f"while rendering {path!r}: {exc}",)
                     raise
@@ -292,6 +301,19 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
                                       entity=key if known else "",
                                       fragments=fragments if known else ()))
     return artifacts
+
+
+def _check_directories(producers: Mapping[str, tuple[int, Optional[Entity]]]) -> None:
+    """Raise PathCollision where one artifact's path is a directory of another's."""
+    directories = {path.rpartition("/")[0] for path in producers}
+    for directory in list(directories):  # and their own directories
+        while directory := directory.rpartition("/")[0]:
+            directories.add(directory)
+    for path in filter(directories.__contains__, producers):
+        inner = next(inner for inner in producers if inner.startswith(path + "/"))
+        raise PathCollision(f"{_producer(*producers[path])} produces {path!r} and "
+                            f"{_producer(*producers[inner])} produces {inner!r}: "
+                            f"{path!r} cannot be both a file and a directory")
 
 
 def _collision(first: tuple[int, Optional[Entity]], second: tuple[int, Optional[Entity]],
@@ -319,8 +341,8 @@ def _render_fragments(ast: atl.TemplateAst, context: Mapping[str, atl.Value],
     spans = {fragment[:2]: fragment for fragment in recorded}
     keys: list[tuple[str, str]] = []
 
-    def kept(item: atl.ModelView, loop: str) -> Optional[Fragment]:
-        key = item.element.digest[:KEY_LENGTH], loop
+    def kept(item: Entity, loop: str) -> Optional[Fragment]:
+        key = item.digest[:KEY_LENGTH], loop
         keys.append(key)
         return spans.get(key)
 

@@ -32,8 +32,8 @@ def R(source, **context):
 def fakultet_ctx(newsboard_model):
     entity = newsboard_model.entities[0]
     return {
-        "model": atl.ModelView(newsboard_model, newsboard_model),
-        "entity": atl.ModelView(entity, newsboard_model),
+        "model": newsboard_model,
+        "entity": entity,
         "lang": "English",
     }
 
@@ -316,19 +316,19 @@ def test_boolean_operators_short_circuit():
 
 
 @pytest.mark.parametrize("expr, env, value", [
-    # paths of more than _INLINE_STEPS steps, through dicts into a view, or into Null
+    # paths of more than _INLINE_STEPS steps, through dicts into an element, or into Null
     ("a.b.c.d.e.name", lambda e, f, g: {"a": {"b": {"c": {"d": {"e": e}}}}}, "Fakultet"),
     ("a.b.c.d.e.name", lambda e, f, g: {"a": {"b": {"c": None}}}, None),
-    # views are equal where their elements are, and always true
+    # elements are equal where their values are, and always true
     ("e.pk == f.pk", lambda e, f, g: {"e": e, "f": f}, True),
     ("e.pk == g.pk", lambda e, f, g: {"e": e, "g": g}, False),
     ("not e.pk", lambda e, f, g: {"e": e}, False),
 ])
-def test_eval_views_and_long_paths(newsboard_model, expr, env, value):
-    """`env` is given two views of Fakultet and one of Vest."""
+def test_eval_elements_and_long_paths(newsboard_model, expr, env, value):
+    """`env` is given Fakultet, an equal copy of it, and Vest."""
     fakultet, vest = newsboard_model.entities
-    views = [atl.ModelView(entity, newsboard_model) for entity in (fakultet, fakultet, vest)]
-    assert eval_expr(expr, env(*views)) == value
+    copy = Entity(name=fakultet.name, tableName=fakultet.tableName, fields=fakultet.fields)
+    assert eval_expr(expr, env(fakultet, copy, vest)) == value
 
 
 def test_string_literals_both_quotes():
@@ -395,12 +395,14 @@ def test_localized_builtin():
     )
     model = ApplicationModel(settings=Settings(defaultLanguage="English"),
                              entities=(entity,), languages=("Macedonian", "English"))
-    node = atl.ModelView(entity, model)
-    assert R("{{ localized(e, 'English', 'display') }}", e=node) == "Faculty"
-    assert R("{{ localized(e, 'Macedonian', 'display') }}", e=node) == "Факултет"
+    context = {"e": entity, atl.DEFAULT_LANGUAGE: model.settings.defaultLanguage}
+    assert R("{{ localized(e, 'English', 'display') }}", **context) == "Faculty"
+    assert R("{{ localized(e, 'Macedonian', 'display') }}", **context) == "Факултет"
     # missing language falls back through the default
-    assert R("{{ localized(e, 'German', 'display') }}", e=node) == "Faculty"
-    assert R("{{ localized(e, 'English', 'plural') }}", e=node) == "Faculties"
+    assert R("{{ localized(e, 'German', 'display') }}", **context) == "Faculty"
+    assert R("{{ localized(e, 'English', 'plural') }}", **context) == "Faculties"
+    # with no default language, through the first language declared
+    assert R("{{ localized(e, 'German', 'display') }}", e=entity) == "Факултет"
 
 
 # -- runtime error locations -----------------------------------------------
@@ -484,7 +486,7 @@ HOSTILE = [
     ("{{ env.x }}", {"x": 1}, (1, 4, "unknown name 'env'")),
     ("{{ d.class }}|{{ d.None }}|{{ d.__class__ }}|{{ d.keys }}",
      {"d": {"class": "k", "None": 0}}, "k|0||"),
-    # a view reads its element's fields and computed names; anything else is Null
+    # an element reads its fields and computed names; anything else is Null
     ("{{ e.__class__ }}", {"e": "ENTITY"}, ""),
     ("{{ e.__class__.__name__ }}", {"e": "ENTITY"}, ""),
     ("{{ e.name }}{{ e.class }}{{ e.None }}", {"e": "ENTITY"}, "Fakultet"),
@@ -519,15 +521,15 @@ HOSTILE = [
     ("{{ eval('1') }}{{ exec }}", {"exec": 1}, (1, 4, "unknown function 'eval'")),
     ("{{ lower(class) }}{{ upper(None) }}", {"class": "C", "None": "n"}, "cN"),
     ("{{ 007 }}{{ 10 == 010 }}", {}, "7true"),
-    # a view reads nothing but its element's fields and computed names
+    # an element reads nothing but its fields and computed names
     ("{{ e.__module__ }}|{{ e.__dict__ }}|{{ e.displayNames.first }}|{{ e.pk.name }}",
      {"e": "ENTITY"}, "|||ID"),
     ("{{ count(e.__dict__) }}", {"e": "ENTITY"}, (1, 4, "count(): count() expects a sequence")),
-    # lower and upper convert as output does, and take no view, list or dict
+    # lower and upper convert as output does, and take no element, list or dict
     ("{{ lower(x) }}|{{ upper(t) }}|{{ lower(7) }}|{{ upper(f) }}",
      {"x": None, "t": True, "f": False}, "|TRUE|7|FALSE"),
     ("{{ e.name }}{{ lower(e) }}", {"e": "ENTITY"},
-     (1, 16, "lower(): cannot render a ModelView value as text")),
+     (1, 16, "lower(): cannot render a Entity value as text")),
     ("{{ upper(items) }}", {"items": [1]}, (1, 4, "upper(): cannot render a list value as text")),
     ("{{ lower(d) }}", {"d": {}}, (1, 4, "lower(): cannot render a dict value as text")),
 ]
@@ -535,7 +537,7 @@ HOSTILE = [
 
 @pytest.mark.parametrize("source, context, expected", HOSTILE)
 def test_hostile_names_and_literals(source, context, expected, newsboard_model):
-    entity = atl.ModelView(newsboard_model.entities[0], newsboard_model)
+    entity = newsboard_model.entities[0]
     context = {k: entity if v == "ENTITY" else v for k, v in context.items()}
     try:
         assert render(parse_template(source, "t.atl"), context) == expected
@@ -574,9 +576,9 @@ _TEMPLATES = st.recursive(
     ), max_leaves=8)
 
 
-def _values(views):
+def _values(elements):
     scalars = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
-                        st.sampled_from(["", "a", "B"]), st.sampled_from(views))
+                        st.sampled_from(["", "a", "B"]), st.sampled_from(elements))
     return st.recursive(scalars, lambda inner: st.one_of(
         st.lists(inner, max_size=3),
         st.dictionaries(st.sampled_from(_ATTRS), inner, max_size=3)), max_leaves=6)
@@ -590,10 +592,8 @@ def test_render_is_total(newsboard_model, source, data):
         return
     model = newsboard_model
     entity = model.entities[0]
-    views = [atl.ModelView(model, model), *(atl.ModelView(e, model) for e in model.entities),
-             atl.ModelView(entity.fields[1], model, entity),
-             atl.ModelView(entity.constraints[0], model, entity)]
-    context = data.draw(st.dictionaries(st.sampled_from(_NAMES), _values(views), max_size=6))
+    elements = [model, *model.entities, entity.fields[1], entity.constraints[0]]
+    context = data.draw(st.dictionaries(st.sampled_from(_NAMES), _values(elements), max_size=6))
     try:
         text = render(ast, context)
     except TemplateRuntimeError:

@@ -340,6 +340,43 @@ def test_generate_output_path_is_a_directory(tmp_path, capsys):
         f"error E_IO: cannot read {out / 'docs' / 'Vest.md'}: {os.strerror(errno.EISDIR)}\n")
 
 
+def _pack_with_a_rule_at_docs(pack):
+    shutil.copytree(PACK, pack)
+    manifest = json.loads((pack / "pack.json").read_text("utf-8"))
+    manifest["outputs"].append({"template": "tables.sql.atl", "path": "docs", "per": "model",
+                                "ownership": "always"})
+    (pack / "pack.json").write_text(json.dumps(manifest), "utf-8")
+
+
+def _file_at_docs(out):
+    shutil.rmtree(out / "docs")
+    (out / "docs").write_text("mine\n", "utf-8")
+
+
+# obstacles known before the first write: a rule's path that is a directory of
+# another artifact's, and a user's file where a directory goes
+@pytest.mark.parametrize("obstacle, code, message", [
+    ("collision", 4, "error E_PACK: output rule #11 produces 'docs' and output rule #9 for "
+     "entity 'Fakultet' produces 'docs/Fakultet.md': 'docs' cannot be both a file and a "
+     "directory\n"),
+    ("file", 3, "error E_IO: cannot read {out}/docs/Fakultet.md: Not a directory\n"),
+])
+def test_an_obstacle_stops_generate_before_any_write(tmp_path, capsys, obstacle, code, message):
+    out, pack = tmp_path / "out", tmp_path / "pack"
+    assert generate(out) == 0
+    if obstacle == "collision":
+        _pack_with_a_rule_at_docs(pack)
+    else:
+        _file_at_docs(out)
+        pack = PACK
+    before = tree_digest(out)
+    capsys.readouterr()
+    assert main(["generate", "--model", NEWSBOARD, "--pack", str(pack), "--out", str(out)]) \
+        == code
+    assert capsys.readouterr() == ("", message.format(out=out))
+    assert tree_digest(out) == before  # the manifest included
+
+
 @pytest.mark.parametrize("failing", ["web/Vest_edit.html", ownership.MANIFEST_FILENAME])
 def test_generate_failed_write_is_io_error(tmp_path, monkeypatch, capsys, failing):
     out = tmp_path / "out"

@@ -416,7 +416,7 @@ def test_a_one_entity_edit_renders_one_iteration_of_each_fragment_loop(tmp_path,
         def counting(item, loop):
             piece = kept(item, loop)
             if piece is None:
-                rendered.append((ast.name, item.element.name))
+                rendered.append((ast.name, item.name))
             return piece
         return real(ast, context, counting)
 
@@ -503,7 +503,7 @@ def test_a_runtime_error_in_a_fragment_loop_is_located(tmp_path, newsboard_model
     with pytest.raises(atl.TemplateRuntimeError) as error:
         packs.generate_all(newsboard_model, pack)
     assert str(error.value) == ("while rendering 't.txt': t.atl:1:33: lower(): cannot render "
-                                "a ModelView value as text")
+                                "a Entity value as text")
 
 
 def test_no_change_regeneration_writes_no_manifest(tmp_path, monkeypatch):
@@ -684,11 +684,12 @@ def test_entity_digest_is_the_digest_of_its_source():
     assert "digest" not in repr(model.entities[0])
 
 
-def test_entity_digest_is_outside_its_value_and_its_view():
+def test_entity_digest_is_outside_its_value_and_what_templates_read():
     entity = Entity(name="E", fields=(Field(name="ID", type=FieldType.INT),))
     assert entity.digest == ""
     assert Entity(name="E", fields=entity.fields, digest="ab") == entity
-    assert atl.ModelView(entity)["digest"] is None
+    assert atl.eval_expr("e.digest", {"e": entity}) is None
+    assert atl.eval_expr("entity.digest", {"entity": entity}) is None
 
 
 def test_a_self_closing_entity_has_a_source_digest():

@@ -117,6 +117,19 @@ VALIDATOR_CASES = [
      '<Entity name="E" tableName="E2"><Field name="ID" type="int" isPK="true"/></Entity>', (2, 1)),
     (loader.E_DUP_TABLE, MINIMAL_ENTITY + "\n" +
      '<Entity name="E2" tableName="E"><Field name="ID" type="int" isPK="true"/></Entity>', (2, 1)),
+    (loader.E_DUP_ENTITY, MINIMAL_ENTITY + "\n" +
+     '<Entity name="e" tableName="E2"><Field name="ID" type="int" isPK="true"/></Entity>', (2, 1)),
+    (loader.E_DUP_TABLE, MINIMAL_ENTITY + "\n" +
+     '<Entity name="E2" tableName="e"><Field name="ID" type="int" isPK="true"/></Entity>', (2, 1)),
+    (loader.E_DUP_FIELD,
+     '<Entity name="E" tableName="E"><Field name="ID" type="int" isPK="true"/>\n'
+     '<Field name="ID" type="int"/></Entity>', (2, 1)),
+    (loader.E_DUP_FIELD,
+     '<Entity name="E" tableName="E"><Field name="ID" type="int" isPK="true"/>\n'
+     '<Field name="id" type="int"/></Entity>', (2, 1)),
+    (loader.E_DUP_FIELD,
+     '<Entity name="E" tableName="E" isLogged="true"><Field name="ID" type="int" isPK="true"/>\n'
+     '<Field name="ChangedBy" type="int"/></Entity>', (2, 1)),
     (loader.E_MISSING_ATTR,
      '<Entity name="E" tableName="E">\n<Field type="int" isPK="true"/></Entity>', (2, 1)),
     (loader.E_MISSING_ATTR,
@@ -197,6 +210,38 @@ def test_names_must_not_be_javascript_reserved_words():
         (loader.E_BAD_IDENT, (3, 1), "Entity[class]/Field[arguments]",
          "field name 'arguments' is a reserved word in JavaScript")]
     assert all(d.severity is Severity.ERROR for d in diagnostics)
+
+
+def test_names_are_unique_case_folded():
+    # names that SQL Server's default collation, or a case-insensitive file
+    # system, takes for one; each error is at the second name
+    doc = _wrap('\n<Entity name="Fakultet" tableName="Fakultet" isLogged="true">\n'
+                '<Field name="ID" type="int" isPK="true"/>\n'
+                '<Field name="strName" type="nvarchar" length="30"/>\n'
+                '<Field name="strName" type="int"/><Field name="STRNAME" type="int"/>\n'
+                '<Field name="changedAt" type="datetime"/><Field name="" type="int"/>'
+                '<Field name="" type="int"/></Entity>\n'
+                '<Entity name="fakultet" tableName="FAKULTET">'
+                '<Field name="ID" type="int" isPK="true"/><Field name="changedBy" type="int"/>'
+                '</Entity>')
+    _, diagnostics = load_model(doc)
+    assert [(d.code, d.location, d.subject, d.message) for d in diagnostics] == [
+        (loader.E_DUP_FIELD, (5, 1), "Entity[Fakultet]/Field[strName]",
+         "duplicate field name 'strName'"),
+        (loader.E_DUP_FIELD, (5, 35), "Entity[Fakultet]/Field[STRNAME]",
+         "duplicate field name 'STRNAME': it differs from 'strName' only in case"),
+        (loader.E_DUP_FIELD, (6, 1), "Entity[Fakultet]/Field[changedAt]",
+         "field name 'changedAt' is the name of the audit column 'changedAt' of a logged entity"),
+        (loader.E_MISSING_ATTR, (6, 42), "Entity[Fakultet]/Field[]",
+         "Field requires a 'name' attribute"),
+        (loader.E_MISSING_ATTR, (6, 69), "Entity[Fakultet]/Field[]",
+         "Field requires a 'name' attribute"),
+        (loader.E_DUP_ENTITY, (7, 1), "Entity[fakultet]",
+         "duplicate entity name 'fakultet': it differs from 'Fakultet' only in case"),
+        (loader.E_DUP_TABLE, (7, 1), "Entity[fakultet]",
+         "duplicate tableName 'FAKULTET': it differs from 'Fakultet' only in case")]
+    # an entity that is not logged has no audit columns
+    assert load_model(doc.replace(b' isLogged="true"', b""))[1][2:] == diagnostics[3:]
 
 
 def test_bad_default_language():

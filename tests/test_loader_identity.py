@@ -170,6 +170,7 @@ def seeded_document(seed: int) -> bytes:
     return text.encode("utf-8")
 
 
+# seeds 25, 30, 31 and 54 copy a field next to itself, which is E_DUP_FIELD
 SEEDED_PINS = {
     0: ("9a8ad1d0596d0a089c4545a04ee313f4505366a62fff4cbfde7939c651d9abe6",
          "e5e1028c3b1364327ef102015811671e332ffe381faef4dd27173a700d284342", 1),
@@ -217,7 +218,7 @@ SEEDED_PINS = {
          "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945", 0),
     24: (37, 30, "duplicate attribute 'name'"),
     25: ("fbdaa753cacf619a535600c9a6a1fd9bae43bfd8d418bee7040e6570803e44e0",
-         "fd932f1fc0176cd40109c3b1f7b6f4a8574ff4df5e839c9fb99eae74001239c8", 2),
+         "f96f5132b8f86ddbdb0b4d87d1bb86ac30b8493e05d74437b7a02d9e2a39c67d", 3),
     26: ("f03df0d95c3fe61b8dc2be0418a522816dbf12b2a945846c4cf1550797ed5801",
          "aea97b243378176e668b215e63cbe02ecbafe972199aff01130815f54e276e42", 1),
     27: ("d6b4163740ee3eebd85da95bfb500da4c994221b560049dbcedf4fdc800df782",
@@ -227,9 +228,9 @@ SEEDED_PINS = {
     29: ("eb38f00ee04f00174b7507cbd4c53c7c2d84d27c6239bc63714b99b386a4cf92",
          "07a5e76bf5d1d91cec6918fcd7390164ad60a5ac0ab66864c634ef5667141b92", 1),
     30: ("607bae5336e1baa4ebdc406f31af4c20471c2612149fe4fc51cbbfc7512ed54d",
-         "1403b5897acb1bf22641647f34de196d205b0e0ce4c45f995b5e9c2fd52173d0", 3),
+         "ceef01b0e1898632320297a8d18d96c9cfa36c19a2770ca7eb80a9e4a91a8504", 4),
     31: ("27988db29932a139e427be579db78af8322321af2a3070d9cad4fce724741988",
-         "0535f24df09b96cfa5ddda85be2311265c1b0b405a9397733e2c7f638dfe743d", 2),
+         "8ee0ef950617e6ecc5847aa79ba4f8a8bca59d0ab12441642304b4d31052157b", 3),
     32: ("a951c98591a80ae712cd6f83cf1353501084064ca5f85b2e2cc09eaae485d1bb",
          "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945", 0),
     33: ("3b276d2ae79a09cc5bef0fbf90c054305ebbbf2c48ede839565b24dadceaff02",
@@ -271,7 +272,7 @@ SEEDED_PINS = {
     53: ("65302346ee72da2a47514e118dee929c11d1638239e4fa6ce4158b1beb7b2880",
          "069da3ab67738f26cfde4eefc2473a5fa3cc854a509c3e55d6a46b62b47a8439", 5),
     54: ("af0367cbc0b49bccbff6d19ae2f89dc701eac4619d3f9709949f1ad88fc25091",
-         "192d3a374f68e8393be6ce4e3929f929481c8bd7c38d471306bb19d5924962ab", 4),
+         "f1d7ab0f5e0765dfc1e22de796335716594256e9cc99f25f6858198c0da3b7a1", 5),
     55: ("be1b7786274c26a72b8f1ca0fc50940488149cebaffa037ccc3b79ad0e102feb",
          "60d5f4117b5471e34c494be209f84e19d4a7744aabf677ae6905a1db41354efd", 1),
     56: (298, 11, "unclosed element 'DisplayName'"),

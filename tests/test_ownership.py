@@ -351,6 +351,9 @@ def test_read_file(tmp_path):
     with pytest.raises(IsADirectoryError) as raised:
         read_file(str(tmp_path))
     assert raised.value.filename == str(tmp_path)
+    with pytest.raises(NotADirectoryError) as raised:  # a file where a directory goes
+        read_file(str(tmp_path / "file" / "below"))
+    assert raised.value.filename == str(tmp_path / "file" / "below")
 
 
 def test_walk_files_sorts_as_paths_sort(tmp_path):

@@ -141,6 +141,26 @@ def test_path_collision_of_one_entity_across_rules(newsboard_model):
                                  "for entity 'Fakultet' both produce 'docs/Fakultet.md'")
 
 
+@pytest.mark.parametrize("rules, message", [
+    # 'docs-x' sorts between 'docs' and 'docs/Fakultet.md', since '-' sorts before '/'
+    ((("docs/{entity.name}.md", "entity"), ("docs-x", "model"), ("docs", "model")),
+     "output rule #3 produces 'docs' and output rule #1 for entity 'Fakultet' produces "
+     "'docs/Fakultet.md': 'docs' cannot be both a file and a directory"),
+    ((("a", "model"), ("a/b/{entity.name}/c.txt", "entity")),
+     "output rule #1 produces 'a' and output rule #2 for entity 'Fakultet' produces "
+     "'a/b/Fakultet/c.txt': 'a' cannot be both a file and a directory"),
+    ((("sql/{entity.name}", "entity"), ("sql/Vest/x.sql", "model")),
+     "output rule #1 for entity 'Vest' produces 'sql/Vest' and output rule #2 produces "
+     "'sql/Vest/x.sql': 'sql/Vest' cannot be both a file and a directory"),
+])
+def test_a_path_that_is_a_directory_of_another_collides_before_any_read(newsboard_model, rules,
+                                                                       message):
+    reads = []
+    with pytest.raises(PathCollision) as caught:
+        generate_all(newsboard_model, _pack(*rules), read=reads.append)
+    assert (str(caught.value), reads) == (message, [])
+
+
 def test_generate_all_deterministic(newsboard_model, webstack):
     first = generate_all(newsboard_model, webstack, lang="English")
     second = generate_all(newsboard_model, webstack, lang="English")

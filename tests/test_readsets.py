@@ -7,10 +7,11 @@ import random
 import pytest
 
 from sfgen import atl, packs
+from sfgen import model as m
 
 from conftest import load_fixture
 from randmodels import random_model
-from readsets import ReadChecker
+from readsets import SUBTREE, ReadChecker, reachable
 
 
 @pytest.mark.parametrize("fixture", ["newsboard.xml", "fakultet.xml", "vest.xml"])
@@ -43,6 +44,21 @@ def test_a_fragment_body_that_reads_the_model_fails_the_check(newsboard_model, m
     assert pack.templates["t.atl"].fragment is not None
     checker = ReadChecker().install(monkeypatch)
     packs.generate_all(newsboard_model, pack)
-    assert checker.violations == [
-        f"t.atl iteration {i} for entity {entity.name!r} read ApplicationModel.entities"
-        for i, entity in enumerate(newsboard_model.entities, 1)]
+    assert checker.violations == ["t.atl fragment loop body reads model"]
+
+
+def test_the_names_of_an_entity_reach_only_the_classes_of_its_subtree():
+    assert reachable(m.Entity) <= SUBTREE
+    assert {m.Entity, m.Settings} <= reachable(m.ApplicationModel)  # so the check can fail
+
+
+def test_a_name_that_reaches_another_entity_fails_the_check(newsboard_model, webstack,
+                                                            monkeypatch):
+    fakultet, vest = newsboard_model.entities
+    monkeypatch.setitem(atl.NAMES[m.Entity], "sibling", atl.Name(
+        m.Entity, read=lambda e, ctx, owner: vest if e is fakultet else fakultet))
+    checker = ReadChecker().install(monkeypatch)
+    assert checker.violations == ["from Entity, atl.NAMES reaches Entity"]
+    packs.generate_all(newsboard_model, webstack)
+    assert f"tables.sql.atl iteration for entity 'Fakultet' reaches Entity {vest!r}" in checker.violations
+    assert f"tables.sql.atl iteration for entity 'Vest' reaches Entity {fakultet!r}" in checker.violations
