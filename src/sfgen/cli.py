@@ -192,10 +192,7 @@ def _cmd_generate(args) -> int:
         print(f"error E_IO: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_IO
 
-    counts: dict[str, int] = {}
-    for entry in plan.actions:
-        counts[entry.action.value] = counts.get(entry.action.value, 0) + 1
-    summary = ", ".join(f"{n} {action}" for action, n in sorted(counts.items()))
+    summary = ", ".join(f"{n} {action}" for action, n in sorted(plan.counts().items()))
     print(f"generated {len(artifacts)} artifacts: {summary}")
     return EXIT_OK
 

@@ -80,6 +80,7 @@ E_BAD_CONSTRAINT_KIND = "E_BAD_CONSTRAINT_KIND"
 E_DUP_ENTITY = "E_DUP_ENTITY"
 E_DUP_TABLE = "E_DUP_TABLE"
 E_DUP_FIELD = "E_DUP_FIELD"
+E_DUP_CONSTRAINT = "E_DUP_CONSTRAINT"
 E_NO_FIELDS = "E_NO_FIELDS"
 E_NO_PK = "E_NO_PK"
 E_MULTI_PK = "E_MULTI_PK"
@@ -772,9 +773,28 @@ def validate_model(model: ApplicationModel) -> list[Diagnostic]:
                 seen_fields[folded] = field.name
                 continue
             out.append(_err(E_DUP_FIELD, message, field.location, field_subject))
+        seen_constraints: dict[str, str] = {}
         for i, constraint in enumerate(entity.constraints, start=1):
-            out.extend(_validate_constraint(constraint, entity, f"{subject}/Constraint[{i}]"))
+            constraint_subject = f"{subject}/Constraint[{i}]"
+            out.extend(_validate_constraint(constraint, entity, constraint_subject))
+            name = _constraint_name(constraint, entity)
+            folded = name.casefold()
+            if name and folded in seen_constraints:
+                out.append(_err(E_DUP_CONSTRAINT, _duplicate("constraint name", name,
+                                                              seen_constraints[folded]),
+                                constraint.location, constraint_subject))
+            elif name:
+                seen_constraints[folded] = name
     return out
+
+
+def _constraint_name(constraint: Constraint, entity: Entity) -> str:
+    """The name constraints.sql gives the constraint; "" where it has none."""
+    if constraint.kind is ConstraintKind.UNIQUE and constraint.cfields:
+        return f"UQ_tbl_{entity.tableName}_{'_'.join(constraint.cfields)}"
+    if constraint.kind is ConstraintKind.TWO_FIELDS and len(constraint.cfields) == 2:
+        return f"CK_tbl_{entity.tableName}_{'_'.join(constraint.cfields)}"
+    return ""
 
 
 class paused_gc:

@@ -17,13 +17,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections import defaultdict
+from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import count
-from operator import attrgetter, le
+from itertools import chain, compress, count
+from operator import attrgetter, eq, is_not, itemgetter, le
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
@@ -82,6 +82,9 @@ class Manifest:
     # whose sources digest (packs._sources_digest, in hex) is `sources`
     summaries: Mapping[str, "Summary"] = field(default_factory=dict)
     sources: str = ""
+    # the file it was read from or planned against, as (text, entries, rules,
+    # entities), whose lines manifest_to_json copies; () for none
+    read: tuple = field(default=(), compare=False, repr=False)
 
     @cached_property
     def entry_of(self) -> Callable[[str], Optional[ManifestEntry]]:
@@ -97,13 +100,42 @@ class PlanEntry:
     reason: str = ""
 
 
+# each decision a plan makes for a path, by its code: its action and reason;
+# the conflicts last
+_DECISIONS = ((WriteAction.CREATE, "new file"),
+              (WriteAction.OVERWRITE, "regenerated content differs"),
+              (WriteAction.OVERWRITE, "forced"),
+              (WriteAction.SKIP_ONCE, "scaffolded once; owned by the developer"),
+              (WriteAction.SKIP_UNCHANGED, "content unchanged"),
+              (WriteAction.CONFLICT, "file was modified after the last generation"),
+              (WriteAction.CONFLICT, "file is not covered by the manifest"))
+_CREATE, _DIFFERS, _FORCED, _ONCE, _UNCHANGED, _MODIFIED, _UNCOVERED = range(len(_DECISIONS))
+
+
 @dataclass(frozen=True)
 class WritePlan:
-    actions: tuple[PlanEntry, ...]
+    paths: tuple[str, ...]
+    decisions: bytes  # each path's decision, by its code
     manifest: Manifest  # once the plan is applied; it has no entry for a CONFLICT
 
+    @property
+    def actions(self) -> list[PlanEntry]:
+        """Each path, in order, with its action and the reason for it."""
+        make = _builder(PlanEntry)
+        return [make(path=path, action=action, reason=reason) for path, (action, reason)
+                in zip(self.paths, map(_DECISIONS.__getitem__, self.decisions))]
+
     def conflicts(self) -> list[PlanEntry]:
-        return [a for a in self.actions if a.action is WriteAction.CONFLICT]
+        if max(self.decisions, default=_CREATE) < _MODIFIED:
+            return []
+        return [entry for entry in self.actions if entry.action is WriteAction.CONFLICT]
+
+    def counts(self) -> Counter[str]:
+        """The number of paths of each action, by the action's name."""
+        counts: Counter[str] = Counter()
+        for code, number in Counter(self.decisions).items():
+            counts[_DECISIONS[code][0].value] += number
+        return counts
 
 
 def digest(content: bytes) -> str:
@@ -129,47 +161,52 @@ def plan_writes(
     The new manifest records, for each path, the digest of the content written
     or of the bytes left on disk, and the artifact's inputs. Where all of these
     are as recorded, it keeps the recorded entry. Every file is hashed at most
-    once.
+    once. An artifact taken from its file under its recorded entry
+    (Artifact.reused) costs that hash and one comparison.
     """
-    actions: list[PlanEntry] = []
-    entries: list[ManifestEntry] = []
+    decisions = bytearray()
+    made, dropped = [], set()  # new entries; the paths of recorded entries not kept
+    unrecorded = 0  # artifacts the manifest has no entry for
     entry_of = manifest.entry_of if manifest is not None else {}.get
-    plan_entry, manifest_entry = _builder(PlanEntry), _builder(ManifestEntry)
+    make = _builder(ManifestEntry)
+    always = Ownership.ALWAYS  # read once: an enum member's lookup costs 0.1 µs
     for artifact in artifacts:
         path, content, ownership = artifact.path, artifact.content, artifact.ownership
-        on_disk = existing.get(path)
-        recorded = entry_of(path)
-        if on_disk is None:
-            action, reason, sha256 = WriteAction.CREATE, "new file", digest(content)
-        elif ownership is Ownership.ONCE:
-            action, reason = WriteAction.SKIP_ONCE, "scaffolded once; owned by the developer"
-            sha256 = digest(on_disk)
-        elif recorded is not None and digest(on_disk) == recorded.sha256:
-            if on_disk == content:
-                action, reason, sha256 = (WriteAction.SKIP_UNCHANGED, "content unchanged",
-                                          recorded.sha256)
-            else:
-                action, reason = WriteAction.OVERWRITE, "regenerated content differs"
-                sha256 = digest(content)
-        elif force:
-            action, reason, sha256 = WriteAction.OVERWRITE, "forced", digest(content)
-        else:
-            action, sha256 = WriteAction.CONFLICT, None
-            reason = ("file was modified after the last generation"
-                      if recorded is not None else "file is not covered by the manifest")
-        actions.append(plan_entry(path=path, action=action, reason=reason))
-        if sha256 is None:
+        on_disk, recorded = existing.get(path), entry_of(path)
+        if artifact.reused is recorded is not None and on_disk is content \
+                and recorded.ownership is ownership and digest(content) == recorded.sha256:
+            decisions.append(_UNCHANGED if ownership is always else _ONCE)
             continue
-        if recorded is None or recorded.sha256 != sha256 or recorded.rule != artifact.rule \
-                or recorded.entity != artifact.entity or recorded.ownership is not ownership \
-                or recorded.fragments != artifact.fragments:
-            recorded = manifest_entry(path=path, ownership=ownership, sha256=sha256,
-                                      rule=artifact.rule, entity=artifact.entity,
-                                      fragments=artifact.fragments)
-        entries.append(recorded)
-    entries.sort(key=attrgetter("path"))
-    return WritePlan(tuple(actions), Manifest(tuple(entries), summaries=summaries or {},
-                                              sources=sources))
+        if on_disk is None:
+            decision, sha256 = _CREATE, digest(content)
+        elif ownership is Ownership.ONCE:
+            decision, sha256 = _ONCE, digest(on_disk)
+        elif recorded is not None and digest(on_disk) == recorded.sha256:
+            decision, sha256 = ((_UNCHANGED, recorded.sha256) if on_disk == content
+                                else (_DIFFERS, digest(content)))
+        elif force:
+            decision, sha256 = _FORCED, digest(content)
+        else:
+            decision, sha256 = _MODIFIED if recorded is not None else _UNCOVERED, None
+        decisions.append(decision)
+        unrecorded += recorded is None
+        entry = sha256 and make(path=path, ownership=ownership, sha256=sha256, rule=artifact.rule,
+                                entity=artifact.entity, fragments=artifact.fragments)
+        if entry != recorded:
+            if recorded is not None:
+                dropped.add(path)
+            if entry:
+                made.append(entry)
+    paths = tuple(map(attrgetter("path"), artifacts))
+    recorded_entries = manifest.entries if manifest is not None else ()
+    # with distinct artifact paths, as generate_all gives, the counts agree
+    # where every recorded entry is some artifact's, and only there
+    if len(paths) - unrecorded != len(recorded_entries):
+        recorded_entries = [*filter(None, map(entry_of, paths))]
+    entries = [entry for entry in recorded_entries if entry.path not in dropped] + made
+    entries.sort(key=attrgetter("path"))  # in the order recorded, but `made`
+    return WritePlan(paths, bytes(decisions), Manifest(
+        tuple(entries), summaries or {}, sources, manifest.read if manifest is not None else ()))
 
 
 def _atomic_write(target: Path, content: bytes) -> None:
@@ -198,20 +235,22 @@ def apply_plan(plan: WritePlan, artifacts: Sequence["Artifact"], out_root: Path)
     """Write the CREATE and OVERWRITE files of a conflict-free plan under
     `out_root`, and return the plan's manifest.
 
-    `plan` is `plan_writes(artifacts, ...)`, one entry per artifact in order.
+    `plan` is `plan_writes(artifacts, ...)`, one decision per artifact in order.
     Writes are atomic per file (temp file + rename). A failed write raises
     OSError with the file it was writing as its filename.
     """
     if plan.conflicts():
         raise ValueError("plan contains conflicts; resolve them or use force")
-    for entry, artifact in zip(plan.actions, artifacts, strict=True):
-        if entry.action in (WriteAction.CREATE, WriteAction.OVERWRITE):
-            _atomic_write(out_root / entry.path, artifact.content)
+    for decision, artifact in zip(plan.decisions, artifacts, strict=True):
+        if decision in (_CREATE, _DIFFERS, _FORCED):
+            _atomic_write(out_root / artifact.path, artifact.content)
     return plan.manifest
 
 
 _OWNERSHIPS = {member.value: member for member in Ownership}
-_QUOTED = {member: json.encoder.encode_basestring(member.value) for member in Ownership}
+_quote = json.encoder.encode_basestring
+_QUOTED = {member: _quote(member.value) for member in Ownership}
+_ENTRIES, _END = '\n  "entries": [\n    ', "\n  ]\n}\n"  # around the entries written
 
 
 def manifest_to_json(manifest: Manifest) -> str:
@@ -221,28 +260,17 @@ def manifest_to_json(manifest: Manifest) -> str:
     entry is [path, ownership, sha256], followed where it has inputs by the
     indices of their rule and entity in those lists, and then by its
     fragments, flat: entity, loop attributes, start and end of each iteration
-    in turn."""
-    quote = json.encoder.encode_basestring
-    # key -> its index, given in the order keys are first seen
-    rules: defaultdict[str, int] = defaultdict(count().__next__)
-    entities: defaultdict[str, int] = defaultdict(count().__next__)
-    lines = []
-    for e in manifest.entries:
-        head = f"{quote(e.path)}, {_QUOTED[e.ownership]}, {quote(e.sha256)}"
-        if not e.rule:
-            lines.append(f"[{head}]")
-        elif not e.fragments:
-            lines.append(f"[{head}, {rules[e.rule]}, {entities[e.entity]}]")
-        else:
-            fragments = json.dumps(_flat(e.fragments, entities), ensure_ascii=False)
-            lines.append(f"[{head}, {rules[e.rule]}, {entities[e.entity]}, {fragments}]")
-    summaries = [f"[{quote(key)}, {length}, [{', '.join(map(quote, languages))}], "
-                 f"[{', '.join(map(quote, targets))}]]"
+    in turn. A run of entries that manifest.read holds is copied (_runs)."""
+    rules, entities = _tables(manifest.entries)
+    lines = [piece if type(piece) is str else _entry(manifest.entries[piece], rules, entities)
+             for piece in _runs(manifest, rules, entities)]
+    summaries = [f"[{_quote(key)}, {length}, [{', '.join(map(_quote, languages))}], "
+                 f"[{', '.join(map(_quote, targets))}]]"
                  for key, (length, languages, targets) in manifest.summaries.items()]
     return (f'{{\n  "version": {MANIFEST_VERSION},\n'
-            f'  "rules": {_lines(map(quote, rules))},\n'
-            f'  "entities": {_lines(map(quote, entities))},\n'
-            f'  "sources": {quote(manifest.sources)},\n'
+            f'  "rules": {_lines(map(_quote, rules))},\n'
+            f'  "entities": {_lines(map(_quote, entities))},\n'
+            f'  "sources": {_quote(manifest.sources)},\n'
             f'  "summaries": {_lines(summaries)},\n'
             f'  "entries": {_lines(lines)}\n}}\n')
 
@@ -251,6 +279,66 @@ def _lines(items: Iterable[str]) -> str:
     """A JSON array of these values, one per line."""
     body = ",\n    ".join(items)
     return f"[\n    {body}\n  ]" if body else "[]"
+
+
+def _tables(entries: Sequence[ManifestEntry]) -> tuple[dict[str, int], dict[str, int]]:
+    """The index of each rule key, and of each entity key, of these entries, in
+    the order they are first written: an entry's fragments before its entity."""
+    keyed = [*compress(entries, map(attrgetter("rule"), entries))]
+    entities: list[str] = []
+    start = 0
+    for at in compress(count(), map(attrgetter("fragments"), keyed)):
+        entities += map(attrgetter("entity"), keyed[start:at])
+        entities += map(itemgetter(0), keyed[at].fragments)
+        start = at
+    entities += map(attrgetter("entity"), keyed[start:])
+    return ({key: i for i, key in enumerate(dict.fromkeys(map(attrgetter("rule"), keyed)))},
+            {key: i for i, key in enumerate(dict.fromkeys(entities))})
+
+
+def _entry(e: ManifestEntry, rules: Mapping[str, int], entities: Mapping[str, int]) -> str:
+    """The line of one entry, given the index of each key."""
+    head = f"{_quote(e.path)}, {_QUOTED[e.ownership]}, {_quote(e.sha256)}"
+    if not e.rule:
+        return f"[{head}]"
+    line = f"[{head}, {rules[e.rule]}, {entities[e.entity]}"
+    if e.fragments:
+        line += f", {json.dumps(_flat(e.fragments, entities), ensure_ascii=False)}"
+    return line + "]"
+
+
+def _runs(manifest: Manifest, rules: Mapping[str, int], entities: Mapping[str, int]) -> list:
+    """The index of each entry, in order, but each run of entries that are the
+    ones manifest.read holds, in the same places, as the text of their lines.
+    That needs every key read to keep its index in `rules` and `entities`,
+    unique paths, and the text to end with the entries array, with no ':' or
+    '}' in it, so that it is the array read. A line starts after '],', a
+    newline (never in a string) and 4 spaces, with '[' and its quoted path,
+    which no fragment list starts with."""
+    entries, everything = manifest.entries, list(range(len(manifest.entries)))
+    text, old, *tables = manifest.read or ("", (), (), ())
+    at, end = text.find(_ENTRIES) + len(_ENTRIES), len(text) - len(_END)
+    if not (len(old) == len(entries) and text.endswith(_END) and at >= len(_ENTRIES)
+            and text.find(":", at, end) < 0 and text.find("}", at, end) < 0
+            and len({*map(attrgetter("path"), old)}) == len(old)
+            and all(all(map(eq, map(now.get, keys, count()), count()))
+                    for now, keys in zip((rules, entities), tables))):
+        return everything
+    pieces: list = []
+    start = 0
+    for i in [*compress(count(), map(is_not, entries, old)), len(entries)]:
+        if start < i:  # entries start to i - 1 are the ones read
+            if start:
+                at = text.find(f"],\n    [{_quote(old[start].path)}, ", at, end) + 7
+            stop = end if i == len(entries) else \
+                text.find(f"],\n    [{_quote(old[i].path)}, ", at, end) + 1
+            if at < 7 or stop < 1:
+                return everything
+            pieces.append(text[at:stop])
+            at = stop
+        pieces.append(i)
+        start = i + 1
+    return pieces[:-1]  # but len(entries)
 
 
 def _strings(value: object, what: str) -> list[str]:
@@ -272,7 +360,7 @@ def _fragments(entities: list[str], flat: object) -> tuple[Fragment, ...]:
     return tuple(zip([entities[i] for i in indices], loops, starts, ends))
 
 
-def _flat(fragments: tuple[Fragment, ...], entities: defaultdict[str, int]) -> list:
+def _flat(fragments: tuple[Fragment, ...], entities: Mapping[str, int]) -> list:
     """Fragments in their flat form, with each entity key as its index."""
     keys, loops, starts, ends = zip(*fragments)
     flat: list = [None] * (4 * len(keys))
@@ -281,50 +369,56 @@ def _flat(fragments: tuple[Fragment, ...], entities: defaultdict[str, int]) -> l
     return flat
 
 
-def _entries(rows: object, rules: list[str], entities: list[str]) -> list[ManifestEntry]:
-    """The entries of a version-3 manifest."""
+def _entries(rows: object, rules: list[str], entities: list[str]) -> tuple[ManifestEntry, ...]:
+    """The entries of their rows, [path, ownership, sha256], followed where it
+    has inputs by the indices of its rule and entity, then by its fragments."""
     if type(rows) is not list:
         raise TypeError("entries must be a list")
     make, entries = _builder(ManifestEntry), []
     for number, row in enumerate(rows, 1):
-        if type(row) is not list or len(row) not in (3, 5, 6):
+        size = len(row) if type(row) is list else 0
+        if size == 5:
+            path, owner, sha, rule, entity = row
+            fragments = ()
+        elif size == 6:
+            path, owner, sha, rule, entity, fragments = row
+            fragments = _fragments(entities, fragments)
+        elif size == 3:
+            path, owner, sha = row
+        else:
             raise ValueError(f"entry #{number} is not [path, ownership, sha256, ...]")
-        path, owner, sha = row[0], row[1], row[2]
         if type(path) is not str or type(owner) is not str or type(sha) is not str:
             raise TypeError("entry path, ownership and sha256 must be strings")
         ownership = _OWNERSHIPS.get(owner)
         if ownership is None:
             raise ValueError(f"{owner!r} is not a valid Ownership")
-        rule = entity = ""
-        fragments = ()
-        if len(row) > 3:
-            if type(row[3]) is not int or type(row[4]) is not int or row[3] < 0 or row[4] < 0:
-                raise ValueError(f"entry #{number} names no rule or entity")
-            rule, entity = rules[row[3]], entities[row[4]]  # IndexError where there is none
-            if len(row) > 5:
-                fragments = _fragments(entities, row[5])
-        entries.append(make(path=path, ownership=ownership, sha256=sha, rule=rule,
-                            entity=entity, fragments=fragments))
+        if size == 3:
+            entries.append(make(path=path, ownership=ownership, sha256=sha))
+        elif type(rule) is int is type(entity) and rule >= 0 and entity >= 0:
+            # an IndexError where the table has no such key
+            entries.append(make(path=path, ownership=ownership, sha256=sha, rule=rules[rule],
+                                entity=entities[entity], fragments=fragments))
+        else:
+            raise ValueError(f"entry #{number} names no rule or entity")
     # each path comes from outside the program and must name a file under the
     # output root; checked once over every path, joined
-    if entries and _unsafe("/".join(entry.path for entry in entries)):
+    if entries and _unsafe("/".join(map(attrgetter("path"), entries))):
         bad = next(entry.path for entry in entries if _unsafe(entry.path))
         raise ValueError(f"entry path {bad!r} is not a normalized relative path")
-    return entries
+    return tuple(entries)
 
 
 def _summaries(rows: object) -> dict[str, "Summary"]:
-    """The summaries of a version-4 manifest, by key."""
-    if type(rows) is not list:
-        raise TypeError("summaries must be a list")
-    summaries = {}
-    for row in rows:
-        if not (type(row) is list and len(row) == 4 and type(row[0]) is str
-                and type(row[1]) is int and row[1] > 0):
-            raise ValueError("a summary is not [key, length, languages, targets]")
-        summaries[row[0]] = (row[1], tuple(_strings(row[2], "languages")),
-                             tuple(_strings(row[3], "targets")))
-    return summaries
+    """The summaries of a version-4 manifest, by key; each check takes every row."""
+    if type(rows) is not list or not {*map(len, rows)} <= {4}:
+        raise ValueError("a summary is not [key, length, languages, targets]")
+    keys, lengths, languages, targets = zip(*rows) if rows else ((),) * 4
+    if {*map(type, keys)} - {str} or {*map(type, lengths)} - {int} or min(lengths, default=1) < 1:
+        raise ValueError("a summary is not [key, length, languages, targets]")
+    for column in (languages, targets):
+        if {*map(type, column)} - {list} or {*map(type, chain.from_iterable(column))} - {str}:
+            raise TypeError("languages and targets must be lists of strings")
+    return dict(zip(keys, zip(lengths, map(tuple, languages), map(tuple, targets))))
 
 
 def _unsafe(path: str) -> bool:
@@ -333,35 +427,28 @@ def _unsafe(path: str) -> bool:
     return "//" in path or "/./" in path or "/../" in path
 
 
-def _old_entry(e: Mapping, version: int) -> ManifestEntry:
-    """An entry of a version-1 or version-2 manifest, with no inputs: their
-    inputs were keyed otherwise, so nothing is reused by them."""
-    path, owner, sha = e["path"], e["ownership"], e["sha256"]
-    if not (type(path) is str and type(owner) is str and type(sha) is str
-            and (version == 1 or type(e["inputs"]) is str)):
-        raise TypeError("entry path, ownership, sha256 and inputs must be strings")
-    ownership = _OWNERSHIPS.get(owner)
-    if ownership is None:
-        raise ValueError(f"{owner!r} is not a valid Ownership")
-    return ManifestEntry(path, ownership, sha)
-
-
 def manifest_from_json(text: str) -> Manifest:
     try:
         payload = json.loads(text)
         version = payload["version"]
         if type(version) is not int or version not in (1, 2, 3, MANIFEST_VERSION):
             raise ValueError(f"unsupported manifest version {version!r}")
-        if version < 3:
-            return Manifest(tuple(_old_entry(e, version) for e in payload["entries"]))
-        entries = _entries(payload["entries"], _strings(payload["rules"], "rules"),
-                           _strings(payload["entities"], "entities"))
-        if version == 3:
-            return Manifest(tuple(entries))
+        rows, rules, entities = payload["entries"], [], []
+        if version < 3:  # rows are objects, whose inputs were keyed otherwise: none is reused
+            if version == 2 and any(type(row["inputs"]) is not str for row in rows):
+                raise TypeError("entry inputs must be strings")
+            rows = [[row["path"], row["ownership"], row["sha256"]] for row in rows]
+        else:
+            rules = _strings(payload["rules"], "rules")
+            entities = _strings(payload["entities"], "entities")
+        entries = _entries(rows, rules, entities)
+        if version < MANIFEST_VERSION:
+            return Manifest(entries)
         sources = payload["sources"]
         if type(sources) is not str:
             raise TypeError("sources must be a string")
-        return Manifest(tuple(entries), _summaries(payload["summaries"]), sources)
+        return Manifest(entries, _summaries(payload["summaries"]), sources,
+                        (text, entries, rules, entities))
     except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
         raise ManifestError(f"malformed manifest: {exc}") from exc
 

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Optional
 from . import atl
 from .loader import paused_gc
 from .model import KEY_LENGTH, ApplicationModel, Entity, _builder
-from .ownership import Fragment, Manifest, Ownership, _unsafe, walk_files
+from .ownership import Fragment, Manifest, ManifestEntry, Ownership, _unsafe, walk_files
 
 _PLACEHOLDER_RE = re.compile(r"\{entity\.([A-Za-z_][A-Za-z0-9_]*)\}")
 _PATH_FIELDS = ("name", "tableName")  # the entity text fields a path may read
@@ -65,6 +65,8 @@ class Artifact:
     rule: str = ""
     entity: str = ""
     fragments: tuple[Fragment, ...] = ()  # of a template with a fragment loop: its iterations
+    # the manifest entry whose keys it has, where its content is its file's, not rendered
+    reused: Optional[ManifestEntry] = field(default=None, compare=False, repr=False)
 
 
 def builtin_pack_dir(name: str = "webstack") -> Path:
@@ -232,13 +234,14 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
 
     `read(path)` gives the bytes of the file at an artifact's path, or None
     where there is none; each file is read once. Where the `manifest` entry at
-    that path holds the artifact's keys, the file's bytes are its content, and
-    it is not rendered. A per-model template with a fragment loop
-    (atl.FragmentLoop) whose entry has its rule's key is rendered once, and
-    skips each iteration whose key the entry lists: that iteration is kept
-    from the file's bytes. Planning then checks that those bytes are the ones
-    the manifest records: content spliced from an edited file is a CONFLICT,
-    and never written.
+    that path holds the artifact's keys, the file's bytes are its content, it
+    is not rendered, and it names that entry (Artifact.reused), which planning
+    then only checks against the file's digest. A per-model template with a
+    fragment loop (atl.FragmentLoop) whose entry has its rule's key is
+    rendered once, and skips each iteration whose key the entry lists: that
+    iteration is kept from the file's bytes. Planning then checks that those
+    bytes are the ones the manifest records: content spliced from an edited
+    file is a CONFLICT, and never written.
     """
     lang = lang or model.settings.defaultLanguage or next(iter(model.languages), "")
     model_digest = _model_digest(model)
@@ -283,8 +286,10 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
                 old = read(path) if read else None
                 known = bool(rule_key and key)
                 entry = entry_of(path) if known and old is not None else None
+                reused = entry if entry is not None and entry.rule == rule_key \
+                    and entry.entity == key else None
                 try:
-                    if entry is not None and entry.rule == rule_key and entry.entity == key:
+                    if reused is not None:
                         content, fragments = old, entry.fragments
                     elif per_model and ast.fragment is not None:
                         recorded = entry.fragments if entry and entry.rule == rule_key else ()
@@ -299,7 +304,7 @@ def generate_all(model: ApplicationModel, pack: TemplatePack, lang: str = "",
                 artifacts.append(make(path=path, content=content, ownership=rule.ownership,
                                       rule=rule_key if known else "",
                                       entity=key if known else "",
-                                      fragments=fragments if known else ()))
+                                      fragments=fragments if known else (), reused=reused))
     return artifacts
 
 

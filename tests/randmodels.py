@@ -52,12 +52,16 @@ def _random_constraints(rng: random.Random, fields: list[Field],
     n_unique = rng.randint(0, 2)
     for _ in range(n_unique):
         chosen = rng.sample(fields, k=min(len(fields), rng.randint(1, 3)))
-        constraints.append(Constraint(
+        constraint = Constraint(
             kind=ConstraintKind.UNIQUE,
             kind_token="Unique",
             cfields=tuple(f.name for f in chosen),
             errorMessages=_localized(rng, langs, "must be unique"),
-        ))
+        )
+        # two with one field list share a name, E_DUP_CONSTRAINT; the second
+        # is drawn as before and left out, so the draws after it are the same
+        if all(c.cfields != constraint.cfields for c in constraints):
+            constraints.append(constraint)
 
     dates = [f for f in fields if f.type in DATE_TYPES]
     others = [f for f in fields if f.type not in DATE_TYPES]

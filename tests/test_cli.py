@@ -151,6 +151,32 @@ def test_generate_dry_run_writes_nothing(tmp_path, capsys):
     assert tree_digest(out) == before
 
 
+def test_dry_run_lists_every_path_after_a_one_entity_edit(tmp_path, capsys):
+    """Each artifact's action and reason, in artifact order, after newsboard's
+    English DisplayName of Fakultet is edited in a generated tree."""
+    model = tmp_path / "model.xml"
+    text = Path(NEWSBOARD).read_text("utf-8")
+    model.write_text(text, "utf-8")
+    argv = ["generate", "--model", str(model), "--pack", PACK, "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    model.write_text(text.replace("<DisplayName>Faculty</DisplayName>",
+                                  "<DisplayName>Faculty board</DisplayName>", 1), "utf-8")
+    capsys.readouterr()
+    assert main([*argv, "--dry-run"]) == 0
+    unchanged, once = "SKIP_UNCHANGED  {} (content unchanged)", \
+        "SKIP_ONCE       {} (scaffolded once; owned by the developer)"
+    differs = "OVERWRITE       {} (regenerated content differs)"
+    assert capsys.readouterr().out.splitlines() == [
+        unchanged.format("sql/001_tables.sql"), unchanged.format("sql/002_constraints.sql"),
+        unchanged.format("sql/procs/Fakultet.sql"), unchanged.format("sql/procs/Vest.sql"),
+        unchanged.format("dal/Fakultet_Base.js"), unchanged.format("dal/Vest_Base.js"),
+        once.format("dal/Fakultet.js"), once.format("dal/Vest.js"),
+        differs.format("web/Fakultet_edit.html"), unchanged.format("web/Vest_edit.html"),
+        unchanged.format("web/Fakultet_list.html"), unchanged.format("web/Vest_list.html"),
+        unchanged.format("web/validation.js"), differs.format("docs/Fakultet.md"),
+        unchanged.format("docs/Vest.md"), unchanged.format("api/api.json")]
+
+
 def test_generate_conflict_and_force(tmp_path, capsys):
     out = tmp_path / "out"
     assert generate(out) == 0

@@ -356,6 +356,61 @@ def test_incremental_regeneration_equals_rendering_everything(tmp_path, monkeypa
     assert skipped > 0
 
 
+def test_a_saved_manifest_is_what_serializing_its_entries_writes(tmp_path, monkeypatch):
+    """A save copies the lines of unchanged entries from the manifest read;
+    after every run, of edits that shift the key tables (deleting an entity,
+    swapping two, another language) among others, each tree's manifest is the
+    text written afresh from its entries, with no line copied."""
+    copied = []  # of each save, whether it copied any line
+    real = ownership._runs
+
+    def runs(*args):
+        pieces = real(*args)
+        copied.append(any(type(piece) is str for piece in pieces))
+        return pieces
+
+    monkeypatch.setattr(ownership, "_runs", runs)
+    for seed in range(3):
+        space = Workspace(tmp_path / str(seed), seed)
+        space.generate(monkeypatch)
+        edits = ["edit_text", "edit_text", "delete_entity", "rename_field", "reorder_entities",
+                 "edit_text", "command_language", "edit_text",
+                 *random.Random(seed).sample(EDITS, k=8), "edit_text"]
+        for step, edit in enumerate(edits):
+            getattr(space, edit)()
+            space.write_model()
+            for extra in ([], ["--force"]) if edit.startswith("hand_edit") else ([],):
+                space.generate(monkeypatch, *extra)
+            for tree in space.trees:
+                text = (tree / "out" / ownership.MANIFEST_FILENAME).read_text("utf-8")
+                manifest = ownership.manifest_from_json(text)
+                fresh = ownership.Manifest(manifest.entries, manifest.summaries, manifest.sources)
+                assert text == ownership.manifest_to_json(fresh), f"seed {seed}, {step}: {edit}"
+    assert any(copied)
+
+
+@pytest.mark.parametrize("layout", [{"indent": 2}, {"separators": (",", ":")}])
+def test_a_manifest_laid_out_otherwise_is_saved_as_written_afresh(tmp_path, layout):
+    """A manifest that holds the same values with another layout, as a JSON
+    formatter leaves it, copies no line: after a one-entity edit the saved
+    manifest is the text written afresh from its entries. Indented by 2, it
+    begins and ends its entries array as sfgen does, but spreads each entry
+    over lines."""
+    model, out = tmp_path / "model.xml", tmp_path / "out"
+    text = Path(NEWSBOARD).read_text("utf-8")
+    model.write_text(text, "utf-8")
+    argv = ["generate", "--model", str(model), "--pack", str(PACK), "--out", str(out)]
+    assert run(argv)[0] == 0
+    path = out / ownership.MANIFEST_FILENAME
+    path.write_text(json.dumps(json.loads(path.read_text("utf-8")), **layout) + "\n", "utf-8")
+    model.write_text(text.replace("<DisplayName>Faculty</DisplayName>",
+                                  "<DisplayName>Faculty board</DisplayName>", 1), "utf-8")
+    assert run(argv)[0] == 0
+    manifest = ownership.load_manifest(out)
+    fresh = ownership.Manifest(manifest.entries, manifest.summaries, manifest.sources)
+    assert path.read_text("utf-8") == ownership.manifest_to_json(fresh)
+
+
 @pytest.mark.parametrize("before", ["add_field", "hand_edit_scaffold"])
 def test_an_ownership_flip_equals_rendering_everything(tmp_path, monkeypatch, before):
     """A scaffold left as it was after an edit of its entity, or after a hand

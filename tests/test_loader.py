@@ -244,6 +244,34 @@ def test_names_are_unique_case_folded():
     assert load_model(doc.replace(b' isLogged="true"', b""))[1][2:] == diagnostics[3:]
 
 
+def test_constraint_names_are_unique_case_folded():
+    # two constraints that 002_constraints.sql gives one name, UQ_tbl_<table>_
+    # <fields joined by _> or CK_tbl_<table>_<first>_<second>; the error is at
+    # the second, and other entities and kinds do not clash
+    doc = _wrap('\n<Entity name="E" tableName="T"><Field name="ID" type="int" isPK="true"/>'
+                '<Field name="a" type="int"/><Field name="b" type="int"/>'
+                '<Field name="a_b" type="int"/>\n'
+                '<Constraint type="Unique"><CField name="a"/><CField name="b"/></Constraint>\n'
+                '<Constraint type="Unique"><CField name="a_b"/></Constraint>\n'
+                '<Constraint type="Unique"><CField name="A"/><CField name="B"/></Constraint>\n'
+                '<Constraint type="TwoFields" relationship="le">'
+                '<CField name="a"/><CField name="b"/></Constraint>\n'
+                '<Constraint type="TwoFields" relationship="ge">'
+                '<CField name="a"/><CField name="b"/></Constraint>\n'
+                '<Constraint type="Unique"><CField name="ID"/></Constraint></Entity>\n'
+                '<Entity name="F" tableName="F"><Field name="ID" type="int" isPK="true"/>'
+                '<Constraint type="Unique"><CField name="ID"/></Constraint></Entity>')
+    _, diagnostics = load_model(doc)
+    assert [(d.code, d.location, d.subject, d.message) for d in diagnostics
+            if d.code == loader.E_DUP_CONSTRAINT] == [
+        (loader.E_DUP_CONSTRAINT, (4, 1), "Entity[E]/Constraint[2]",
+         "duplicate constraint name 'UQ_tbl_T_a_b'"),
+        (loader.E_DUP_CONSTRAINT, (5, 1), "Entity[E]/Constraint[3]",
+         "duplicate constraint name 'UQ_tbl_T_A_B': it differs from 'UQ_tbl_T_a_b' only in case"),
+        (loader.E_DUP_CONSTRAINT, (7, 1), "Entity[E]/Constraint[5]",
+         "duplicate constraint name 'CK_tbl_T_a_b'")]
+
+
 def test_bad_default_language():
     doc = (b'<xsource><Settings defaultLanguage="Klingon"/><EntityConfig>'
            + MINIMAL_ENTITY.encode() + b"</EntityConfig></xsource>")

@@ -170,7 +170,8 @@ def seeded_document(seed: int) -> bytes:
     return text.encode("utf-8")
 
 
-# seeds 25, 30, 31 and 54 copy a field next to itself, which is E_DUP_FIELD
+# seeds 25, 30, 31 and 54 copy a field next to itself, which is E_DUP_FIELD;
+# seed 39 copies a constraint next to itself, which is E_DUP_CONSTRAINT
 SEEDED_PINS = {
     0: ("9a8ad1d0596d0a089c4545a04ee313f4505366a62fff4cbfde7939c651d9abe6",
          "e5e1028c3b1364327ef102015811671e332ffe381faef4dd27173a700d284342", 1),
@@ -200,8 +201,8 @@ SEEDED_PINS = {
          "761e286cd07a286d810ce0d6f6813826512f74afa522330ad8441715c31e1271", 1),
     14: ("f0a1fa065e95ec8a2c0160fc9106dfa2cad85bcfe07f7c122d4c3c3b4c794fe2",
          "df15192d3abdb3bd4f492ef93f127074f32d6d5af0121df39e44681c909ff120", 1),
-    15: ("5c6dfaba8f41abcc4c2a4f29cef6fc0915061f789fd51721cd94da308f98154c",
-         "3d33d9f7e022600b738bc6c1496864362aabb111532bc4a77b6fa43c656cd13f", 2),
+    15: ("470ae50b05aa8c8953ea74dff225bd449d28499fa4482b6f31b91c850f0a55f3",
+         "c0e50c55ae4454fb504229e264e019d778764424470816880f00a7ffddcf7441", 3),
     16: ("7dabee6ec637471549ad8ea72758d07a2a3121185bd62abfc4814abce6f42d58",
          "5f84bae60c4a7cad9ca10bf2449925f7402bcae0dd0c80f3d5dcbd5ed895f628", 1),
     17: ("f9087e0bd8c6420810cc897cf437e1c58496d54365b7139e6e4bcb9603b7a6e2",
@@ -221,8 +222,7 @@ SEEDED_PINS = {
          "f96f5132b8f86ddbdb0b4d87d1bb86ac30b8493e05d74437b7a02d9e2a39c67d", 3),
     26: ("f03df0d95c3fe61b8dc2be0418a522816dbf12b2a945846c4cf1550797ed5801",
          "aea97b243378176e668b215e63cbe02ecbafe972199aff01130815f54e276e42", 1),
-    27: ("d6b4163740ee3eebd85da95bfb500da4c994221b560049dbcedf4fdc800df782",
-         "e5cde6f27badfe172c159215d884bb37759e3b5379cb204a2eee2a296822484b", 1),
+    27: (38, 57, "mismatched closing tag '</Entity>' for '<ErrorMessage>'"),
     28: ("5748070866a71438010b9576f0aa8dceb82845c7aeae1a35e4ca2de38c53edb1",
          "e7d3b669b60d176a97ec6f7eb8037d70a6dc0c727eae62ea06b47ffbfca2d32a", 2),
     29: ("eb38f00ee04f00174b7507cbd4c53c7c2d84d27c6239bc63714b99b386a4cf92",
@@ -245,13 +245,13 @@ SEEDED_PINS = {
     38: ("a2632c8ecc56cee6e59e746bf657fc63a9fd714cc81b54ee7233733692ccaaed",
          "6090e28eb8800d7faeac3a9c408dfbf3b3d2ecb91be9f299ef1436b46c4cabb8", 1),
     39: ("e3ab720cdf91ecbbad0c34836c9ffadb3920812a18b5f023988a52640718b1b7",
-         "43c189ce1aab4bf35a0d6275a954793a1b9d7f86bb3c8d30cbb772cfef6a2751", 2),
+         "d0fa5a0d0b1a50dab000303a14b0e464b14692ac21b9cd601e0b3bbd1576392c", 3),
     40: (15, 115, "duplicate attribute 'nameName'"),
     41: (171, 9, 'expected attribute name'),
     42: ("13874b7faa292cc4ee643bdd654c1ba3f774f881fdb04460e4dce5bce9955b6a",
          "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945", 0),
-    43: ("aa98e63c276728d138ea4d99ed18a979646efb67bd911940e4815520ca015e94",
-         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945", 0),
+    43: ("36c90dc68533bc1b5368b2131a5b9c347b7109826b44691d0b0ec059e8b7ff61",
+         "b4e8a2380baa06fd4b01a05938ffaad1ad2f5dc08df54d67fd0e33004216279a", 1),
     44: ("9e88c4df69df970e2e240716a27144666306e15a9eaa023f93ab15c63c4b33db",
          "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945", 0),
     45: ("09e287d6ae66ac7083cae11a931c0ad980cce44ab59b800d4ee628c1f822dd05",
@@ -280,7 +280,8 @@ SEEDED_PINS = {
          "33ef643bfae6e25bab7d04ad6c36c512db605ece856d494bd48913d7675fe54a", 3),
     58: ("75f33b47bf8fac5593ee6004302eaaad7c39204e996a972f161bc8292e817193",
          "7db2ddb0df11b58a362e399c2b208c2423a2a0848961a6a78bd5ecfcaa91c4c9", 2),
-    59: (102, 37, 'undefined or malformed entity reference'),
+    59: ("b153f93186b7ae60665002ef38369df794026fa43e5f0faca6f2c6b6c75df431",
+         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945", 0),
 }
 
 

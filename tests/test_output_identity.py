@@ -48,7 +48,7 @@ def test_fixture_trees_are_pinned(fixture, lang, expected, webstack):
 RANDOM_TREES = [
     "917ea1483e2e844d1624e9322d3f0657580818c2d87c9310ec1bc94b8f137cb4",
     "160c28fdd70580d335551b1aeda889e6b015ed57cdaa6018a512db0bcfcc55c1",
-    "40fd9dedd310822dfd9a2e2c85ba2d93a2ac21e01b5d68660e18d09160dd4068",
+    "f29a1504bd9ab94a4a5a983190d14229f206439da3502139cf9f2a57243c7425",
     "5430097e6a2d7e9a9396df7a194fe31811e318f648b98047c7bdca86248e912b",
     "9e91b9b16d79db12c0937349e33c58d939c821323bb60772298ffbbcc594340c",
     "160c28fdd70580d335551b1aeda889e6b015ed57cdaa6018a512db0bcfcc55c1",
@@ -59,17 +59,17 @@ RANDOM_TREES = [
     "160c28fdd70580d335551b1aeda889e6b015ed57cdaa6018a512db0bcfcc55c1",
     "a62e4e9daa51d3d493984e612b724bf1e66414d8b54dfd94bc6a3eff0680ed69",
     "564eda6143f4d6368c983af690453eb8cd0a9cc4437272af1fda6389be7a3f2a",
-    "34efdb0d69fdf117022db27c49eec19c0c48549921ce05e7b2ab8b6d6fd9f5ab",
+    "1ff8635330ae552354f231bacb65e767c8abe81f54562f40f7df8d9a2f768288",
     "3ee78561b2ba10ea1d849c3ce11dcd2531ab058723a087df31de21c55b807da1",
     "07effc57e491b8aab09152febbdefaa92a5f452eae6c42b4ebde3dc68cfd6f91",
     "9569829eb8a77c8a4b2735ad195adfbc5244b159cb90b15232b5b282782de5f5",
     "129bc5f3b667e4df69f1e6b60b55b0fa1008cdd556fc503f1d88b5bede4e8465",
     "6680f8cf3c8baa73cf7cebc164ffb52f06732fa82956838dbc6b7a8c4da327f7",
-    "03ee4fb782293af46c442768c1b0f82228f1b5d4ad5da1dc481116a4bffea1ca",
+    "0ae048a961ba44115888465966b255160a2f97fa863e00f548ebd29598f28035",
     "ea1e9d9ea0f5eabf449893e2486e27fc9b0bb5a8a6040d2947e9c0dc5c0da12b",
     "c62a8e2163f51a460b5039c4abb6386bf864f7a7ec47f4ce56024e82566d9305",
     "e58dc0599d9c832fe107e25037a98a212fb392205c1fdf6f6a0c5b49e9d38c24",
-    "1df55766761c98c9472103bf58fb1cb02c0e13476c0e357ad516c1bcba1d9f33",
+    "cb42cf443ab98db6dd656b790f0935fbae97ef44e185476384e5aaecee206bbc",
     "1b7553b691825f4a7fc061182583d9f0e6dd395198f7bc602450f7a2ed7155c9",
     "89f18305693eadd4109b8a18c75088001d500bbed188c1c518c411d56b231800",
     "fb3c2a5b5e18aa1a7fade1d028b1e3f39c42be270176a6d926aa142952c1e568",
@@ -77,13 +77,13 @@ RANDOM_TREES = [
     "050c30869cd0da3314fa8c76fc1f354d1188e65f229e6c456eec00c5f97e3f09",
     "379dca05ba15ae4cfc8e8007fc189ac5a44b2279e05b96a8dce1c2716f56f6ba",
     "98aab8c0c21cc9fd100285aea78514552578caeb7dc33e9185c67dacd905382b",
-    "dc48eec1a2c9599aa4fe1a86a872696151661cae202c970e8a1ad92da3f2dd2b",
+    "7396bb7140602eff458b5e5781fcbb9fd4aabd361cf06ef900a5f6649ff547d2",
     "c492218cb8d56b8306411ccdf082f2a9a21ca03d51e4abb1fdd1bdae22be404e",
     "25c3e71acb9366039e9503e2c72490fe96f7b3636a055dd0cc0761d67babbda2",
     "3dbd79703000a5bfd9b689a468b4c446b3a7f74b59584ba8f10aa85f7644655e",
     "a086a7b547d56c99d8fd71cf9edd6264dca1d9a55ae15d594e71d6ab45172666",
     "7d874cd16684fb4367b28f6ed17f8732124110ece18f0949a1568ca26cde69da",
-    "c1d255fa265637f364c626b96f0a457f4fe9e21f1c71a8baa057040e1269ca17",
+    "c30e5f67c1ee111140041458ffeb97a5ef2c20ca8abfbdb0b3ac65f4b8da840e",
     "e485e4ebf22af4226823a981f456205ad55a55af5db4a0a23dc11858bafb8984",
     "dc3d24cbc672320ed5e6bd6ddba693ee561b204c545fda27fcf54a87cc421ff0",
     "cfe5e67c37e3e891e0f84ed65a3aca3700527cb73ecb303cc51bd994233c153b",
@@ -98,7 +98,7 @@ RANDOM_TREES = [
     "cd038ac9642835b57ca6a19ab27c8e0cd8767ed4e32ca301a08fe881eaaf6e39",
     "013f981cc7fb8dac2be97c2d581ec367572a18fe3d8686ebe3b817423aa1e0bf",
     "93978e93bd251f1837a7795886c7b9cdd534f16fd2afccee5e53c2738a53683e",
-    "57ffaee9d71d898e796ae70eff285026ac1c0bbb13c0b0b9c83c3e5fbba23e9f",
+    "66df5688993600e8fef7c81ebfe3b90e6b3a7d68291faffd5a33af3ad4bbe32c",
     "90109af2e6dd4cc9418db1e499a3380b928b2b750f8b4fa8aec2ebbe14fcc12e",
     "6390a769f80717fa118a2eba58f47e04e4ee2a1c9a5a6014aec5affb0f8f38f8",
     "7e1ad6dbef62ec8478a073f666b42c2a2604a42630a8052f64479be362ad303c",
@@ -121,8 +121,8 @@ RANDOM_TREES = [
     "70adfe2870b98592c0a5f6e0e8d9b9dc4b652641f55ea8b468842c9d4a1b2a63",
     "870e2d0b647e25c6b1800c7562c9ab9dc444b55c2cd936f017aa8cc730342e78",
     "7cabd547cb8de01070fcc997d998428623ae72b5e4cb1e936c881a757a6acd35",
-    "6e3adc37f3d5dcfc3799467a52b9d7947d731ecaad5aec3b315d8255ef867f7d",
-    "6a789bec4d41b5348376ce5dd9748be26c10d40ed337edf2e6812a5619caf65d",
+    "00afd672405adf05572e8ecc882a2fde90cff92839127b941e2cb05094784344",
+    "34da06496304d81f2895933316fd41ad21970c9845a8216f7d5ad73737837ef3",
     "556c46d62578c44e66d4fe9c72fbee63fc68c408a2c34af663d60dfd602fd38e",
     "1135a3d5d8c9bcd8febb4665dd250f8164fa54cf11efa062037a9f3e3fc161b5",
     "3f053799348f7dab7c86ee1e7cb8705662049d6e450a49de2cef86ea517e8ae6",
@@ -140,7 +140,7 @@ RANDOM_TREES = [
     "aa2db6b2466e732c81256838eedd2a6a26df3b21b3fe464d4a5373202d522f1f",
     "85e9298163b4a0902617220f93876f986284a23ba52a5ef5727b9b4ce59026a8",
     "47408628ea927f4612c44c878bdc07d9b3cd05eab3139c2191bbc4e9559c2d54",
-    "aa08d78665f02ce5f2725dd694a5088295b0e50e29c1e559099562271c0877e5",
+    "65a05f005f846c4fa885a01ad940d29e2bea9a0145fb805bdc19ec8b17a5294d",
     "f4f20c3ed0b37b57c1e386c9e55ec794601eb406b60b3ef090ceaeda142f1c34",
     "744af253d731a4a1ad86d1ee4701567c244b701698131119b18c6cdfd86a6456",
     "70e282f52680a27c7cd18c69504c5dcc1d490ead8f1d041c0b0bd7e518fee252",

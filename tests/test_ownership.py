@@ -427,6 +427,7 @@ def test_load_missing_manifest_returns_none(tmp_path):
                                         '["a", "sometimes", "00"]', '["a", "always", 0]',
                                         '["a", "always", "00", 1, 0]', '["a", "always", "00", 0, -1]',
                                         '["a", "always", "00", true, 0]',
+                                        '["a", "always", "00", null, null]',
                                         '["a", "always", "00", 0, 0, [0, "x", 5, 2]]',
                                         '["a", "always", "00", 0, 0, [0, "x", 1]]',
                                         '["a", "always", "00", 0, 0, [0, 1, 2, 3]]',
